@@ -7,8 +7,8 @@ verification suite for their closed-form structure.
 from .perms import (
     BLength, SizeCapError, StatRecord, check_perm, check_window, compose,
     descent_set_a, descent_set_b, embed_tilde, format_perm, format_window,
-    identity, inverse, length_a, length_b, longest_element, parse_perm,
-    parse_window, signed_reflection, stats_a,
+    identity, inverse, length_a, length_b, parse_perm, parse_window,
+    signed_reflection, stats_a,
 )
 from .bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
 from .qpoly import IntPolynomial, q_factorial, q_int
@@ -18,10 +18,10 @@ from .posets import (
     poset_isomorphic, rank_generating_polynomial, to_dot, to_json,
 )
 from .wachs import (
-    ClosedForms, chi_map, closed_polys, coatom_c, decode_a, decode_b,
-    encode_a, encode_b, enumerate_wachs, f_map, involution_wa, involution_wb,
-    is_wachs, mobius_closed_a, mobius_closed_b, rank_lw_a, rank_lw_b, star,
-    wachs_covers_a, wachs_covers_b, wachs_leq_a, wachs_leq_b,
+    KINDS, ClosedForms, Kind, chi_map, closed_polys, coatom_c, decode, encode,
+    enumerate_wachs, f_map, involution_wa, involution_wb, is_wachs,
+    kind_record, longest_element, mobius_closed, rank_lw, star, wachs_covers,
+    wachs_leq,
 )
 from .weak import tl_set, weak_leq, weak_product_iso
 

@@ -16,7 +16,7 @@ from bisect import insort
 from functools import lru_cache
 from typing import Sequence
 
-from .perms import Window, embed_tilde, full_value
+from .perms import embed_tilde, full_value
 
 __all__ = ["bruhat_leq_a", "bruhat_leq_b", "covers_a", "covers_b"]
 

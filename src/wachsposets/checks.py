@@ -16,19 +16,17 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from . import wachs
-from .bruhat import bruhat_leq_a, bruhat_leq_b
-from .perms import (compose, format_perm, format_window, inverse,
-                    longest_element)
+from .bruhat import bruhat_leq_a
+from .perms import compose, format_perm, inverse
 from .posets import (FinitePoset, build_poset, characteristic_polynomial,
                      dual_check, grade, lattice_checks, mobius_table)
 from .qpoly import IntPolynomial
 from .weak import tl_set, weak_product_iso
 
-__all__ = ["CheckResult", "THEOREM_IDS", "CONJECTURE_IDS", "DEFAULT_CAP",
-           "LATTICE_DEFAULT_MAX_N", "theorem_cells", "conjecture_cells",
-           "run_cell", "run_cells", "report"]
+__all__ = ["CheckResult", "THEOREM_IDS", "CONJECTURE_IDS",
+           "LATTICE_DEFAULT_MAX_N", "default_max_n", "theorem_cells",
+           "conjecture_cells", "run_cell", "run_cells", "report"]
 
-DEFAULT_CAP = {"A": 8, "B": 6}
 LATTICE_DEFAULT_MAX_N = 9  # (W(S_n), <=_L) lattice sweep: odd n, m <= 4
 
 
@@ -51,18 +49,11 @@ def wachs_elements(kind: str, n: int) -> tuple:
     return tuple(wachs.enumerate_wachs(kind, n))
 
 
-def _key(kind: str):
-    return format_perm if kind == "A" else format_window
-
-
-def _leq(kind: str):
-    return bruhat_leq_a if kind == "A" else bruhat_leq_b
-
-
 @lru_cache(maxsize=None)
 def bruhat_poset(kind: str, n: int) -> FinitePoset:
     """Induced Bruhat order on the Wachs elements, via the oracle."""
-    return build_poset(wachs_elements(kind, n), _leq(kind), key=_key(kind))
+    k = wachs.kind_record(kind)
+    return build_poset(wachs_elements(kind, n), k.leq, key=k.key)
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +63,8 @@ def weak_poset(kind: str, n: int, side: str) -> FinitePoset:
         tls = {v: tl_set(inverse(v), kind) for v in elems}
     else:
         tls = {v: tl_set(v, kind) for v in elems}
-    return build_poset(elems, lambda x, y: tls[x] <= tls[y], key=_key(kind))
+    return build_poset(elems, lambda x, y: tls[x] <= tls[y],
+                       key=wachs.kind_record(kind).key)
 
 
 # ------------------------------------------------------------ check bodies
@@ -86,32 +78,29 @@ def _check_graded(kind, n):
     forms = wachs.closed_polys(kind, n)
     if g.rank != forms.rank:
         return False, f"rank {g.rank} != {forms.rank}"
-    lw = wachs.rank_lw_a if kind == "A" else wachs.rank_lw_b
     for i, v in enumerate(p.items):
-        if g.ranks[i] != lw(v):
+        if g.ranks[i] != wachs.rank_lw(v, kind):
             return False, f"rank function differs from l_W at {p.elements[i]}"
     return True, None
 
 
 def _check_order(kind, n):
     p = bruhat_poset(kind, n)
-    leq = wachs.wachs_leq_a if kind == "A" else wachs.wachs_leq_b
     for i, u in enumerate(p.items):
         up = p.up[i]
         for j, v in enumerate(p.items):
-            if leq(u, v) != bool(up >> j & 1):
+            if wachs.wachs_leq(u, v, kind) != bool(up >> j & 1):
                 return False, f"{p.elements[i]} vs {p.elements[j]}"
     return True, None
 
 
 def _check_covers(kind, n):
     p = bruhat_poset(kind, n)
-    cov = wachs.wachs_covers_a if kind == "A" else wachs.wachs_covers_b
     below = {j: set() for j in range(len(p))}
     for i, j in p.covers:
         below[j].add(p.items[i])
     for j, v in enumerate(p.items):
-        if cov(v) != below[j]:
+        if wachs.wachs_covers(v, kind) != below[j]:
             return False, f"covers of {p.elements[j]}"
     return True, None
 
@@ -119,10 +108,8 @@ def _check_covers(kind, n):
 def _check_mobius(kind, n):
     p = bruhat_poset(kind, n)
     bot = p.minimum()
-    enc = wachs.encode_a if kind == "A" else wachs.encode_b
-    closed = wachs.mobius_closed_a if kind == "A" else wachs.mobius_closed_b
     for j, v in enumerate(p.items):
-        if p.mobius(bot, j) != closed(enc(v), n):
+        if p.mobius(bot, j) != wachs.mobius_closed(wachs.encode(v), n):
             return False, f"mu(e, {p.elements[j]})"
     return True, None
 
@@ -135,10 +122,9 @@ def _check_charpoly(kind, n):
 
 
 def _check_rankpoly(kind, n):
-    lw = wachs.rank_lw_a if kind == "A" else wachs.rank_lw_b
     counts: dict = {}
     for v in wachs_elements(kind, n):
-        r = lw(v)
+        r = wachs.rank_lw(v, kind)
         counts[r] = counts.get(r, 0) + 1
     coeffs = [0] * (max(counts) + 1)
     for r, c in counts.items():
@@ -163,14 +149,14 @@ def _check_weakiso(kind, n):
 
 def _check_selfdual(kind, n):
     p = bruhat_poset("A", n)
-    w0 = longest_element("A", n)
+    w0 = wachs.longest_element("A", n)
     mapping = {p.elements[i]: format_perm(compose(v, w0))
                for i, v in enumerate(p.items)}
     if not dual_check(p, mapping):
         return False, "v -> v w_0 is not an antiautomorphism"
-    top = wachs.rank_lw_a(w0)
+    top = wachs.rank_lw(w0, "A")
     for v in p.items:
-        if wachs.rank_lw_a(compose(v, w0)) != top - wachs.rank_lw_a(v):
+        if wachs.rank_lw(compose(v, w0), "A") != top - wachs.rank_lw(v, "A"):
             return False, f"rank antisymmetry fails at {format_perm(v)}"
     return True, None
 
@@ -270,21 +256,29 @@ THEOREM_IDS = list(THEOREMS) + ["nongraded-weakL"]
 CONJECTURE_IDS = list(CONJECTURES)
 
 
+def default_max_n(check_id: str) -> int:
+    """The largest n a check sweeps unless told otherwise."""
+    if check_id == "latticeAodd":
+        return LATTICE_DEFAULT_MAX_N
+    if check_id == "nongraded-weakL":   # fixed cells, like nongraded-remark
+        return wachs.kind_record("A").default_cap
+    spec = THEOREMS.get(check_id) or CONJECTURES[check_id]
+    return wachs.kind_record(spec.kind).default_cap
+
+
 def theorem_cells(check_id: str, max_n: Optional[int] = None) -> list:
     """The (id, kind, n) cells a theorem check expands to."""
     if check_id == "nongraded-weakL":
         return [(check_id, "A", 5), (check_id, "B", 3)]
     spec = THEOREMS[check_id]
-    cap = max_n if max_n is not None else DEFAULT_CAP[spec.kind]
+    cap = max_n if max_n is not None else default_max_n(check_id)
     return [(check_id, spec.kind, n) for n in spec.ns(cap)]
 
 
 def conjecture_cells(check_id: str, max_n: Optional[int] = None) -> list:
     spec = CONJECTURES[check_id]
-    if max_n is None:
-        max_n = (LATTICE_DEFAULT_MAX_N if check_id == "latticeAodd"
-                 else DEFAULT_CAP[spec.kind])
-    return [(check_id, spec.kind, n) for n in spec.ns(max_n)]
+    cap = max_n if max_n is not None else default_max_n(check_id)
+    return [(check_id, spec.kind, n) for n in spec.ns(cap)]
 
 
 def run_cell(cell: tuple) -> CheckResult:
@@ -301,8 +295,17 @@ def run_cell(cell: tuple) -> CheckResult:
 
 
 def run_cells(cells: list, threads: Optional[int] = None) -> list:
+    """Run the cells, on a process pool of WACHS_THREADS workers unless
+    `threads` is given."""
     if threads is None:
-        threads = int(os.environ.get("WACHS_THREADS", "1"))
+        text = os.environ.get("WACHS_THREADS", "1")
+        try:
+            threads = int(text)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ValueError(f"WACHS_THREADS must be a positive integer, "
+                             f"not {text!r}")
     if threads > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_cell, cells))
@@ -314,19 +317,12 @@ def run_cells(cells: list, threads: Optional[int] = None) -> list:
 def report(max_n_a: Optional[int] = None, max_n_b: Optional[int] = None,
            threads: Optional[int] = None) -> dict:
     """Run every check at its default (or overridden) cap."""
-    cells = []
-    for cid in THEOREM_IDS:
-        if cid == "nongraded-weakL":
-            cells.extend(theorem_cells(cid))
-            continue
-        cap = max_n_a if THEOREMS[cid].kind == "A" else max_n_b
-        cells.extend(theorem_cells(cid, cap))
-    for cid in CONJECTURE_IDS:
-        if cid == "latticeAodd":
-            cells.extend(conjecture_cells(cid, max_n_a))
-        else:
-            cap = max_n_a if CONJECTURES[cid].kind == "A" else max_n_b
-            cells.extend(conjecture_cells(cid, cap))
+    caps = {"A": max_n_a, "B": max_n_b}
+    cells = theorem_cells("nongraded-weakL")
+    for cid, spec in THEOREMS.items():
+        cells.extend(theorem_cells(cid, caps[spec.kind]))
+    for cid, spec in CONJECTURES.items():
+        cells.extend(conjecture_cells(cid, caps[spec.kind]))
     cells.sort()
     results = run_cells(cells, threads)
     return {

@@ -13,49 +13,38 @@ import json
 import sys
 
 from . import checks
-from .bruhat import bruhat_leq_a, bruhat_leq_b
-from .perms import SizeCapError, format_perm, format_window, inverse
-from .posets import build_poset, to_dot
-from .wachs import enumerate_wachs
-from .weak import tl_set
+from .perms import SizeCapError
+from .posets import to_dot
+from .wachs import enumerate_wachs, kind_record
 
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _guard_cap(kind: str, n: int, unsafe: bool, cap: int) -> None:
+def _guard_cap(kind: str, n: int, unsafe: bool) -> None:
+    cap = kind_record(kind).default_cap
     if n > cap and not unsafe:
         raise SizeCapError(
             f"n={n} exceeds the default cap {cap} for kind {kind}; "
             f"pass --unsafe-large to override")
 
 
-def _element_key(kind: str):
-    return format_perm if kind == "A" else format_window
-
-
 def cmd_enumerate(args) -> int:
-    _guard_cap(args.kind, args.n, args.unsafe_large,
-               checks.DEFAULT_CAP[args.kind])
-    key = _element_key(args.kind)
+    _guard_cap(args.kind, args.n, args.unsafe_large)
+    key = kind_record(args.kind).key
     for v in enumerate_wachs(args.kind, args.n):
         print(key(v))
     return 0
 
 
 def cmd_hasse(args) -> int:
-    _guard_cap(args.kind, args.n, args.unsafe_large,
-               checks.DEFAULT_CAP[args.kind])
-    elems = enumerate_wachs(args.kind, args.n)
+    _guard_cap(args.kind, args.n, args.unsafe_large)
     if args.order == "bruhat":
-        leq = bruhat_leq_a if args.kind == "A" else bruhat_leq_b
+        poset = checks.bruhat_poset(args.kind, args.n)
     else:
         side = "R" if args.order == "weakR" else "L"
-        tls = {v: tl_set(inverse(v) if side == "L" else v, args.kind)
-               for v in elems}
-        leq = lambda x, y: tls[x] <= tls[y]  # noqa: E731
-    poset = build_poset(elems, leq, key=_element_key(args.kind))
+        poset = checks.weak_poset(args.kind, args.n, side)
     dot = to_dot(poset)
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -78,25 +67,24 @@ def _print_results(results) -> int:
 
 def cmd_check(args) -> int:
     if args.category == "theorem":
-        if args.id not in checks.THEOREM_IDS:
-            print(f"unknown theorem id {args.id!r}; choose from: "
-                  + ", ".join(checks.THEOREM_IDS), file=sys.stderr)
-            return EXIT_USAGE
-        cells = checks.theorem_cells(args.id, args.max_n)
-        default = (checks.DEFAULT_CAP["A"] if not args.id.endswith("-B")
-                   else checks.DEFAULT_CAP["B"])
+        ids, cells_of = checks.THEOREM_IDS, checks.theorem_cells
     else:
-        if args.id not in checks.CONJECTURE_IDS:
-            print(f"unknown conjecture id {args.id!r}; choose from: "
-                  + ", ".join(checks.CONJECTURE_IDS), file=sys.stderr)
-            return EXIT_USAGE
-        cells = checks.conjecture_cells(args.id, args.max_n)
-        default = (checks.LATTICE_DEFAULT_MAX_N if args.id == "latticeAodd"
-                   else checks.DEFAULT_CAP["B" if args.id.endswith("B") else "A"])
-    if args.max_n is not None and args.max_n > default and not args.unsafe_large:
+        ids, cells_of = checks.CONJECTURE_IDS, checks.conjecture_cells
+    if args.id not in ids:
+        print(f"unknown {args.category} id {args.id!r}; choose from: "
+              + ", ".join(ids), file=sys.stderr)
+        return EXIT_USAGE
+    default = checks.default_max_n(args.id)
+    if (args.max_n is not None and args.max_n > default
+            and not args.unsafe_large):
         print(f"--max-n {args.max_n} exceeds the default cap {default}; "
               f"pass --unsafe-large to override", file=sys.stderr)
         return EXIT_CAP
+    cells = cells_of(args.id, args.max_n)
+    if not cells:
+        print(f"--max-n {args.max_n} leaves no cells to check for {args.id}",
+              file=sys.stderr)
+        return EXIT_USAGE
     return _print_results(checks.run_cells(cells))
 
 
@@ -111,6 +99,13 @@ def cmd_report(args) -> int:
     return EXIT_FAIL if failures else 0
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wachs",
@@ -120,13 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all Wachs elements of rank n")
     p.add_argument("kind", choices=["A", "B"])
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=positive_int)
     p.add_argument("--unsafe-large", action="store_true")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("hasse", help="export a Hasse diagram in DOT form")
     p.add_argument("kind", choices=["A", "B"])
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=positive_int)
     p.add_argument("--order", choices=["bruhat", "weakR", "weakL"],
                    default="bruhat")
     p.add_argument("--dot", metavar="PATH", default=None)
@@ -136,14 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a named theorem or conjecture check")
     p.add_argument("category", choices=["theorem", "conjecture"])
     p.add_argument("id")
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=positive_int, default=None)
     p.add_argument("--unsafe-large", action="store_true")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("report", help="run everything, write a JSON report")
     p.add_argument("--json", metavar="PATH", required=True)
-    p.add_argument("--max-n-a", type=int, default=None)
-    p.add_argument("--max-n-b", type=int, default=None)
+    p.add_argument("--max-n-a", type=positive_int, default=None)
+    p.add_argument("--max-n-b", type=positive_int, default=None)
     p.set_defaults(fn=cmd_report)
     return parser
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "MAX_N_A", "MAX_N_B", "SizeCapError",
@@ -26,7 +26,7 @@ __all__ = [
     "length_a", "descent_set_a", "stats_a",
     "length_b", "descent_set_b",
     "full_value", "full_position", "embed_tilde",
-    "signed_reflection", "longest_element",
+    "signed_reflection",
     "all_perms", "all_windows",
     "parse_perm", "format_perm", "parse_window", "format_window",
 ]
@@ -238,15 +238,6 @@ def signed_reflection(i: int, j: int, n: int) -> Window:
         else:
             out[-j - 1] = -i
     return tuple(out)
-
-
-def longest_element(kind: str, n: int) -> tuple:
-    """w_0: the reversal n,...,1 for kind 'A', the window -1,...,-n for 'B'."""
-    if kind == "A":
-        return tuple(range(n, 0, -1))
-    if kind == "B":
-        return tuple(range(-1, -n - 1, -1))
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def all_perms(n: int) -> Iterator[PermWord]:

@@ -10,7 +10,7 @@ isomorphism) work on these masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 __all__ = [
     "PosetError", "FinitePoset", "GradeResult", "LatticeReport",

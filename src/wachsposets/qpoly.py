@@ -11,8 +11,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-__all__ = ["IntPolynomial", "X", "ONE", "ZERO", "q_int", "q_factorial",
-           "reciprocal_check"]
+__all__ = ["IntPolynomial", "X", "ONE", "ZERO", "q_int", "q_factorial"]
 
 
 class IntPolynomial:
@@ -198,10 +197,6 @@ def q_factorial(n: int) -> IntPolynomial:
     for k in range(2, n + 1):
         out = out * q_int(k)
     return out
-
-
-def reciprocal_check(p: IntPolynomial) -> bool:
-    return p.is_reciprocal()
 
 
 if __name__ == "__main__":

@@ -11,6 +11,13 @@ signed Wachs permutations.  Every such element is encoded by a code
 
 and all order-theoretic questions (comparison, covers, Moebius values,
 rank polynomials) reduce to the code.  Subsets are stored as frozensets.
+
+Types A and B share one code path.  A `Kind` record holds what differs
+between them: the group G_m (S_m or B_m), its Bruhat oracles, length and
+text form.  S_m is a standard parabolic subgroup of B_m, so the Bruhat
+order, covers, length and lower intervals of B_m restricted to S_m are
+those of S_m, and the signed rules read on unsigned codes are the type-A
+rules.
 """
 
 from __future__ import annotations
@@ -18,26 +25,79 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import qpoly
 from .bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
 from .perms import (
-    MAX_N_A, MAX_N_B, SizeCapError, compose, descent_set_a, full_position,
-    full_value, identity, inverse, length_a, length_b, signed_reflection,
-    stats_a,
+    MAX_N_A, MAX_N_B, SizeCapError, all_perms, compose, format_perm,
+    format_window, full_position, full_value, identity, inverse, length_a,
+    length_b, signed_reflection, stats_a,
 )
 
 __all__ = [
+    "Kind", "KINDS", "kind_record", "longest_element",
     "star", "is_wachs", "enumerate_wachs",
-    "encode_a", "decode_a", "encode_b", "decode_b", "chi_map", "f_map",
-    "rank_lw_a", "rank_lw_b",
-    "wachs_leq_a", "wachs_leq_b", "wachs_covers_a", "wachs_covers_b",
-    "involution_wa", "involution_wb", "coatom_c",
-    "mobius_closed_a", "mobius_closed_b",
+    "encode", "decode", "chi_map", "f_map", "rank_lw",
+    "wachs_leq", "wachs_covers",
+    "involution_wa", "involution_wb", "coatom_c", "mobius_closed",
     "ClosedForms", "closed_polys",
     "stats_distribution_check", "stabilizer_gi", "descent_class",
 ]
+
+
+# ---------------------------------------------------------------- types
+
+
+@dataclass(frozen=True, eq=False)
+class Kind:
+    """What type A (G_m = S_m) and type B (G_m = B_m) differ in."""
+    elements: Callable[[int], Iterator[tuple]]   # all of G_m, lazily
+    leq: Callable[[tuple, tuple], bool]          # Bruhat order on G_m
+    covers: Callable[[tuple], set]               # Bruhat covers in G_m
+    length: Callable[[Sequence[int]], int]
+    key: Callable[[Sequence[int]], str]          # text form of an element
+    w0: Callable[[int], tuple]                   # longest element of G_m
+    default_cap: int                             # largest n run by default
+    max_n: int                                   # largest n enumerated
+
+
+def _signed_perms(m: int) -> Iterator[tuple]:
+    for word in itertools.permutations(range(1, m + 1)):
+        for signs in itertools.product((1, -1), repeat=m):
+            yield tuple(s * v for s, v in zip(signs, word))
+
+
+# The Bruhat oracles are looked up by their names in this module at each
+# call rather than stored, so that rebinding those names (as the layer
+# trace in bench/layertrace.py does) reaches every caller of the record.
+KINDS = {
+    "A": Kind(elements=all_perms,
+              leq=lambda u, v: bruhat_leq_a(u, v),
+              covers=lambda w: covers_a(w),
+              length=length_a, key=format_perm,
+              w0=lambda n: tuple(range(n, 0, -1)),
+              default_cap=8, max_n=MAX_N_A),
+    "B": Kind(elements=_signed_perms,
+              leq=lambda u, v: bruhat_leq_b(u, v),
+              covers=lambda w: covers_b(w),
+              length=lambda w: length_b(w).total, key=format_window,
+              w0=lambda n: tuple(range(-1, -n - 1, -1)),
+              default_cap=6, max_n=MAX_N_B),
+}
+
+
+def kind_record(kind: str) -> Kind:
+    """The record of type "A" or "B"."""
+    try:
+        return KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown kind {kind!r}") from None
+
+
+def longest_element(kind: str, n: int) -> tuple:
+    """w_0: the reversal n,...,1 for kind 'A', the window -1,...,-n for 'B'."""
+    return kind_record(kind).w0(n)
 
 
 def star(i: int, n: int) -> int:
@@ -61,93 +121,25 @@ def is_wachs(w: Sequence[int]) -> bool:
 
 
 def enumerate_wachs(kind: str, n: int) -> list:
-    """All Wachs elements of the given rank, lexicographically sorted."""
-    if kind == "A":
-        if n > MAX_N_A:
-            raise SizeCapError(f"n={n} exceeds the cap {MAX_N_A}")
-        return [p for p in itertools.permutations(range(1, n + 1)) if is_wachs(p)]
-    if kind == "B":
-        if n > MAX_N_B:
-            raise SizeCapError(f"n={n} exceeds the cap {MAX_N_B}")
-        out = []
-        for p in itertools.permutations(range(1, n + 1)):
-            for signs in itertools.product((1, -1), repeat=n):
-                w = tuple(s * v for s, v in zip(signs, p))
-                if is_wachs(w):
-                    out.append(w)
-        out.sort()
-        return out
-    raise ValueError(f"unknown kind {kind!r}")
+    """All Wachs elements of rank n >= 1, lexicographically sorted."""
+    k = kind_record(kind)
+    if n < 1:
+        raise ValueError(f"rank n={n} must be at least 1")
+    if n > k.max_n:
+        raise SizeCapError(f"n={n} exceeds the cap {k.max_n}")
+    return sorted(w for w in k.elements(n) if is_wachs(w))
 
 
-# ---------------------------------------------------------------- codes, A
+# ---------------------------------------------------------------- codes
 
 
 def chi_map(v: Sequence[int]) -> tuple:
-    """Delete the value n from a Wachs permutation of odd rank."""
+    """Delete the value n (or -n) from a Wachs element of odd rank."""
     n = len(v)
-    return tuple(x for x in v if x != n)
+    return tuple(x for x in v if abs(x) != n)
 
 
-def _encode_even_a(v: Sequence[int]):
-    m = len(v) // 2
-    tau = []
-    t = set()
-    for i in range(1, m + 1):
-        a = v[2 * i - 2]
-        tau.append((a + 1) // 2)
-        if a % 2 == 0:
-            t.add(i)
-    return tuple(tau), frozenset(t)
-
-
-def encode_a(v: Sequence[int]):
-    """Code of a Wachs permutation: (tau, T), or (i, tau, T) for odd rank.
-
-    >>> encode_a((4, 3, 1, 2, 7, 5, 6))
-    (3, (2, 1, 3), frozenset({1}))
-    """
-    v = tuple(v)
-    n = len(v)
-    if not is_wachs(v):
-        raise ValueError(f"{v} is not a Wachs permutation")
-    if n % 2 == 0:
-        return _encode_even_a(v)
-    p = v.index(n) + 1
-    assert p % 2 == 1, "the extremal value of a Wachs permutation sits at an odd slot"
-    tau, t = _encode_even_a(chi_map(v))
-    return ((p + 1) // 2, tau, t)
-
-
-def _decode_even_a(tau, t) -> list:
-    out = []
-    for i, s in enumerate(tau, 1):
-        pair = (2 * s, 2 * s - 1) if i in t else (2 * s - 1, 2 * s)
-        out.extend(pair)
-    return out
-
-
-def decode_a(code, n: int) -> tuple:
-    """Inverse of encode_a for rank n."""
-    if n % 2 == 0:
-        tau, t = code
-        return tuple(_decode_even_a(tau, t))
-    i, tau, t = code
-    out = _decode_even_a(tau, t)
-    out.insert(2 * i - 2, n)
-    return tuple(out)
-
-
-def f_map(v: Sequence[int]) -> tuple:
-    """The quotient permutation tau of the code of v."""
-    code = encode_a(v)
-    return code[0] if len(v) % 2 == 0 else code[1]
-
-
-# ---------------------------------------------------------------- codes, B
-
-
-def _encode_even_b(v: Sequence[int]):
+def _encode_even(v: Sequence[int]):
     m = len(v) // 2
     tau = []
     t = set()
@@ -164,29 +156,38 @@ def _encode_even_b(v: Sequence[int]):
     return tuple(tau), frozenset(t)
 
 
-def encode_b(v: Sequence[int]):
-    """Code of a signed Wachs permutation.
+def encode(v: Sequence[int]):
+    """Code of a (signed) Wachs permutation: (tau, T), or (i, tau, T) for
+    odd rank, where the full position of the value n is 2i-1 (i > 0) or
+    2i+1 (i < 0).
 
-    >>> encode_b((-3, -4, 1, 2, 6, 5))
+    >>> encode((4, 3, 1, 2, 7, 5, 6))
+    (3, (2, 1, 3), frozenset({1}))
+    >>> encode((-3, -4, 1, 2, 6, 5))
     ((-2, 1, 3), frozenset({1, 3}))
-    >>> encode_b((-1, -2, 5, 6, -7, 3, 4))
+    >>> encode((-1, -2, 5, 6, -7, 3, 4))
     (-3, (-1, 3, 2), frozenset({1}))
     """
-    v = tuple(v)
+    return _encode(tuple(v))
+
+
+# The order sweeps compare every pair of a few thousand elements, so each
+# element is encoded many times; the code is immutable and is kept.
+@functools.lru_cache(maxsize=65536)
+def _encode(v: tuple):
     n = len(v)
     if not is_wachs(v):
-        raise ValueError(f"{v} is not a signed Wachs permutation")
+        raise ValueError(f"{v} is not a Wachs permutation")
     if n % 2 == 0:
-        return _encode_even_b(v)
+        return _encode_even(v)
     j = full_position(v, n)
-    assert j % 2 == 1
+    assert j % 2 == 1, "the extremal value of a Wachs permutation sits at an odd slot"
     i = (j + 1) // 2 if j > 0 else (j - 1) // 2
-    trimmed = tuple(x for x in v if abs(x) != n)
-    tau, t = _encode_even_b(trimmed)
+    tau, t = _encode_even(chi_map(v))
     return (i, tau, t)
 
 
-def _decode_even_b(tau, t) -> list:
+def _decode_even(tau, t) -> list:
     out = []
     for i, s in enumerate(tau, 1):
         first, second = (2 * s - 1, 2 * s) if s > 0 else (2 * s, 2 * s + 1)
@@ -196,13 +197,13 @@ def _decode_even_b(tau, t) -> list:
     return out
 
 
-def decode_b(code, n: int) -> tuple:
-    """Inverse of encode_b for rank n."""
+def decode(code, n: int) -> tuple:
+    """Inverse of encode for rank n."""
     if n % 2 == 0:
         tau, t = code
-        return tuple(_decode_even_b(tau, t))
+        return tuple(_decode_even(tau, t))
     i, tau, t = code
-    out = _decode_even_b(tau, t)
+    out = _decode_even(tau, t)
     j = 2 * i - 1 if i > 0 else 2 * i + 1  # full position of the value n
     if j > 0:
         out.insert(j - 1, n)
@@ -211,26 +212,28 @@ def decode_b(code, n: int) -> tuple:
     return tuple(out)
 
 
+def f_map(v: Sequence[int]) -> tuple:
+    """The quotient element tau of the code of v."""
+    code = encode(v)
+    return code[0] if len(v) % 2 == 0 else code[1]
+
+
 # ---------------------------------------------------------------- rank
 
 
-def rank_lw_a(v: Sequence[int]) -> int:
+def rank_lw(v: Sequence[int], kind: str) -> int:
     """Length of v above the minimal element of its coset: l(v) - l(tau)."""
-    return length_a(v) - length_a(f_map(v))
-
-
-def rank_lw_b(v: Sequence[int]) -> int:
-    code = encode_b(v)
-    tau = code[0] if len(v) % 2 == 0 else code[1]
-    return length_b(v).total - length_b(tau).total
+    length = kind_record(kind).length
+    return length(v) - length(f_map(v))
 
 
 # ---------------------------------------------------------------- order
 
 
 @functools.lru_cache(maxsize=65536)
-def _frozen_cells_a(sigma, tau) -> frozenset:
-    """Cells fixed by every element of the Bruhat interval [sigma, tau].
+def _frozen_cells(sigma, tau, k: Kind) -> frozenset:
+    """Cells fixed by every element of the Bruhat interval [sigma, tau]
+    of G_m.
 
     Plain agreement of sigma and tau is not enough: a saturated chain
     between them may pass through elements moving a cell on which the
@@ -239,71 +242,33 @@ def _frozen_cells_a(sigma, tau) -> frozenset:
     the subsets.
     """
     m = len(sigma)
-    out = {k for k in range(1, m + 1) if sigma[k - 1] == tau[k - 1]}
+    out = {c for c in range(1, m + 1) if sigma[c - 1] == tau[c - 1]}
     if not out or sigma == tau:
         return frozenset(out)
-    for rho in itertools.permutations(range(1, m + 1)):
-        if bruhat_leq_a(sigma, rho) and bruhat_leq_a(rho, tau):
-            out = {k for k in out if rho[k - 1] == sigma[k - 1]}
+    for rho in k.elements(m):
+        if k.leq(sigma, rho) and k.leq(rho, tau):
+            out = {c for c in out if rho[c - 1] == sigma[c - 1]}
             if not out:
                 break
     return frozenset(out)
 
 
-@functools.lru_cache(maxsize=65536)
-def _frozen_cells_b(sigma, tau) -> frozenset:
-    """Signed analogue of _frozen_cells_a, over the interval in B_m."""
-    m = len(sigma)
-    out = {k for k in range(1, m + 1) if sigma[k - 1] == tau[k - 1]}
-    if not out or sigma == tau:
-        return frozenset(out)
-    for word in itertools.permutations(range(1, m + 1)):
-        for signs in itertools.product((1, -1), repeat=m):
-            rho = tuple(a * b for a, b in zip(word, signs))
-            if bruhat_leq_b(sigma, rho) and bruhat_leq_b(rho, tau):
-                out = {k for k in out if rho[k - 1] == sigma[k - 1]}
-                if not out:
-                    return frozenset()
-    return frozenset(out)
-
-
-def wachs_leq_a(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Bruhat comparison of Wachs permutations, via codes only."""
+def wachs_leq(u: Sequence[int], v: Sequence[int], kind: str) -> bool:
+    """Bruhat comparison of (signed) Wachs permutations, via codes only."""
+    k = kind_record(kind)
     u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         raise ValueError("rank mismatch")
     n = len(u)
     if n % 2 == 0:
-        sigma, s = encode_a(u)
-        tau, t = encode_a(v)
-        if not bruhat_leq_a(sigma, tau):
+        sigma, s = encode(u)
+        tau, t = encode(v)
+        if not k.leq(sigma, tau):
             return False
-        return s & _frozen_cells_a(sigma, tau) <= t
-    i, sigma, s = encode_a(u)
-    j, tau, t = encode_a(v)
-    if j > i or not bruhat_leq_a(sigma, tau):
-        return False
-    m = n // 2
-    window = frozenset(range(1, j)) | frozenset(range(i, m + 1))
-    keep = window & _frozen_cells_a(sigma, tau)
-    return s & keep <= t & keep
-
-
-def wachs_leq_b(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Bruhat comparison of signed Wachs permutations, via codes only."""
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        raise ValueError("rank mismatch")
-    n = len(u)
-    if n % 2 == 0:
-        sigma, s = encode_b(u)
-        tau, t = encode_b(v)
-        if not bruhat_leq_b(sigma, tau):
-            return False
-        return s & _frozen_cells_b(sigma, tau) <= t
-    i, sigma, s = encode_b(u)
-    j, tau, t = encode_b(v)
-    if j > i or not bruhat_leq_b(sigma, tau):
+        return s & _frozen_cells(sigma, tau, k) <= t
+    i, sigma, s = encode(u)
+    j, tau, t = encode(v)
+    if j > i or not k.leq(sigma, tau):
         return False
     m = n // 2
     lo, hi = min(abs(i), abs(j)), max(abs(i), abs(j))
@@ -313,7 +278,7 @@ def wachs_leq_b(u: Sequence[int], v: Sequence[int]) -> bool:
         # the extremal value changes sign between u and v; sweeping it
         # through the centre disturbs every cell below max(|i|, |j|)
         window = frozenset(range(hi, m + 1))
-    keep = window & _frozen_cells_b(sigma, tau)
+    keep = window & _frozen_cells(sigma, tau, k)
     return s & keep <= t & keep
 
 
@@ -323,67 +288,36 @@ def _moved_cells(tau, sigma) -> frozenset:
     return frozenset(k for k in range(1, len(r) + 1) if r[k - 1] != k)
 
 
-def wachs_covers_a(v: Sequence[int]) -> set:
-    """Elements covered by v inside the Wachs permutations."""
+def wachs_covers(v: Sequence[int], kind: str) -> set:
+    """Elements covered by v inside the (signed) Wachs permutations."""
+    covers = kind_record(kind).covers
     v = tuple(v)
     n = len(v)
     m = n // 2
     out = set()
     if n % 2 == 0:
-        tau, t = encode_a(v)
+        tau, t = encode(v)
         for x in t:
-            out.add(decode_a((tau, t - {x}), n))
-        for sigma in covers_a(tau):
+            out.add(decode((tau, t - {x}), n))
+        for sigma in covers(tau):
             cells = _moved_cells(tau, sigma)
             if t.isdisjoint(cells):
-                out.add(decode_a((sigma, t | cells), n))
+                out.add(decode((sigma, t | cells), n))
         return out
-    j, tau, t = encode_a(v)
+    j, tau, t = encode(v)
     for x in t:
-        out.add(decode_a((j, tau, t - {x}), n))
-    if 1 <= j <= m and j not in t:
-        out.add(decode_a((j + 1, tau, t | {j}), n))
-    for sigma in covers_a(tau):
-        cells = _moved_cells(tau, sigma)
-        if t.isdisjoint(cells):
-            out.add(decode_a((j, sigma, t | cells), n))
-    return out
-
-
-def _moved_cells_b(tau, sigma) -> frozenset:
-    r = compose(inverse(tau), sigma)
-    return frozenset(k for k in range(1, len(r) + 1) if r[k - 1] != k)
-
-
-def wachs_covers_b(v: Sequence[int]) -> set:
-    """Elements covered by v inside the signed Wachs permutations."""
-    v = tuple(v)
-    n = len(v)
-    m = n // 2
-    out = set()
-    if n % 2 == 0:
-        tau, t = encode_b(v)
-        for x in t:
-            out.add(decode_b((tau, t - {x}), n))
-        for sigma in covers_b(tau):
-            cells = _moved_cells_b(tau, sigma)
-            if t.isdisjoint(cells):
-                out.add(decode_b((sigma, t | cells), n))
-        return out
-    j, tau, t = encode_b(v)
-    for x in t:
-        out.add(decode_b((j, tau, t - {x}), n))
+        out.add(decode((j, tau, t - {x}), n))
     # slide the extremal value one slot further from the front
     if j == -1:
-        out.add(decode_b((1, tau, t), n))
+        out.add(decode((1, tau, t), n))
     elif j != m + 1:
         x = j if j > 0 else -j - 1
         if 1 <= x <= m and x not in t:
-            out.add(decode_b((j + 1, tau, t | {x}), n))
-    for sigma in covers_b(tau):
-        cells = _moved_cells_b(tau, sigma)
+            out.add(decode((j + 1, tau, t | {x}), n))
+    for sigma in covers(tau):
+        cells = _moved_cells(tau, sigma)
         if t.isdisjoint(cells):
-            out.add(decode_b((j, sigma, t | cells), n))
+            out.add(decode((j, sigma, t | cells), n))
     return out
 
 
@@ -405,10 +339,10 @@ def involution_wa(v: Sequence[int], i: int, j: int) -> tuple:
     swap = list(identity(m))
     swap[i - 1], swap[j - 1] = j, i
     if n % 2 == 0:
-        tau, t = encode_a(v)
-        return decode_a((compose(tau, tuple(swap)), t ^ {i, j}), n)
-    k, tau, t = encode_a(v)
-    return decode_a((k, compose(tau, tuple(swap)), t ^ {i, j}), n)
+        tau, t = encode(v)
+        return decode((compose(tau, tuple(swap)), t ^ {i, j}), n)
+    k, tau, t = encode(v)
+    return decode((k, compose(tau, tuple(swap)), t ^ {i, j}), n)
 
 
 def involution_wb(code, i: int, j: int):
@@ -449,20 +383,8 @@ def coatom_c(v: Sequence[int]) -> tuple:
 # ---------------------------------------------------------------- Moebius
 
 
-def mobius_closed_a(code, n: int) -> int:
-    """Closed form for mu(e, v) on Wachs permutations of rank n >= 2."""
-    m = n // 2
-    if n % 2 == 0:
-        tau, t = code
-        return (-1) ** len(t) if tau == identity(m) else 0
-    i, tau, t = code
-    if tau == identity(m) and i == m + 1:
-        return (-1) ** len(t)
-    return 0
-
-
-def mobius_closed_b(code, n: int) -> int:
-    """Closed form for mu(e, v) on signed Wachs permutations of rank n >= 2."""
+def mobius_closed(code, n: int) -> int:
+    """Closed form for mu(e, v) on (signed) Wachs permutations of rank n >= 2."""
     m = n // 2
     if n % 2 == 0:
         tau, t = code
@@ -517,7 +439,7 @@ def stats_distribution_check(n: int) -> bool:
     lhs: dict = {}
     rhs: dict = {}
     for v in enumerate_wachs("A", n):
-        lw = rank_lw_a(v)
+        lw = rank_lw(v, "A")
         lhs[lw] = lhs.get(lw, 0) + 1
         st = stats_a(v)
         k = 3 * st.emaj + st.odes

@@ -9,12 +9,13 @@ plus (a, -a) for the sign changes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .perms import full_position, inverse
+from .perms import inverse
 from .posets import FinitePoset, LatticeReport, build_poset, lattice_checks
-from .wachs import encode_a, encode_b, enumerate_wachs
+from .wachs import encode, enumerate_wachs
 
 __all__ = ["tl_set_a", "tl_set_b", "tl_set", "weak_leq",
            "WeakIsoResult", "weak_product_iso"]
@@ -57,12 +58,15 @@ def tl_set_b(w: Sequence[int]) -> frozenset:
     return frozenset(out)
 
 
+# the two algorithms differ, and the tests use each as an oracle
+_TL_SET = {"A": tl_set_a, "B": tl_set_b}
+
+
 def tl_set(w: Sequence[int], kind: str) -> frozenset:
-    if kind == "A":
-        return tl_set_a(w)
-    if kind == "B":
-        return tl_set_b(w)
-    raise ValueError(f"unknown kind {kind!r}")
+    """T_L(w) in S_n (kind "A") or B_n (kind "B")."""
+    if kind not in _TL_SET:
+        raise ValueError(f"unknown kind {kind!r}")
+    return _TL_SET[kind](w)
 
 
 def weak_leq(u: Sequence[int], v: Sequence[int], side: str, kind: str) -> bool:
@@ -80,13 +84,7 @@ def weak_leq(u: Sequence[int], v: Sequence[int], side: str, kind: str) -> bool:
 # ------------------------------------------------------- product structure
 
 
-def _bar_a(tau, i: int):
-    """Insert the value m+1 at slot i."""
-    m = len(tau)
-    return tau[:i - 1] + (m + 1,) + tau[i - 1:]
-
-
-def _bar_b(tau, i: int):
+def _bar(tau, i: int):
     """Insert the value +-(m+1) at slot |i|, with the sign of i."""
     m = len(tau)
     v = (m + 1) if i > 0 else -(m + 1)
@@ -94,35 +92,22 @@ def _bar_b(tau, i: int):
     return tau[:k - 1] + (v,) + tau[k - 1:]
 
 
-def _factor_map(kind: str, n: int, v, convention: str):
+def _factor_map(n: int, v):
     """Image of a Wachs element in G_ceil(n/2) x P([floor(n/2)])."""
-    if kind == "A":
-        code = encode_a(v)
-        if n % 2 == 0:
-            tau, t = code
-        else:
-            i, tau, t = code
-            tau = _bar_a(tau, i)
-            # t refers to slots of the even part, mapped below through tau
-            tau_small = code[1]
-            return tau, frozenset(tau_small[k - 1] for k in t)
-        return tau, frozenset(tau[k - 1] for k in t)
-    code = encode_b(v)
+    code = encode(v)
     if n % 2 == 0:
         tau, t = code
         small = tau
     else:
         i, small, t = code
-        tau = _bar_b(small, i)
-    if convention == "abs":
-        return tau, frozenset(abs(small[k - 1]) for k in t)
-    return tau, frozenset(small[k - 1] for k in t)
+        tau = _bar(small, i)
+    # t holds slots of the even part; the factor holds their values
+    return tau, frozenset(abs(small[k - 1]) for k in t)
 
 
 @dataclass(frozen=True)
 class WeakIsoResult:
     holds: bool
-    convention: Optional[str]       # subset convention that worked (B only)
     witness: Optional[tuple]        # first mismatching pair, if any
     lattice: Optional[LatticeReport]
     poset: Optional[FinitePoset] = None
@@ -134,39 +119,25 @@ def weak_product_iso(kind: str, n: int) -> WeakIsoResult:
     of the Wachs side."""
     elems = enumerate_wachs(kind, n)
     tls = [tl_set(v, kind) for v in elems]
-
-    conventions = ("abs",) if kind == "A" else ("abs", "signed")
-    holds = False
-    used = None
+    images = [_factor_map(n, v) for v in elems]
     witness = None
-    for convention in conventions:
-        images = [_factor_map(kind, n, v, convention) for v in elems]
-        if len(set(images)) != len(images):
-            witness = ("not injective", convention)
-            continue
+    if len(set(images)) != len(images):
+        witness = ("not injective",)
+    else:
         tls_img = [tl_set(g, kind) for g, _ in images]
-        ok = True
-        for a in range(len(elems)):
-            for b in range(len(elems)):
-                lhs = tls[a] <= tls[b]
-                rhs = (tls_img[a] <= tls_img[b]
-                       and images[a][1] <= images[b][1])
-                if lhs != rhs:
-                    ok = False
-                    witness = (convention, elems[a], elems[b])
-                    break
-            if not ok:
+        for a, b in itertools.product(range(len(elems)), repeat=2):
+            lhs = tls[a] <= tls[b]
+            rhs = tls_img[a] <= tls_img[b] and images[a][1] <= images[b][1]
+            if lhs != rhs:
+                witness = (elems[a], elems[b])
                 break
-        if ok:
-            holds, used, witness = True, convention, None
-            break
 
     by_elem = dict(zip(elems, tls))
     poset = build_poset(
         elems, lambda x, y: by_elem[x] <= by_elem[y],
         key=lambda v: ",".join(str(x) for x in v))
     report = lattice_checks(poset)
-    return WeakIsoResult(holds, used, witness, report, poset)
+    return WeakIsoResult(witness is None, witness, report, poset)
 
 
 if __name__ == "__main__":

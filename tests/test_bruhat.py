@@ -5,8 +5,9 @@ import itertools
 from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
 from wachsposets.perms import (
     all_perms, all_windows, compose, embed_tilde, identity, inverse, length_a,
-    length_b, longest_element,
+    length_b,
 )
+from wachsposets.wachs import longest_element
 
 
 def test_known_comparisons_a():

@@ -101,3 +101,35 @@ def test_report_schema_and_determinism(tmp_path, capsys):
 
     # deterministic apart from the recorded runtimes
     assert strip(reports[0]) == strip(reports[1])
+
+
+def test_ranks_below_one_are_usage_errors(capsys):
+    for argv in (("enumerate", "A", "0"), ("enumerate", "A", "-3"),
+                 ("enumerate", "B", "0"), ("hasse", "A", "0"),
+                 ("check", "theorem", "graded-A", "--max-n", "0"),
+                 ("check", "theorem", "graded-A", "--max-n", "-1"),
+                 ("check", "conjecture", "mobiusA", "--max-n", "0"),
+                 ("report", "--json", "unused.json", "--max-n-a", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "at least 1" in err
+
+
+def test_empty_sweeps_are_usage_errors(capsys):
+    # the type-B Moebius closed form starts at n = 2
+    code, out, err = run(capsys, "check", "theorem", "mobius-B",
+                         "--max-n", "1")
+    assert code == 2
+    assert out == ""
+    assert "no cells" in err
+
+
+def test_bad_thread_counts_are_usage_errors(capsys, monkeypatch):
+    for value in ("abc", "0", "-2", ""):
+        monkeypatch.setenv("WACHS_THREADS", value)
+        code, out, err = run(capsys, "check", "theorem", "graded-A",
+                             "--max-n", "2")
+        assert code == 2, value
+        assert out == ""
+        assert "WACHS_THREADS" in err

@@ -16,10 +16,11 @@ import wachsposets.weak
 from wachsposets.perms import (
     BLength, SizeCapError, all_perms, all_windows, check_perm, check_window,
     compose, descent_set_a, descent_set_b, embed_tilde, format_perm,
-    format_window, identity, inverse, length_a, length_b, longest_element,
-    parse_perm, parse_window, signed_reflection, stats_a,
+    format_window, identity, inverse, length_a, length_b, parse_perm,
+    parse_window, signed_reflection, stats_a,
 )
 from wachsposets.qpoly import IntPolynomial, q_factorial, q_int
+from wachsposets.wachs import longest_element
 
 
 @pytest.mark.parametrize("mod", [

@@ -10,15 +10,14 @@ import pytest
 from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
 from wachsposets.perms import (
     compose, descent_set_a, full_position, identity, inverse, length_a,
-    longest_element, signed_reflection,
+    signed_reflection,
 )
 from wachsposets.qpoly import IntPolynomial, X, q_int
 from wachsposets.wachs import (
-    chi_map, closed_polys, coatom_c, decode_a, decode_b, descent_class,
-    encode_a, encode_b, enumerate_wachs, f_map, involution_wa, involution_wb,
-    is_wachs, mobius_closed_a, mobius_closed_b, rank_lw_a, rank_lw_b,
-    stabilizer_gi, star, stats_distribution_check, wachs_covers_a,
-    wachs_covers_b, wachs_leq_a, wachs_leq_b,
+    chi_map, closed_polys, coatom_c, decode, descent_class, encode,
+    enumerate_wachs, f_map, involution_wa, involution_wb, is_wachs,
+    longest_element, mobius_closed, rank_lw, stabilizer_gi, star,
+    stats_distribution_check, wachs_covers, wachs_leq,
 )
 
 
@@ -61,6 +60,14 @@ def test_enumeration_is_sorted_and_valid():
         assert all(is_wachs(v) for v in els)
 
 
+def test_enumeration_rejects_bad_input():
+    for kind, n in (("A", 0), ("A", -3), ("B", 0)):
+        with pytest.raises(ValueError):
+            enumerate_wachs(kind, n)
+    with pytest.raises(ValueError):
+        enumerate_wachs("C", 3)
+
+
 # -------------------------------------------------------------------- codes
 
 
@@ -70,34 +77,34 @@ def test_chi_map_examples():
 
 
 def test_encode_examples():
-    assert encode_a((4, 3, 1, 2, 7, 5, 6)) == (3, (2, 1, 3), frozenset({1}))
-    assert encode_b((-3, -4, 1, 2, 6, 5)) == ((-2, 1, 3), frozenset({1, 3}))
-    assert encode_b((-1, -2, 5, 6, -7, 3, 4)) == (
+    assert encode((4, 3, 1, 2, 7, 5, 6)) == (3, (2, 1, 3), frozenset({1}))
+    assert encode((-3, -4, 1, 2, 6, 5)) == ((-2, 1, 3), frozenset({1, 3}))
+    assert encode((-1, -2, 5, 6, -7, 3, 4)) == (
         -3, (-1, 3, 2), frozenset({1}))
 
 
 def test_encode_rejects_non_wachs():
     with pytest.raises(ValueError):
-        encode_a((1, 3, 2, 4))
+        encode((1, 3, 2, 4))
     with pytest.raises(ValueError):
-        encode_b((3, 4, -2, 1))
+        encode((3, 4, -2, 1))
 
 
 def test_code_round_trip():
     for n in range(1, 8):
         for v in enumerate_wachs("A", n):
-            assert decode_a(encode_a(v), n) == v
+            assert decode(encode(v), n) == v
     for n in range(1, 6):
         for v in enumerate_wachs("B", n):
-            assert decode_b(encode_b(v), n) == v
+            assert decode(encode(v), n) == v
 
 
 def test_code_shapes():
     for v in enumerate_wachs("A", 7):
-        i, tau, t = encode_a(v)
+        i, tau, t = encode(v)
         assert 1 <= i <= 4 and len(tau) == 3 and t <= {1, 2, 3}
     for v in enumerate_wachs("B", 5):
-        i, tau, t = encode_b(v)
+        i, tau, t = encode(v)
         assert 1 <= abs(i) <= 3 and len(tau) == 2 and t <= {1, 2}
 
 
@@ -112,19 +119,19 @@ def test_quotient_map():
 
 
 def test_rank_examples():
-    assert rank_lw_a((3, 4, 2, 1, 5, 6)) == 4
-    assert rank_lw_a((3, 4, 7, 2, 1, 5, 6)) == 8
-    assert rank_lw_b((-1, -2, 5, 6, -7, 3, 4)) == 17
+    assert rank_lw((3, 4, 2, 1, 5, 6), "A") == 4
+    assert rank_lw((3, 4, 7, 2, 1, 5, 6), "A") == 8
+    assert rank_lw((-1, -2, 5, 6, -7, 3, 4), "B") == 17
 
 
 def test_rank_of_top_element():
     for n in range(1, 9):
         m = n // 2
-        top = rank_lw_a(longest_element("A", n))
+        top = rank_lw(longest_element("A", n), "A")
         assert top == n * (n - 1) // 2 - m * (m - 1) // 2
     for n in range(1, 7):
         m = n // 2
-        top = rank_lw_b(longest_element("B", n))
+        top = rank_lw(longest_element("B", n), "B")
         assert top == n * n - m * m
 
 
@@ -132,31 +139,31 @@ def test_rank_of_top_element():
 
 
 def test_order_examples():
-    u = decode_a((4, (2, 4, 3, 1), frozenset({1, 2, 3})), 9)
-    v = decode_a((3, (3, 4, 2, 1), frozenset({2})), 9)
-    assert wachs_leq_a(u, v)
+    u = decode((4, (2, 4, 3, 1), frozenset({1, 2, 3})), 9)
+    v = decode((3, (3, 4, 2, 1), frozenset({2})), 9)
+    assert wachs_leq(u, v, "A")
     u = (3, 4, -5, -6, 1, 2, 9, -7, -8)
     v = (-3, -4, -9, 1, 2, -5, -6, -8, -7)
-    assert not wachs_leq_b(u, v)
+    assert not wachs_leq(u, v, "B")
 
 
 def test_order_matches_oracle_small():
     for n in range(1, 7):
         for u, v in itertools.product(enumerate_wachs("A", n), repeat=2):
-            assert wachs_leq_a(u, v) == bruhat_leq_a(u, v)
+            assert wachs_leq(u, v, "A") == bruhat_leq_a(u, v)
     for n in range(1, 5):
         for u, v in itertools.product(enumerate_wachs("B", n), repeat=2):
-            assert wachs_leq_b(u, v) == bruhat_leq_b(u, v)
+            assert wachs_leq(u, v, "B") == bruhat_leq_b(u, v)
 
 
 def test_code_comparison_alone_is_not_the_order():
     # comparing the two code components separately is neither necessary
     # nor sufficient
     u, v = (2, 1, 4, 3, 6, 5), (1, 2, 5, 6, 3, 4)
-    (fu, tu), (fv, tv) = encode_a(u), encode_a(v)
+    (fu, tu), (fv, tv) = encode(u), encode(v)
     assert bruhat_leq_a(fu, fv) and not bruhat_leq_a(u, v)
     u, v = (2, 1, 4, 3), (3, 4, 1, 2)
-    (fu, tu), (fv, tv) = encode_a(u), encode_a(v)
+    (fu, tu), (fv, tv) = encode(u), encode(v)
     assert bruhat_leq_a(u, v) and not tu <= tv
 
 
@@ -165,24 +172,35 @@ def test_code_comparison_alone_is_not_the_order():
 
 def test_cover_examples():
     v = (7, 8, 2, 1, 5, 6, 9, 3, 4)
-    got = wachs_covers_a(v)
+    got = wachs_covers(v, "A")
     assert {(7, 8, 1, 2, 5, 6, 9, 3, 4),
             (7, 8, 2, 1, 5, 6, 4, 3, 9),
             (6, 5, 2, 1, 8, 7, 9, 3, 4)} <= got
     for u in got:
-        assert rank_lw_a(v) - rank_lw_a(u) == 1
-        assert wachs_leq_a(u, v)
+        assert rank_lw(v, "A") - rank_lw(u, "A") == 1
+        assert wachs_leq(u, v, "A")
+
+
+def test_type_a_elements_read_the_same_as_type_b():
+    # S_m is a standard parabolic subgroup of B_m, so the shared code path
+    # gives type-A elements the same order, covers and rank under either kind
+    for n in range(1, 7):
+        els = enumerate_wachs("A", n)
+        for v in els:
+            assert wachs_covers(v, "B") == wachs_covers(v, "A")
+            assert rank_lw(v, "B") == rank_lw(v, "A")
+            for u in els:
+                assert wachs_leq(u, v, "B") == wachs_leq(u, v, "A")
 
 
 def test_covers_match_transitive_reduction_small():
-    for kind, n, cov, leq in (("A", 5, wachs_covers_a, bruhat_leq_a),
-                              ("B", 4, wachs_covers_b, bruhat_leq_b)):
+    for kind, n, leq in (("A", 5, bruhat_leq_a), ("B", 4, bruhat_leq_b)):
         els = enumerate_wachs(kind, n)
         for v in els:
             below = [u for u in els if u != v and leq(u, v)]
             want = {u for u in below
                     if not any(u != z and leq(u, z) for z in below)}
-            assert cov(v) == want
+            assert wachs_covers(v, kind) == want
 
 
 def test_signed_cover_chain():
@@ -191,8 +209,8 @@ def test_signed_cover_chain():
              (1, 2, -9, -3, -4, 8, 7, -6, -5),
              (1, 2, -9, -3, -4, 8, 7, -5, -6)]
     for lo, hi in zip(chain, chain[1:]):
-        assert lo in wachs_covers_b(hi)
-        assert rank_lw_b(hi) - rank_lw_b(lo) == 1
+        assert lo in wachs_covers(hi, "B")
+        assert rank_lw(hi, "B") - rank_lw(lo, "B") == 1
 
 
 # -------------------------------------------------------------- involutions
@@ -219,7 +237,7 @@ def test_involution_wa_is_an_involution():
 
 def test_involution_wb_is_an_involution():
     for v in enumerate_wachs("B", 6):
-        code = encode_b(v)
+        code = encode(v)
         m = 3
         for i in range(1, m + 1):
             for j in range(-m, m + 1):
@@ -244,7 +262,7 @@ def test_involution_wa_steps_down_one_rank():
         m = n // 2
         els = enumerate_wachs("A", n)
         for v in els:
-            tau, t = encode_a(v)
+            tau, t = encode(v)
             for i in range(1, m + 1):
                 for j in range(i + 1, m + 1):
                     if i in t or j in t:
@@ -253,12 +271,12 @@ def test_involution_wa_steps_down_one_rank():
                     if tij not in covers_a(tau):
                         continue
                     w = involution_wa(v, i, j)
-                    assert wachs_leq_a(w, v) and w != v
-                    assert rank_lw_a(v) - rank_lw_a(w) == 1
+                    assert wachs_leq(w, v, "A") and w != v
+                    assert rank_lw(v, "A") - rank_lw(w, "A") == 1
                     for u in els:
-                        if (u != v and wachs_leq_a(u, v)
-                                and bruhat_leq_a(encode_a(u)[0], tij)):
-                            assert wachs_leq_a(u, w)
+                        if (u != v and wachs_leq(u, v, "A")
+                                and bruhat_leq_a(encode(u)[0], tij)):
+                            assert wachs_leq(u, w, "A")
 
 
 def test_involution_wa_steps_down_one_rank_odd():
@@ -267,14 +285,15 @@ def test_involution_wa_steps_down_one_rank_odd():
     for n in (5, 7):
         m = n // 2
         for v in enumerate_wachs("A", n):
-            k, sig, s = encode_a(v)
+            k, sig, s = encode(v)
             if k <= m and k not in s:
                 p = 2 * k - 1
                 w = list(v)
                 w[p - 1], w[p + 1] = w[p + 1], w[p - 1]
                 w = tuple(w)
                 assert is_wachs(w)
-                assert wachs_leq_a(w, v) and rank_lw_a(v) - rank_lw_a(w) == 1
+                assert wachs_leq(w, v, "A")
+                assert rank_lw(v, "A") - rank_lw(w, "A") == 1
             for i in range(1, m + 1):
                 for j in range(i + 1, m + 1):
                     if i in s or j in s or k in s:
@@ -282,8 +301,8 @@ def test_involution_wa_steps_down_one_rank_odd():
                     if _swap_slots(sig, i, j) not in covers_a(sig):
                         continue
                     w = involution_wa(v, i, j)
-                    assert wachs_leq_a(w, v) and w != v
-                    assert rank_lw_a(v) - rank_lw_a(w) == 1
+                    assert wachs_leq(w, v, "A") and w != v
+                    assert rank_lw(v, "A") - rank_lw(w, "A") == 1
 
 
 def test_involution_wb_steps_down_one_rank():
@@ -291,7 +310,7 @@ def test_involution_wb_steps_down_one_rank():
         m = n // 2
         els = enumerate_wachs("B", n)
         for v in els:
-            tau, t = encode_b(v)
+            tau, t = encode(v)
             ctau = covers_b(tau)
             for i in range(1, m + 1):
                 for j in itertools.chain(range(-m, 0), range(i + 1, m + 1)):
@@ -300,13 +319,13 @@ def test_involution_wb_steps_down_one_rank():
                     tij = compose(tau, signed_reflection(i, j, m))
                     if tij not in ctau:
                         continue
-                    w = decode_b(involution_wb((tau, t), i, j), n)
-                    assert wachs_leq_b(w, v) and w != v
-                    assert rank_lw_b(v) - rank_lw_b(w) == 1
+                    w = decode(involution_wb((tau, t), i, j), n)
+                    assert wachs_leq(w, v, "B") and w != v
+                    assert rank_lw(v, "B") - rank_lw(w, "B") == 1
                     for u in els:
-                        if (u != v and wachs_leq_b(u, v)
-                                and bruhat_leq_b(encode_b(u)[0], tij)):
-                            assert wachs_leq_b(u, w)
+                        if (u != v and wachs_leq(u, v, "B")
+                                and bruhat_leq_b(encode(u)[0], tij)):
+                            assert wachs_leq(u, w, "B")
 
 
 def test_join_irreducibility_step():
@@ -317,7 +336,7 @@ def test_join_irreducibility_step():
         for v in els:
             i = v.index(n) + 1
             for u in els:
-                if u == v or not wachs_leq_a(u, v):
+                if u == v or not wachs_leq(u, v, "A"):
                     continue
                 if u.index(n) + 1 <= i:
                     continue
@@ -327,17 +346,15 @@ def test_join_irreducibility_step():
                 else:
                     z[i], z[i + 1] = z[i + 1], z[i]
                 z = tuple(z)
-                assert wachs_leq_a(u, z) and wachs_leq_a(z, v) and z != v
+                assert wachs_leq(u, z, "A") and wachs_leq(z, v, "A") and z != v
 
 
 def test_interval_subsets_are_union_closed():
-    for kind, n, leq, enc, dec in (
-            ("A", 5, bruhat_leq_a, encode_a, decode_a),
-            ("B", 5, bruhat_leq_b, encode_b, decode_b)):
+    for kind, n, leq in (("A", 5, bruhat_leq_a), ("B", 5, bruhat_leq_b)):
         els = enumerate_wachs(kind, n)
         idx = {v: i for i, v in enumerate(els)}
         leq_m = [[leq(x, y) for y in els] for x in els]
-        codes = [enc(v) for v in els]
+        codes = [encode(v) for v in els]
         for a in range(len(els)):
             for b in range(len(els)):
                 if not leq_m[a][b]:
@@ -349,7 +366,7 @@ def test_interval_subsets_are_union_closed():
                         mids.setdefault((i, sig), []).append(s)
                 for (i, sig), subsets in mids.items():
                     for s1, s2 in itertools.combinations(subsets, 2):
-                        w = idx[dec((i, sig, s1 | s2), n)]
+                        w = idx[decode((i, sig, s1 | s2), n)]
                         assert leq_m[a][w] and leq_m[w][b]
 
 
@@ -373,29 +390,29 @@ def test_coatom_properties():
             if j == n:
                 continue
             c = coatom_c(v)
-            assert c in wachs_covers_b(v)
-            assert rank_lw_b(v) - rank_lw_b(c) == 1
+            assert c in wachs_covers(v, "B")
+            assert rank_lw(v, "B") - rank_lw(c, "B") == 1
             # the only coatom that moves the extremal value
-            movers = {w for w in wachs_covers_b(v)
+            movers = {w for w in wachs_covers(v, "B")
                       if full_position(w, n) != j}
             assert movers <= {c}
             # every u below v whose extremal value sits further right
             # stays below c(v)
             for u in els:
-                if u != v and wachs_leq_b(u, v) and full_position(u, n) > j:
-                    assert wachs_leq_b(u, c)
+                if u != v and wachs_leq(u, v, "B") and full_position(u, n) > j:
+                    assert wachs_leq(u, c, "B")
 
 
 # ------------------------------------------------------------------ Moebius
 
 
 def test_mobius_closed_examples():
-    assert mobius_closed_a(encode_a((2, 1, 4, 3)), 4) == 1
-    assert mobius_closed_a(encode_a((1, 2, 4, 3)), 4) == -1
-    assert mobius_closed_a(encode_a((3, 4, 1, 2)), 4) == 0
-    assert mobius_closed_b(encode_b((2, 1, 4, 3)), 4) == 1
-    assert mobius_closed_b(encode_b((1, 2, 3, 4, 5)), 5) == 1
-    assert mobius_closed_b(encode_b((1, 2, 5, 3, 4)), 5) == 0
+    assert mobius_closed(encode((2, 1, 4, 3)), 4) == 1
+    assert mobius_closed(encode((1, 2, 4, 3)), 4) == -1
+    assert mobius_closed(encode((3, 4, 1, 2)), 4) == 0
+    assert mobius_closed(encode((2, 1, 4, 3)), 4) == 1
+    assert mobius_closed(encode((1, 2, 3, 4, 5)), 5) == 1
+    assert mobius_closed(encode((1, 2, 5, 3, 4)), 5) == 0
 
 
 # -------------------------------------------------------------- polynomials

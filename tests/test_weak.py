@@ -102,7 +102,7 @@ def test_product_structure():
     assert res.holds and res.witness is None
     assert res.lattice.is_lattice and res.lattice.is_complemented
     res = weak_product_iso("B", 4)
-    assert res.holds and res.convention == "abs"
+    assert res.holds
     assert res.lattice.is_lattice and res.lattice.is_complemented
     res = weak_product_iso("B", 2)
     assert res.holds
