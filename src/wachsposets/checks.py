@@ -19,13 +19,13 @@ from . import wachs
 from .bruhat import bruhat_leq_a
 from .perms import compose, format_perm, inverse
 from .posets import (FinitePoset, build_poset, characteristic_polynomial,
-                     dual_check, grade, lattice_checks, mobius_table)
+                     dual_check, grade, lattice_checks)
 from .qpoly import IntPolynomial
 from .weak import tl_set, weak_product_iso
 
 __all__ = ["CheckResult", "THEOREM_IDS", "CONJECTURE_IDS",
-           "LATTICE_DEFAULT_MAX_N", "default_max_n", "theorem_cells",
-           "conjecture_cells", "run_cell", "run_cells", "report"]
+           "LATTICE_DEFAULT_MAX_N", "default_max_n", "check_cells",
+           "run_cell", "run_cells", "report"]
 
 LATTICE_DEFAULT_MAX_N = 9  # (W(S_n), <=_L) lattice sweep: odd n, m <= 4
 
@@ -142,8 +142,9 @@ def _check_weakiso(kind, n):
     res = weak_product_iso(kind, n)
     if not res.holds:
         return False, f"map mismatch: {res.witness}"
-    if not res.lattice.is_lattice or not res.lattice.is_complemented:
-        return False, f"lattice failure: {res.lattice.witness}"
+    rep = lattice_checks(weak_poset(kind, n, "R"))
+    if not rep.is_lattice or not rep.is_complemented:
+        return False, f"lattice failure: {rep.witness}"
     return True, None
 
 
@@ -193,7 +194,7 @@ def _check_nongraded_weakl(kind, n):
 
 def _check_conj_mobius(kind, n):
     p = bruhat_poset(kind, n)
-    for (i, j), value in mobius_table(p).items():
+    for (i, j), value in p.mobius_values.items():
         if value not in (-1, 0, 1):
             return False, f"mu({p.elements[i]},{p.elements[j]}) = {value}"
     return True, None
@@ -211,15 +212,16 @@ def _check_conj_lattice(kind, n):
 class _Spec:
     kind: str                       # "A", "B" or "AB"
     fn: Callable
-    ns: Callable                    # max_n -> list of n for one kind
+    ns: Callable                    # (kind, max_n) -> list of n
 
 
-def _all_n(lo=1):
-    return lambda max_n: list(range(lo, max_n + 1))
+def _all_n(lo=1, step=1):
+    return lambda kind, max_n: list(range(lo, max_n + 1, step))
 
 
-def _even_n(max_n):
-    return [n for n in range(2, max_n + 1) if n % 2 == 0]
+def _fixed(**ranks):
+    """One fixed rank per kind, run when the cap reaches it."""
+    return lambda kind, max_n: [n for n in (ranks[kind],) if n <= max_n]
 
 
 THEOREMS = {
@@ -239,56 +241,53 @@ THEOREMS = {
     "weakiso-A": _Spec("A", _check_weakiso, _all_n()),
     "weakiso-B": _Spec("B", _check_weakiso, _all_n()),
     "selfdual-A": _Spec("A", _check_selfdual, _all_n()),
-    "statdist-A": _Spec("A", _check_statdist, _even_n),
-    "gi-stabilizer": _Spec("A", _check_gi, _even_n),
-    "nongraded-remark": _Spec("A", _check_nongraded_remark, lambda max_n: [6]),
+    "statdist-A": _Spec("A", _check_statdist, _all_n(lo=2, step=2)),
+    "gi-stabilizer": _Spec("A", _check_gi, _all_n(lo=2, step=2)),
+    "nongraded-remark": _Spec("A", _check_nongraded_remark, _fixed(A=6)),
+    "nongraded-weakL": _Spec("AB", _check_nongraded_weakl, _fixed(A=5, B=3)),
 }
 
 CONJECTURES = {
     "mobiusA": _Spec("A", _check_conj_mobius, _all_n()),
     "mobiusB": _Spec("B", _check_conj_mobius, _all_n()),
-    "latticeAodd": _Spec("A", _check_conj_lattice,
-                         lambda max_n: [n for n in range(1, max_n + 1)
-                                        if n % 2 == 1]),
+    "latticeAodd": _Spec("A", _check_conj_lattice, _all_n(step=2)),
 }
 
-THEOREM_IDS = list(THEOREMS) + ["nongraded-weakL"]
+THEOREM_IDS = list(THEOREMS)
 CONJECTURE_IDS = list(CONJECTURES)
+
+
+def _spec(check_id: str) -> _Spec:
+    return THEOREMS.get(check_id) or CONJECTURES[check_id]
 
 
 def default_max_n(check_id: str) -> int:
     """The largest n a check sweeps unless told otherwise."""
     if check_id == "latticeAodd":
         return LATTICE_DEFAULT_MAX_N
-    if check_id == "nongraded-weakL":   # fixed cells, like nongraded-remark
-        return wachs.kind_record("A").default_cap
-    spec = THEOREMS.get(check_id) or CONJECTURES[check_id]
-    return wachs.kind_record(spec.kind).default_cap
+    return max(wachs.kind_record(k).default_cap for k in _spec(check_id).kind)
 
 
-def theorem_cells(check_id: str, max_n: Optional[int] = None) -> list:
-    """The (id, kind, n) cells a theorem check expands to."""
-    if check_id == "nongraded-weakL":
-        return [(check_id, "A", 5), (check_id, "B", 3)]
-    spec = THEOREMS[check_id]
-    cap = max_n if max_n is not None else default_max_n(check_id)
-    return [(check_id, spec.kind, n) for n in spec.ns(cap)]
+def _cells(check_id: str, caps: dict) -> list:
+    """The (id, kind, n) cells of a check, each kind up to its cap in
+    `caps` (None for the default)."""
+    spec = _spec(check_id)
+    out = []
+    for kind in spec.kind:
+        cap = caps[kind] if caps[kind] is not None else default_max_n(check_id)
+        out.extend((check_id, kind, n) for n in spec.ns(kind, cap))
+    return out
 
 
-def conjecture_cells(check_id: str, max_n: Optional[int] = None) -> list:
-    spec = CONJECTURES[check_id]
-    cap = max_n if max_n is not None else default_max_n(check_id)
-    return [(check_id, spec.kind, n) for n in spec.ns(cap)]
+def check_cells(check_id: str, max_n: Optional[int] = None) -> list:
+    """The (id, kind, n) cells a theorem or conjecture check expands to."""
+    return _cells(check_id, {"A": max_n, "B": max_n})
 
 
 def run_cell(cell: tuple) -> CheckResult:
     check_id, kind, n = cell
-    if check_id == "nongraded-weakL":
-        fn = _check_nongraded_weakl
-    else:
-        fn = (THEOREMS.get(check_id) or CONJECTURES[check_id]).fn
     start = time.perf_counter()
-    ok, witness = fn(kind, n)
+    ok, witness = _spec(check_id).fn(kind, n)
     millis = int((time.perf_counter() - start) * 1000)
     return CheckResult(check_id, kind, n, "pass" if ok else "fail",
                        witness, millis)
@@ -318,12 +317,8 @@ def report(max_n_a: Optional[int] = None, max_n_b: Optional[int] = None,
            threads: Optional[int] = None) -> dict:
     """Run every check at its default (or overridden) cap."""
     caps = {"A": max_n_a, "B": max_n_b}
-    cells = theorem_cells("nongraded-weakL")
-    for cid, spec in THEOREMS.items():
-        cells.extend(theorem_cells(cid, caps[spec.kind]))
-    for cid, spec in CONJECTURES.items():
-        cells.extend(conjecture_cells(cid, caps[spec.kind]))
-    cells.sort()
+    cells = sorted(c for cid in THEOREM_IDS + CONJECTURE_IDS
+                   for c in _cells(cid, caps))
     results = run_cells(cells, threads)
     return {
         "version": 1,

@@ -66,10 +66,8 @@ def _print_results(results) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.category == "theorem":
-        ids, cells_of = checks.THEOREM_IDS, checks.theorem_cells
-    else:
-        ids, cells_of = checks.CONJECTURE_IDS, checks.conjecture_cells
+    ids = (checks.THEOREM_IDS if args.category == "theorem"
+           else checks.CONJECTURE_IDS)
     if args.id not in ids:
         print(f"unknown {args.category} id {args.id!r}; choose from: "
               + ", ".join(ids), file=sys.stderr)
@@ -80,7 +78,7 @@ def cmd_check(args) -> int:
         print(f"--max-n {args.max_n} exceeds the default cap {default}; "
               f"pass --unsafe-large to override", file=sys.stderr)
         return EXIT_CAP
-    cells = cells_of(args.id, args.max_n)
+    cells = checks.check_cells(args.id, args.max_n)
     if not cells:
         print(f"--max-n {args.max_n} leaves no cells to check for {args.id}",
               file=sys.stderr)

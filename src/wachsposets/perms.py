@@ -246,13 +246,10 @@ def all_perms(n: int) -> Iterator[PermWord]:
 
 
 def all_windows(n: int) -> Iterator[Window]:
-    """All of B_n (as windows) in lexicographic order."""
-    items = sorted(
-        (tuple(s * v for s, v in zip(signs, perm))
-         for perm in itertools.permutations(range(1, n + 1))
-         for signs in itertools.product((1, -1), repeat=n)),
-    )
-    return iter(items)
+    """All of B_n (as windows), lazily."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield tuple(s * v for s, v in zip(signs, perm))
 
 
 # ---------------------------------------------------------------- text forms
@@ -305,8 +302,3 @@ def parse_window(text: str) -> Window:
     except ValueError:
         raise ValueError(f"cannot parse window {text!r}") from None
     return check_window(values)
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

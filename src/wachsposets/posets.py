@@ -10,6 +10,7 @@ isomorphism) work on these masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 __all__ = [
@@ -43,7 +44,6 @@ class FinitePoset:
     down: list              # down[i]: bitmask of {j : e_j <= e_i}
     covers: list            # pairs (i, j) with e_i covered by e_j
     index: dict = field(default_factory=dict)
-    _mobius: Optional[dict] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -65,10 +65,13 @@ class FinitePoset:
                 return i
         return None
 
+    @cached_property
+    def mobius_values(self) -> dict:
+        """mobius_table(self), computed once per poset."""
+        return mobius_table(self)
+
     def mobius(self, i: int, j: int) -> int:
-        if self._mobius is None:
-            self._mobius = mobius_table(self)
-        return self._mobius.get((i, j), 0)
+        return self.mobius_values.get((i, j), 0)
 
 
 def build_poset(items: Iterable, leq: Callable, key: Callable = str) -> FinitePoset:

@@ -197,8 +197,3 @@ def q_factorial(n: int) -> IntPolynomial:
     for k in range(2, n + 1):
         out = out * q_int(k)
     return out
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

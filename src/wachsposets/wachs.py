@@ -30,9 +30,9 @@ from typing import Callable, Iterator, Sequence
 from . import qpoly
 from .bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
 from .perms import (
-    MAX_N_A, MAX_N_B, SizeCapError, all_perms, compose, format_perm,
-    format_window, full_position, full_value, identity, inverse, length_a,
-    length_b, signed_reflection, stats_a,
+    MAX_N_A, MAX_N_B, SizeCapError, all_perms, all_windows, compose,
+    embed_tilde, format_perm, format_window, full_position, full_value,
+    identity, inverse, length_a, length_b, signed_reflection, stats_a,
 )
 
 __all__ = [
@@ -62,12 +62,6 @@ class Kind:
     max_n: int                                   # largest n enumerated
 
 
-def _signed_perms(m: int) -> Iterator[tuple]:
-    for word in itertools.permutations(range(1, m + 1)):
-        for signs in itertools.product((1, -1), repeat=m):
-            yield tuple(s * v for s, v in zip(signs, word))
-
-
 # The Bruhat oracles are looked up by their names in this module at each
 # call rather than stored, so that rebinding those names (as the layer
 # trace in bench/layertrace.py does) reaches every caller of the record.
@@ -78,7 +72,7 @@ KINDS = {
               length=length_a, key=format_perm,
               w0=lambda n: tuple(range(n, 0, -1)),
               default_cap=8, max_n=MAX_N_A),
-    "B": Kind(elements=_signed_perms,
+    "B": Kind(elements=all_windows,
               leq=lambda u, v: bruhat_leq_b(u, v),
               covers=lambda w: covers_b(w),
               length=lambda w: length_b(w).total, key=format_window,
@@ -230,26 +224,38 @@ def rank_lw(v: Sequence[int], kind: str) -> int:
 # ---------------------------------------------------------------- order
 
 
+def _rank(w: Sequence[int], i: int, j: int) -> int:
+    """r_w(i, j) = #{a <= i : w(a) >= j}."""
+    return sum(x >= j for x in w[:i])
+
+
 @functools.lru_cache(maxsize=65536)
-def _frozen_cells(sigma, tau, k: Kind) -> frozenset:
+def _frozen_cells(sigma, tau) -> frozenset:
     """Cells fixed by every element of the Bruhat interval [sigma, tau]
-    of G_m.
+    of G_m, for sigma <= tau.
 
     Plain agreement of sigma and tau is not enough: a saturated chain
     between them may pass through elements moving a cell on which the
     endpoints agree, and such a detour can toggle the subset entry of
     that cell.  Only cells frozen across the whole interval constrain
     the subsets.
+
+    Every rho in the interval has r_sigma <= r_rho <= r_tau entrywise
+    (Bjorner-Brenti, GTM 231, Thm 2.1.5), and the four corners of r_rho
+    around (i, v) decide whether rho(i) = v.  Cell c sits at position
+    i = c + m of embed_tilde, so it is frozen when sigma and tau put the
+    same v there and their rank matrices agree at those corners.  That
+    no other cell is frozen is verified exhaustively in the tests.
     """
     m = len(sigma)
-    out = {c for c in range(1, m + 1) if sigma[c - 1] == tau[c - 1]}
-    if not out or sigma == tau:
-        return frozenset(out)
-    for rho in k.elements(m):
-        if k.leq(sigma, rho) and k.leq(rho, tau):
-            out = {c for c in out if rho[c - 1] == sigma[c - 1]}
-            if not out:
-                break
+    p, q = embed_tilde(sigma), embed_tilde(tau)
+    out = set()
+    for c in range(1, m + 1):
+        i = c + m
+        v = p[i - 1]
+        if q[i - 1] == v and all(_rank(p, a, b) == _rank(q, a, b)
+                                 for a in (i - 1, i) for b in (v, v + 1)):
+            out.add(c)
     return frozenset(out)
 
 
@@ -265,7 +271,7 @@ def wachs_leq(u: Sequence[int], v: Sequence[int], kind: str) -> bool:
         tau, t = encode(v)
         if not k.leq(sigma, tau):
             return False
-        return s & _frozen_cells(sigma, tau, k) <= t
+        return s & _frozen_cells(sigma, tau) <= t
     i, sigma, s = encode(u)
     j, tau, t = encode(v)
     if j > i or not k.leq(sigma, tau):
@@ -278,7 +284,7 @@ def wachs_leq(u: Sequence[int], v: Sequence[int], kind: str) -> bool:
         # the extremal value changes sign between u and v; sweeping it
         # through the centre disturbs every cell below max(|i|, |j|)
         window = frozenset(range(hi, m + 1))
-    keep = window & _frozen_cells(sigma, tau, k)
+    keep = window & _frozen_cells(sigma, tau)
     return s & keep <= t & keep
 
 
@@ -468,8 +474,3 @@ def descent_class(n: int, free: frozenset) -> list:
     """Permutations of [n] that ascend at every position in `free`."""
     return [p for p in itertools.permutations(range(1, n + 1))
             if all(p[i - 1] < p[i] for i in free)]
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .perms import inverse
-from .posets import FinitePoset, LatticeReport, build_poset, lattice_checks
 from .wachs import encode, enumerate_wachs
 
 __all__ = ["tl_set_a", "tl_set_b", "tl_set", "weak_leq",
@@ -109,14 +108,11 @@ def _factor_map(n: int, v):
 class WeakIsoResult:
     holds: bool
     witness: Optional[tuple]        # first mismatching pair, if any
-    lattice: Optional[LatticeReport]
-    poset: Optional[FinitePoset] = None
 
 
 def weak_product_iso(kind: str, n: int) -> WeakIsoResult:
     """Check that (W(G_n), <=_R) is isomorphic, via the explicit code map,
-    to (G_ceil(n/2), <=_R) x P([floor(n/2)]), and report lattice structure
-    of the Wachs side."""
+    to (G_ceil(n/2), <=_R) x P([floor(n/2)])."""
     elems = enumerate_wachs(kind, n)
     tls = [tl_set(v, kind) for v in elems]
     images = [_factor_map(n, v) for v in elems]
@@ -131,15 +127,4 @@ def weak_product_iso(kind: str, n: int) -> WeakIsoResult:
             if lhs != rhs:
                 witness = (elems[a], elems[b])
                 break
-
-    by_elem = dict(zip(elems, tls))
-    poset = build_poset(
-        elems, lambda x, y: by_elem[x] <= by_elem[y],
-        key=lambda v: ",".join(str(x) for x in v))
-    report = lattice_checks(poset)
-    return WeakIsoResult(witness is None, witness, report, poset)
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()
+    return WeakIsoResult(witness is None, witness)

@@ -221,7 +221,7 @@ def test_criterion_09_weak_order(report):
 def test_criterion_10_conjecture_sweeps(report):
     ok, d = all_pass(report, "mobiusA")
     ok2, d2 = all_pass(report, "mobiusB")
-    cells = checks.conjecture_cells("latticeAodd", 9)
+    cells = checks.check_cells("latticeAodd", 9)
     results = checks.run_cells(cells)
     ok3 = all(r.ok for r in results) and ("latticeAodd", "A", 9) in [
         (r.id, r.kind, r.n) for r in results]

@@ -133,3 +133,19 @@ def test_bad_thread_counts_are_usage_errors(capsys, monkeypatch):
         assert code == 2, value
         assert out == ""
         assert "WACHS_THREADS" in err
+
+
+def test_fixed_rank_checks_honour_max_n(capsys):
+    # nongraded-remark runs at n = 6 only, nongraded-weakL at A 5 and B 3
+    for argv in (("nongraded-remark", "--max-n", "2"),
+                 ("nongraded-weakL", "--max-n", "1")):
+        code, out, err = run(capsys, "check", "theorem", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "no cells" in err
+    code, out, _ = run(capsys, "check", "theorem", "nongraded-weakL",
+                       "--max-n", "4")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("nongraded-weakL B n=3 PASS")

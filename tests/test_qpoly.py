@@ -1,6 +1,5 @@
 """Exact integer polynomial arithmetic and q-analogues."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from wachsposets.qpoly import (

@@ -9,13 +9,13 @@ import pytest
 
 from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
 from wachsposets.perms import (
-    compose, descent_set_a, full_position, identity, inverse, length_a,
+    all_perms, all_windows, compose, full_position, identity, length_a,
     signed_reflection,
 )
-from wachsposets.qpoly import IntPolynomial, X, q_int
+from wachsposets.qpoly import IntPolynomial, X
 from wachsposets.wachs import (
-    chi_map, closed_polys, coatom_c, decode, descent_class, encode,
-    enumerate_wachs, f_map, involution_wa, involution_wb, is_wachs,
+    _frozen_cells, chi_map, closed_polys, coatom_c, decode, descent_class,
+    encode, enumerate_wachs, f_map, involution_wa, involution_wb, is_wachs,
     longest_element, mobius_closed, rank_lw, stabilizer_gi, star,
     stats_distribution_check, wachs_covers, wachs_leq,
 )
@@ -154,6 +154,42 @@ def test_order_matches_oracle_small():
     for n in range(1, 5):
         for u, v in itertools.product(enumerate_wachs("B", n), repeat=2):
             assert wachs_leq(u, v, "B") == bruhat_leq_b(u, v)
+
+
+def _frozen_by_interval_scan(elements, leq):
+    """Brute-force oracle for _frozen_cells: for every comparable pair
+    sigma <= tau of the group, the cells on which every element of the
+    interval [sigma, tau] agrees with sigma.  Intervals are bitmasks."""
+    els = list(elements)
+    m = len(els[0])
+    up = [sum(1 << b for b, y in enumerate(els) if leq(x, y)) for x in els]
+    down = [sum(1 << a for a in range(len(els)) if up[a] >> b & 1)
+            for b in range(len(els))]
+    agree = {}      # (cell, value) -> elements with that value there
+    for r, rho in enumerate(els):
+        for c in range(1, m + 1):
+            agree[c, rho[c - 1]] = agree.get((c, rho[c - 1]), 0) | 1 << r
+    out = {}
+    for a, sigma in enumerate(els):
+        for b in range(len(els)):
+            if up[a] >> b & 1:
+                interval = up[a] & down[b]
+                out[sigma, els[b]] = frozenset(
+                    c for c in range(1, m + 1)
+                    if interval & ~agree[c, sigma[c - 1]] == 0)
+    return out
+
+
+def test_frozen_cells_match_interval_scan():
+    # the rank-matrix test against the interval scan on every comparable
+    # pair; S_5 has 3781 such pairs and B_4 has 40249
+    for leq, group, top, pairs in ((bruhat_leq_a, all_perms, 5, 3781),
+                                   (bruhat_leq_b, all_windows, 4, 40249)):
+        for m in range(1, top + 1):
+            want = _frozen_by_interval_scan(group(m), leq)
+            for (sigma, tau), cells in want.items():
+                assert _frozen_cells(sigma, tau) == cells, (sigma, tau)
+        assert len(want) == pairs
 
 
 def test_code_comparison_alone_is_not_the_order():

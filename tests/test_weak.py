@@ -10,7 +10,7 @@ from wachsposets.perms import (
 )
 from wachsposets.posets import grade, lattice_checks, poset_isomorphic
 from wachsposets.wachs import enumerate_wachs
-from wachsposets.weak import tl_set, tl_set_a, tl_set_b, weak_leq, \
+from wachsposets.weak import tl_set_a, tl_set_b, weak_leq, \
     weak_product_iso
 
 
@@ -100,12 +100,13 @@ def test_left_weak_order_is_not_graded_on_wachs_elements():
 def test_product_structure():
     res = weak_product_iso("A", 5)
     assert res.holds and res.witness is None
-    assert res.lattice.is_lattice and res.lattice.is_complemented
     res = weak_product_iso("B", 4)
     assert res.holds
-    assert res.lattice.is_lattice and res.lattice.is_complemented
     res = weak_product_iso("B", 2)
     assert res.holds
+    for kind, n in (("A", 5), ("B", 4)):
+        rep = lattice_checks(weak_poset(kind, n, "R"))
+        assert rep.is_lattice and rep.is_complemented
 
 
 def test_product_structure_counts():
