@@ -10,12 +10,15 @@ from .perms import (
     identity, inverse, length_a, length_b, parse_perm, parse_window,
     signed_reflection, stats_a,
 )
-from .bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
+from .bruhat import (
+    bruhat_leq_a, bruhat_leq_b, bruhat_up_sets, covers_a, covers_b,
+)
 from .qpoly import IntPolynomial, q_factorial, q_int
 from .posets import (
     FinitePoset, build_poset, cartesian_product, characteristic_polynomial,
-    dual_check, grade, lattice_checks, mobius_table, ordinal_product,
-    poset_isomorphic, rank_generating_polynomial, to_dot, to_json,
+    dual_check, grade, inclusion_up_sets, lattice_checks, mobius_table,
+    ordinal_product, poset_from_up, poset_isomorphic,
+    rank_generating_polynomial, to_dot, to_json,
 )
 from .wachs import (
     KINDS, ClosedForms, Kind, chi_map, closed_polys, coatom_c, decode, encode,

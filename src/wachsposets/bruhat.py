@@ -8,6 +8,10 @@ of u(1..k) is componentwise <= that of v(1..k).
 Comparison in B_n goes through the order-preserving embedding of the full
 map on [+-n] into S_2n (see perms.embed_tilde).  Covers in B_n are computed
 directly from the cover description by suitable "free rises".
+
+`bruhat_up_sets` compares a whole list of permutations at once with the
+rank-matrix form of the same criterion; the pairwise oracles above are
+the independent check it is tested against.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from typing import Sequence
 
 from .perms import embed_tilde, full_value
 
-__all__ = ["bruhat_leq_a", "bruhat_leq_b", "covers_a", "covers_b"]
+__all__ = ["bruhat_leq_a", "bruhat_leq_b", "bruhat_up_sets",
+           "covers_a", "covers_b"]
 
 
 @lru_cache(maxsize=262144)
@@ -54,6 +59,40 @@ def bruhat_leq_b(u: Sequence[int], v: Sequence[int]) -> bool:
     if len(u) != len(v):
         raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
     return bruhat_leq_a(embed_tilde(u), embed_tilde(v))
+
+
+def bruhat_up_sets(words: Sequence[Sequence[int]]) -> list:
+    """Up-sets of the Bruhat order on a list of permutations of [n], as
+    bitmasks: bit j of up[i] is set iff words[i] <= words[j].
+
+    With r_w(k, j) = #{a <= k : w(a) >= j}, u <= v iff r_u(k, j) <=
+    r_v(k, j) for every j and every descent k of u (the tableau criterion
+    in rank-matrix form, Bjorner-Brenti, GTM 231, Thm 2.1.5).  For each
+    (k, j) the words are bucketed by r_w(k, j), so up[u] is the AND over
+    k in D(u) and j of the mask of words whose count reaches r_u(k, j).
+
+    >>> bruhat_up_sets([(1, 2, 3), (2, 1, 3), (3, 2, 1)])
+    [7, 6, 4]
+    """
+    words = [tuple(w) for w in words]
+    n = len(words[0]) if words else 0
+    bits = [1 << i for i in range(len(words))]
+    up = [(1 << len(words)) - 1] * len(words)
+    # r_w(k, 1) = k for every w, so j starts at 2
+    rank = {j: [0] * len(words) for j in range(2, n + 1)}
+    for k in range(1, n):
+        descents = [i for i, w in enumerate(words) if w[k - 1] > w[k]]
+        for j in range(2, n + 1):
+            rank[j] = r = [c + (w[k - 1] >= j) for c, w in zip(rank[j], words)]
+            at_least = [0] * (k + 2)      # at_least[c]: words with r >= c
+            for i, c in enumerate(r):
+                at_least[c] |= bits[i]
+            for c in range(k, 0, -1):
+                at_least[c] |= at_least[c + 1]
+            for i in descents:
+                if r[i]:
+                    up[i] &= at_least[r[i]]
+    return up
 
 
 def covers_a(p: Sequence[int]) -> set:

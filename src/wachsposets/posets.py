@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "PosetError", "FinitePoset", "GradeResult", "LatticeReport",
-    "build_poset", "grade", "mobius_table",
+    "build_poset", "poset_from_up", "inclusion_up_sets", "grade", "mobius_table",
     "rank_generating_polynomial", "characteristic_polynomial",
     "lattice_checks", "poset_isomorphic",
     "cartesian_product", "ordinal_product", "dual_check",
@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 VALIDATION_CAP = 5000
+_BLOCK = 256    # rows of a relation read as text at once
 
 
 class PosetError(ValueError):
@@ -74,73 +75,127 @@ class FinitePoset:
         return self.mobius_values.get((i, j), 0)
 
 
+def _check_size(n: int) -> None:
+    if n > VALIDATION_CAP:
+        raise PosetError(f"{n} elements exceeds the validation cap {VALIDATION_CAP}")
+
+
 def build_poset(items: Iterable, leq: Callable, key: Callable = str) -> FinitePoset:
     """Build and validate a poset from elements and a comparison oracle."""
     items = list(items)
+    _check_size(len(items))
+    up = []
+    for x in items:
+        m = 0
+        for j, y in enumerate(items):
+            if leq(x, y):
+                m |= 1 << j
+        up.append(m)
+    return poset_from_up(items, up, key)
+
+
+def inclusion_up_sets(sets: Sequence[frozenset]) -> list:
+    """Up-sets of the inclusion order on a list of sets, as bitmasks: bit
+    j of up[i] is set iff sets[i] <= sets[j].  up[i] is the AND, over the
+    members t of sets[i], of the mask of the sets holding t.
+
+    >>> inclusion_up_sets([frozenset(), frozenset({1}), frozenset({2})])
+    [7, 2, 4]
+    """
+    holders: dict = {}
+    for i, s in enumerate(sets):
+        for t in s:
+            holders[t] = holders.get(t, 0) | 1 << i
+    up = []
+    for s in sets:
+        m = (1 << len(sets)) - 1
+        for t in s:
+            m &= holders[t]
+        up.append(m)
+    return up
+
+
+def poset_from_up(items: Iterable, up: Sequence[int],
+                  key: Callable = str) -> FinitePoset:
+    """Validate a relation given by up-set bitmasks (bit j of up[i] set
+    iff items[i] <= items[j]) and build the poset it orders."""
+    items = list(items)
     n = len(items)
-    if n > VALIDATION_CAP:
-        raise PosetError(f"{n} elements exceeds the validation cap {VALIDATION_CAP}")
+    _check_size(n)
     keys = [key(x) for x in items]
     if len(set(keys)) != n:
         raise PosetError("duplicate element keys")
-
-    up = [0] * n
-    for i in range(n):
-        m = 0
-        xi = items[i]
-        for j in range(n):
-            if leq(xi, items[j]):
-                m |= 1 << j
-        up[i] = m
+    if len(up) != n:
+        raise PosetError(f"{len(up)} up-sets for {n} elements")
     for i in range(n):
         if not up[i] >> i & 1:
             raise PosetError(f"not reflexive at {keys[i]}")
+        if up[i] >> n:
+            raise PosetError(f"up-set of {keys[i]} names no element")
 
     # reorder into a linear extension: sort by down-set size
-    down = [0] * n
-    for i in range(n):
-        for j in _bits(up[i]):
-            down[j] |= 1 << i
-    order = sorted(range(n), key=lambda i: (bin(down[i]).count("1"), keys[i]))
-    pos = {old: new for new, old in enumerate(order)}
-
-    def remap(mask: int) -> int:
-        out = 0
-        for b in _bits(mask):
-            out |= 1 << pos[b]
-        return out
-
+    down = _transpose(up)
+    order = sorted(range(n), key=lambda j: (down[j].bit_count(), keys[j]))
+    # bit q of row i of the transpose below is bit order[q] of up[i]
+    rows = _transpose([down[j] for j in order])
+    up = [rows[i] for i in order]
     items = [items[i] for i in order]
     keys = [keys[i] for i in order]
-    up = [remap(up[i]) for i in order]
-    down = [0] * n
-    for i in range(n):
-        for j in _bits(up[i]):
-            down[j] |= 1 << i
 
+    # Covers, from the top down.  Once every up-set above i is known to be
+    # closed and to lie above its element, the lowest element left in the
+    # strict up-set of i is minimal there, so it is a cover, and removing
+    # its up-set leaves the rest.  up[i] lies above i and is closed iff
+    # the up-sets of its covers stay inside it; a relation passing this
+    # for every i is antisymmetric and transitive.
+    covers = []
+    for i in range(n - 1, -1, -1):
+        strict = up[i] & ~(1 << i)
+        above, rest = 0, strict
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            covers.append((i, j))
+            above |= up[j]
+            rest &= ~up[j]
+        if strict >> i << i != strict or above & ~up[i]:
+            raise _order_error(up, keys)
+    covers.sort()
+    down = _transpose(up)
+    return FinitePoset(keys, items, up, down, covers,
+                       index={k: i for i, k in enumerate(keys)})
+
+
+def _transpose(masks: list) -> list:
+    """The transposed n x n bit matrix: bit i of out[j] is bit j of
+    masks[i].  Blocks of rows are read as "0"/"1" text, so that each
+    column of a block is one strided slice."""
+    n = len(masks)
+    out = [0] * n
+    for start in range(0, n, _BLOCK):
+        text = "".join(format(m, f"0{n}b") for m in masks[start:start + _BLOCK])
+        for j in range(n):                      # bit j sits at column n-1-j
+            out[j] |= int(text[n - 1 - j::n][::-1], 2) << start
+    return out
+
+
+def _order_error(up: list, keys: list) -> PosetError:
+    """The first failure of antisymmetry, else of transitivity, in a
+    reflexive relation that is not a partial order."""
+    n = len(up)
+    down = _transpose(up)
     # antisymmetry: up-set and down-set meet only in the element itself
     for i in range(n):
         if up[i] & down[i] != 1 << i:
             other = next(b for b in _bits(up[i] & down[i]) if b != i)
-            raise PosetError(f"antisymmetry fails at {keys[i]}, {keys[other]}")
+            return PosetError(f"antisymmetry fails at {keys[i]}, {keys[other]}")
     # transitivity: up-sets are closed upward
     for i in range(n):
         for j in _bits(up[i]):
             if up[j] & ~up[i]:
                 k = next(_bits(up[j] & ~up[i]))
-                raise PosetError(
+                return PosetError(
                     f"transitivity fails: {keys[i]} <= {keys[j]} <= {keys[k]}")
-
-    covers = []
-    for i in range(n):
-        strict = up[i] & ~(1 << i)
-        for j in _bits(strict):
-            between = up[i] & down[j] & ~(1 << i) & ~(1 << j)
-            if not between:
-                covers.append((i, j))
-    covers.sort()
-    return FinitePoset(keys, items, up, down, covers,
-                       index={k: i for i, k in enumerate(keys)})
+    raise AssertionError("the relation is a partial order")
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ class Kind:
     """What type A (G_m = S_m) and type B (G_m = B_m) differ in."""
     elements: Callable[[int], Iterator[tuple]]   # all of G_m, lazily
     leq: Callable[[tuple, tuple], bool]          # Bruhat order on G_m
+    ambient: Callable[[tuple], tuple]            # Bruhat embedding in S_m/S_2m
     covers: Callable[[tuple], set]               # Bruhat covers in G_m
     length: Callable[[Sequence[int]], int]
     key: Callable[[Sequence[int]], str]          # text form of an element
@@ -67,13 +68,13 @@ class Kind:
 # trace in bench/layertrace.py does) reaches every caller of the record.
 KINDS = {
     "A": Kind(elements=all_perms,
-              leq=lambda u, v: bruhat_leq_a(u, v),
+              leq=lambda u, v: bruhat_leq_a(u, v), ambient=tuple,
               covers=lambda w: covers_a(w),
               length=length_a, key=format_perm,
               w0=lambda n: tuple(range(n, 0, -1)),
               default_cap=8, max_n=MAX_N_A),
     "B": Kind(elements=all_windows,
-              leq=lambda u, v: bruhat_leq_b(u, v),
+              leq=lambda u, v: bruhat_leq_b(u, v), ambient=embed_tilde,
               covers=lambda w: covers_b(w),
               length=lambda w: length_b(w).total, key=format_window,
               w0=lambda n: tuple(range(-1, -n - 1, -1)),
@@ -115,13 +116,38 @@ def is_wachs(w: Sequence[int]) -> bool:
 
 
 def enumerate_wachs(kind: str, n: int) -> list:
-    """All Wachs elements of rank n >= 1, lexicographically sorted."""
+    """All Wachs elements of rank n >= 1, lexicographically sorted.
+
+    They are the decoded codes (tau, T) in G_m x P([m]), m = n // 2.  For
+    odd n the slot i of the extremal value is added: inserting the value
+    m + 1 with the sign of i at place |i| of tau is a bijection from the
+    pairs (i, tau) onto G_{m+1}, so the pairs are read off G_{m+1}.
+    """
     k = kind_record(kind)
     if n < 1:
         raise ValueError(f"rank n={n} must be at least 1")
     if n > k.max_n:
         raise SizeCapError(f"n={n} exceeds the cap {k.max_n}")
-    return sorted(w for w in k.elements(n) if is_wachs(w))
+    m = n // 2
+    subsets = [frozenset(c) for r in range(m + 1)
+               for c in itertools.combinations(range(1, m + 1), r)]
+    if n % 2 == 0:
+        heads = [(tau,) for tau in k.elements(m)]
+    else:
+        heads = []
+        for rho in k.elements(m + 1):
+            slot = next(a for a, x in enumerate(rho, 1) if abs(x) == m + 1)
+            tau = tuple(x for x in rho if abs(x) != m + 1)
+            heads.append((slot if rho[slot - 1] > 0 else -slot, tau))
+    out = []
+    for head in heads:
+        for t in subsets:
+            w = decode(head + (t,), n)
+            if not is_wachs(w):
+                raise ValueError(f"code {head + (t,)} decodes to {w}, "
+                                 f"which is not a Wachs permutation")
+            out.append(w)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------- codes
@@ -259,9 +285,17 @@ def _frozen_cells(sigma, tau) -> frozenset:
     return frozenset(out)
 
 
+# An order sweep compares each pair of a few thousand elements, but their
+# quotients range over G_m only: at the default caps, at most 576 pairs of
+# S_4 or 2304 of B_3.
+@functools.lru_cache(maxsize=65536)
+def _group_leq(sigma: tuple, tau: tuple, kind: str) -> bool:
+    return kind_record(kind).leq(sigma, tau)
+
+
 def wachs_leq(u: Sequence[int], v: Sequence[int], kind: str) -> bool:
     """Bruhat comparison of (signed) Wachs permutations, via codes only."""
-    k = kind_record(kind)
+    kind_record(kind)                 # rejects an unknown kind up front
     u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         raise ValueError("rank mismatch")
@@ -269,12 +303,12 @@ def wachs_leq(u: Sequence[int], v: Sequence[int], kind: str) -> bool:
     if n % 2 == 0:
         sigma, s = encode(u)
         tau, t = encode(v)
-        if not k.leq(sigma, tau):
+        if not _group_leq(sigma, tau, kind):
             return False
         return s & _frozen_cells(sigma, tau) <= t
     i, sigma, s = encode(u)
     j, tau, t = encode(v)
-    if j > i or not k.leq(sigma, tau):
+    if j > i or not _group_leq(sigma, tau, kind):
         return False
     m = n // 2
     lo, hi = min(abs(i), abs(j)), max(abs(i), abs(j))

@@ -9,12 +9,12 @@ plus (a, -a) for the sign changes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .perms import inverse
-from .wachs import encode, enumerate_wachs
+from .posets import FinitePoset, inclusion_up_sets
+from .wachs import encode
 
 __all__ = ["tl_set_a", "tl_set_b", "tl_set", "weak_leq",
            "WeakIsoResult", "weak_product_iso"]
@@ -110,21 +110,20 @@ class WeakIsoResult:
     witness: Optional[tuple]        # first mismatching pair, if any
 
 
-def weak_product_iso(kind: str, n: int) -> WeakIsoResult:
-    """Check that (W(G_n), <=_R) is isomorphic, via the explicit code map,
-    to (G_ceil(n/2), <=_R) x P([floor(n/2)])."""
-    elems = enumerate_wachs(kind, n)
-    tls = [tl_set(v, kind) for v in elems]
-    images = [_factor_map(n, v) for v in elems]
-    witness = None
+def weak_product_iso(poset: FinitePoset, kind: str) -> WeakIsoResult:
+    """Check that `poset`, the right weak order on the Wachs elements of
+    one rank n, is isomorphic via the explicit code map to
+    (G_ceil(n/2), <=_R) x P([floor(n/2)])."""
+    n = len(poset.items[0])
+    images = [_factor_map(n, v) for v in poset.items]
     if len(set(images)) != len(images):
-        witness = ("not injective",)
-    else:
-        tls_img = [tl_set(g, kind) for g, _ in images]
-        for a, b in itertools.product(range(len(elems)), repeat=2):
-            lhs = tls[a] <= tls[b]
-            rhs = tls_img[a] <= tls_img[b] and images[a][1] <= images[b][1]
-            if lhs != rhs:
-                witness = (elems[a], elems[b])
-                break
-    return WeakIsoResult(witness is None, witness)
+        return WeakIsoResult(False, ("not injective",))
+    tls = {g: tl_set(g, kind) for g in {g for g, _ in images}}
+    group_up = inclusion_up_sets([tls[g] for g, _ in images])
+    subset_up = inclusion_up_sets([s for _, s in images])
+    for a, v in enumerate(poset.items):
+        diff = poset.up[a] ^ (group_up[a] & subset_up[a])
+        if diff:
+            b = (diff & -diff).bit_length() - 1
+            return WeakIsoResult(False, (v, poset.items[b]))
+    return WeakIsoResult(True, None)

@@ -4,11 +4,13 @@ polynomials, products, duality and isomorphism."""
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wachsposets.posets import (
     PosetError, build_poset, cartesian_product, characteristic_polynomial,
-    dual_check, grade, lattice_checks, mobius_table, ordinal_product,
-    poset_isomorphic, rank_generating_polynomial, to_dot, to_json,
+    dual_check, grade, inclusion_up_sets, lattice_checks, mobius_table,
+    ordinal_product, poset_from_up, poset_isomorphic,
+    rank_generating_polynomial, to_dot, to_json,
 )
 from wachsposets.qpoly import IntPolynomial, q_int
 
@@ -55,6 +57,79 @@ def test_build_validates_transitivity():
 def test_build_rejects_duplicate_keys():
     with pytest.raises(PosetError):
         build_poset([1, 2], lambda a, b: a <= b, key=lambda x: "same")
+
+
+def test_from_up_validates_with_the_build_messages():
+    # 1 <= 2 <= 3 but not 1 <= 3, written as up-set masks
+    for up, message in (([0b10, 0b10], "not reflexive at 1"),
+                        ([0b11, 0b11], "antisymmetry fails at 1, 2"),
+                        ([0b011, 0b110, 0b100],
+                         "transitivity fails: 1 <= 2 <= 3")):
+        items = list(range(1, len(up) + 1))
+        with pytest.raises(PosetError) as got:
+            poset_from_up(items, up)
+        assert str(got.value) == message
+        with pytest.raises(PosetError) as got:
+            build_poset(items, lambda a, b: up[a - 1] >> (b - 1) & 1)
+        assert str(got.value) == message
+
+
+def test_from_up_rejects_malformed_masks():
+    with pytest.raises(PosetError):
+        poset_from_up([1, 2], [0b11])           # one up-set too few
+    with pytest.raises(PosetError):
+        poset_from_up([1, 2], [0b101, 0b10])    # names a third element
+    with pytest.raises(PosetError):
+        poset_from_up([1, 2], [0b11, 0b10], key=lambda x: "same")
+
+
+def _relation_errors(n, rel):
+    """Naive check of a reflexive relation given as a set of pairs."""
+    if any((a, b) in rel and (b, a) in rel for a in range(n)
+           for b in range(n) if a != b):
+        return "antisymmetry"
+    if any((a, b) in rel and (b, c) in rel and (a, c) not in rel
+           for a in range(n) for b in range(n) for c in range(n)):
+        return "transitivity"
+    return None
+
+
+@given(st.data())
+def test_from_up_accepts_exactly_the_partial_orders(data):
+    n = data.draw(st.integers(1, 6))
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1))))
+    rel = pairs | {(a, a) for a in range(n)}
+    if data.draw(st.booleans()):
+        # half the cases: a partial order, made by orienting the pairs
+        # along a random labelling and closing them transitively
+        label = data.draw(st.permutations(range(n)))
+        rel = {(label[a], label[b]) for a, b in rel if a <= b}
+        for c, a, b in itertools.product(range(n), repeat=3):
+            if (a, c) in rel and (c, b) in rel:
+                rel.add((a, b))
+    up = [sum(1 << b for b in range(n) if (a, b) in rel) for a in range(n)]
+    error = _relation_errors(n, rel)
+    if error:
+        with pytest.raises(PosetError, match=error):
+            poset_from_up(range(n), up)
+        return
+    p = poset_from_up(range(n), up)
+    idx = [p.items.index(a) for a in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        assert p.leq(idx[a], idx[b]) == ((a, b) in rel)
+        assert (p.down[idx[b]] >> idx[a] & 1) == ((a, b) in rel)
+        covered = (a != b and (a, b) in rel and not any(
+            c not in (a, b) and (a, c) in rel and (c, b) in rel
+            for c in range(n)))
+        assert ((idx[a], idx[b]) in p.covers) == covered
+
+
+def test_inclusion_up_sets():
+    sets = [frozenset(s) for r in range(4)
+            for s in itertools.combinations(range(3), r)]
+    want = [sum(1 << j for j, y in enumerate(sets) if x <= y) for x in sets]
+    assert inclusion_up_sets(sets) == want
 
 
 def test_elements_form_a_linear_extension():

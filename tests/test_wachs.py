@@ -6,7 +6,9 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
+from wachsposets import checks
 from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
 from wachsposets.perms import (
     all_perms, all_windows, compose, full_position, identity, length_a,
@@ -16,8 +18,8 @@ from wachsposets.qpoly import IntPolynomial, X
 from wachsposets.wachs import (
     _frozen_cells, chi_map, closed_polys, coatom_c, decode, descent_class,
     encode, enumerate_wachs, f_map, involution_wa, involution_wb, is_wachs,
-    longest_element, mobius_closed, rank_lw, stabilizer_gi, star,
-    stats_distribution_check, wachs_covers, wachs_leq,
+    kind_record, longest_element, mobius_closed, rank_lw, stabilizer_gi,
+    star, stats_distribution_check, wachs_covers, wachs_leq,
 )
 
 
@@ -247,6 +249,39 @@ def test_signed_cover_chain():
     for lo, hi in zip(chain, chain[1:]):
         assert lo in wachs_covers(hi, "B")
         assert rank_lw(hi, "B") - rank_lw(lo, "B") == 1
+
+
+# ------------------------------------------------------------- properties
+
+# ranks past the default caps: enumeration decodes codes, so it is cheap
+RANKS = [("A", n) for n in range(1, 11)] + [("B", n) for n in range(1, 9)]
+
+
+@st.composite
+def wachs_element(draw):
+    kind, n = draw(st.sampled_from(RANKS))
+    return kind, draw(st.sampled_from(checks.wachs_elements(kind, n)))
+
+
+@given(wachs_element())
+def test_decode_inverts_encode(case):
+    kind, v = case
+    assert decode(encode(v), len(v)) == v
+
+
+@given(wachs_element())
+def test_covers_lie_strictly_below(case):
+    kind, v = case
+    leq = kind_record(kind).leq
+    for u in wachs_covers(v, kind):
+        assert u != v and leq(u, v)
+
+
+@given(wachs_element())
+def test_covers_sit_one_rank_lower(case):
+    kind, v = case
+    for u in wachs_covers(v, kind):
+        assert rank_lw(u, kind) == rank_lw(v, kind) - 1
 
 
 # -------------------------------------------------------------- involutions

@@ -98,11 +98,11 @@ def test_left_weak_order_is_not_graded_on_wachs_elements():
 
 
 def test_product_structure():
-    res = weak_product_iso("A", 5)
+    res = weak_product_iso(weak_poset("A", 5, "R"), "A")
     assert res.holds and res.witness is None
-    res = weak_product_iso("B", 4)
+    res = weak_product_iso(weak_poset("B", 4, "R"), "B")
     assert res.holds
-    res = weak_product_iso("B", 2)
+    res = weak_product_iso(weak_poset("B", 2, "R"), "B")
     assert res.holds
     for kind, n in (("A", 5), ("B", 4)):
         rep = lattice_checks(weak_poset(kind, n, "R"))
