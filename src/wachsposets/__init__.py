@@ -16,7 +16,7 @@ from .bruhat import (
 from .qpoly import IntPolynomial, q_factorial, q_int
 from .posets import (
     FinitePoset, build_poset, cartesian_product, characteristic_polynomial,
-    dual_check, grade, inclusion_up_sets, lattice_checks, mobius_table,
+    dual_check, grade, inclusion_up_sets, lattice_checks, mobius_row,
     ordinal_product, poset_from_up, poset_isomorphic,
     rank_generating_polynomial, to_dot, to_json,
 )

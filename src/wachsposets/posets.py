@@ -4,19 +4,19 @@ Finite posets over opaque string keys, with bitset internals.
 A FinitePoset keeps its elements in some linear extension; `up[i]` and
 `down[i]` are integer bitmasks of the (weak) up-set and down-set of element
 i.  All algorithms (grading, Moebius function, lattice tests, products,
-isomorphism) work on these masks.
+isomorphism) work on these masks.  A poset holds no derived state: the
+Moebius function is computed one row at a time, by whoever needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "PosetError", "FinitePoset", "GradeResult", "LatticeReport",
-    "build_poset", "poset_from_up", "inclusion_up_sets", "grade", "mobius_table",
-    "rank_generating_polynomial", "characteristic_polynomial",
+    "build_poset", "poset_from_up", "inclusion_up_sets", "grade",
+    "mobius_row", "rank_generating_polynomial", "characteristic_polynomial",
     "lattice_checks", "poset_isomorphic",
     "cartesian_product", "ordinal_product", "dual_check",
     "to_dot", "to_json",
@@ -52,27 +52,14 @@ class FinitePoset:
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
 
+    # a linear extension puts the least element first and the greatest last
     def minimum(self) -> Optional[int]:
-        full = (1 << len(self.elements)) - 1
-        for i in range(len(self.elements)):
-            if self.up[i] == full:
-                return i
-        return None
+        n = len(self.elements)
+        return 0 if n and self.up[0] == (1 << n) - 1 else None
 
     def maximum(self) -> Optional[int]:
-        full = (1 << len(self.elements)) - 1
-        for i in range(len(self.elements) - 1, -1, -1):
-            if self.down[i] == full:
-                return i
-        return None
-
-    @cached_property
-    def mobius_values(self) -> dict:
-        """mobius_table(self), computed once per poset."""
-        return mobius_table(self)
-
-    def mobius(self, i: int, j: int) -> int:
-        return self.mobius_values.get((i, j), 0)
+        n = len(self.elements)
+        return n - 1 if n and self.down[n - 1] == (1 << n) - 1 else None
 
 
 def _check_size(n: int) -> None:
@@ -222,28 +209,25 @@ def grade(poset: FinitePoset) -> GradeResult:
     return GradeResult(True, tuple(ranks), ranks[top], None)
 
 
-def mobius_table(poset: FinitePoset) -> dict:
-    """Moebius function on all pairs i <= j, as {(i, j): value}."""
-    table = {}
+def mobius_row(poset: FinitePoset, u: int) -> list:
+    """mu(u, v) for every v, 0 where u is not below v: mu(u, u) = 1 and
+    mu(u, v) = -sum of mu(u, z) over u <= z < v."""
+    row = [0] * len(poset)
     down = poset.down
-    for u in range(len(poset)):
-        ups = list(_bits(poset.up[u]))  # ascending == linear extension
-        mu = {}
-        for v in ups:
-            if v == u:
-                mu[v] = 1
-                continue
-            s = 0
-            dv = down[v]
-            for z in ups:
-                if z == v:
-                    break
-                if dv >> z & 1:
-                    s += mu[z]
-            mu[v] = -s
-        for v, val in mu.items():
-            table[u, v] = val
-    return table
+    ups = list(_bits(poset.up[u]))  # ascending == linear extension
+    for v in ups:
+        if v == u:
+            row[v] = 1
+            continue
+        s = 0
+        dv = down[v]
+        for z in ups:
+            if z == v:
+                break
+            if dv >> z & 1:
+                s += row[z]
+        row[v] = -s
+    return row
 
 
 def rank_generating_polynomial(poset: FinitePoset):
@@ -263,12 +247,9 @@ def characteristic_polynomial(poset: FinitePoset):
     g = grade(poset)
     if not g.graded:
         raise PosetError("poset is not graded")
-    bot = poset.minimum()
     out = [0] * (g.rank + 1)
-    for z in range(len(poset)):
-        m = poset.mobius(bot, z)
-        if m:
-            out[g.rank - g.ranks[z]] += m
+    for z, m in enumerate(mobius_row(poset, poset.minimum())):
+        out[g.rank - g.ranks[z]] += m
     return IntPolynomial(out)
 
 
@@ -282,8 +263,11 @@ class LatticeReport:
 def lattice_checks(poset: FinitePoset) -> LatticeReport:
     """Check the lattice property and complementation on a bounded poset.
 
-    Meets and joins are located with the linear-extension trick: the meet
-    of x and y, if it exists, is the top bit of down[x] & down[y].
+    Only meets are tested: in a finite poset with a greatest element, if
+    every pair has a meet then every pair has a join, the meet of its
+    common upper bounds, a set that holds the top (Stanley, *Enumerative
+    Combinatorics* I, Prop. 3.3.1).  The meet of x and y, if it exists,
+    is the top bit of down[x] & down[y], by the linear extension.
     """
     bot, top = poset.minimum(), poset.maximum()
     if bot is None or top is None:
@@ -292,16 +276,12 @@ def lattice_checks(poset: FinitePoset) -> LatticeReport:
     up, down = poset.up, poset.down
     keys = poset.elements
     for x in range(n):
-        dx, ux = down[x], up[x]
+        dx = down[x]
         for y in range(x + 1, n):
             meet = dx & down[y]
             z = meet.bit_length() - 1
             if down[z] != meet:
                 return LatticeReport(False, False, ("meet", keys[x], keys[y]))
-            join = ux & up[y]
-            w = (join & -join).bit_length() - 1
-            if up[w] != join:
-                return LatticeReport(False, False, ("join", keys[x], keys[y]))
     bot_mask, top_mask = 1 << bot, 1 << top
     for x in range(n):
         if not any(down[x] & down[y] == bot_mask and up[x] & up[y] == top_mask

@@ -94,13 +94,25 @@ def test_report_schema_and_determinism(tmp_path, capsys):
         keys = [(e["id"], e["kind"], e["n"]) for e in data["checks"]]
         assert keys == sorted(keys)
         reports.append(data)
-
-    def strip(report):
-        return [{k: v for k, v in e.items() if k != "millis"}
-                for e in report["checks"]]
-
     # deterministic apart from the recorded runtimes
-    assert strip(reports[0]) == strip(reports[1])
+    assert _strip_millis(reports[0]) == _strip_millis(reports[1])
+
+
+def _strip_millis(report):
+    return [{k: v for k, v in e.items() if k != "millis"}
+            for e in report["checks"]]
+
+
+def test_pooled_report_equals_serial(tmp_path, capsys, monkeypatch):
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WACHS_THREADS", threads)
+        path = tmp_path / f"r{threads}.json"
+        code, _, _ = run(capsys, "report", "--json", str(path),
+                         "--max-n-a", "4", "--max-n-b", "3")
+        assert code == 0
+        reports.append(json.loads(path.read_text()))
+    assert _strip_millis(reports[0]) == _strip_millis(reports[1])
 
 
 def test_ranks_below_one_are_usage_errors(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from wachsposets.posets import (
     PosetError, build_poset, cartesian_product, characteristic_polynomial,
-    dual_check, grade, inclusion_up_sets, lattice_checks, mobius_table,
+    dual_check, grade, inclusion_up_sets, lattice_checks, mobius_row,
     ordinal_product, poset_from_up, poset_isomorphic,
     rank_generating_polynomial, to_dot, to_json,
 )
@@ -94,21 +94,36 @@ def _relation_errors(n, rel):
     return None
 
 
+def _draw_partial_order(data, n):
+    """A random partial order on range(n): each pair a < b is drawn or
+    not, oriented along a random labelling, and the pairs are closed
+    transitively."""
+    label = data.draw(st.permutations(range(n)))
+    rel = {(a, a) for a in range(n)}
+    for a, b in itertools.combinations(range(n), 2):
+        if data.draw(st.booleans()):
+            rel.add((label[a], label[b]))
+    for c, a, b in itertools.product(range(n), repeat=3):
+        if (a, c) in rel and (c, b) in rel:
+            rel.add((a, b))
+    return rel
+
+
+def _up_masks(n, rel):
+    return [sum(1 << b for b in range(n) if (a, b) in rel) for a in range(n)]
+
+
 @given(st.data())
 def test_from_up_accepts_exactly_the_partial_orders(data):
     n = data.draw(st.integers(1, 6))
-    pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1),
-                                        st.integers(0, n - 1))))
-    rel = pairs | {(a, a) for a in range(n)}
     if data.draw(st.booleans()):
-        # half the cases: a partial order, made by orienting the pairs
-        # along a random labelling and closing them transitively
-        label = data.draw(st.permutations(range(n)))
-        rel = {(label[a], label[b]) for a, b in rel if a <= b}
-        for c, a, b in itertools.product(range(n), repeat=3):
-            if (a, c) in rel and (c, b) in rel:
-                rel.add((a, b))
-    up = [sum(1 << b for b in range(n) if (a, b) in rel) for a in range(n)]
+        # half the cases are partial orders
+        rel = _draw_partial_order(data, n)
+    else:
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1))))
+        rel = pairs | {(a, a) for a in range(n)}
+    up = _up_masks(n, rel)
     error = _relation_errors(n, rel)
     if error:
         with pytest.raises(PosetError, match=error):
@@ -123,6 +138,10 @@ def test_from_up_accepts_exactly_the_partial_orders(data):
             c not in (a, b) and (a, c) in rel and (c, b) in rel
             for c in range(n)))
         assert ((idx[a], idx[b]) in p.covers) == covered
+    least = [a for a in range(n) if all((a, b) in rel for b in range(n))]
+    greatest = [b for b in range(n) if all((a, b) in rel for a in range(n))]
+    assert p.minimum() == (idx[least[0]] if least else None)
+    assert p.maximum() == (idx[greatest[0]] if greatest else None)
 
 
 def test_inclusion_up_sets():
@@ -187,30 +206,29 @@ def test_grade_requires_bounds():
 
 def test_mobius_of_boolean_lattice():
     p = subsets_poset(3)
-    bot, top = p.minimum(), p.maximum()
-    assert p.mobius(bot, top) == -1
+    row = mobius_row(p, p.minimum())
+    assert row[p.maximum()] == -1
     for j, s in enumerate(p.items):
-        assert p.mobius(bot, j) == (-1) ** len(s)
+        assert row[j] == (-1) ** len(s)
 
 
 def test_mobius_of_divisor_lattice():
     p = divisor_poset(60)
-    bot = p.minimum()
-    mu = {p.items[j]: p.mobius(bot, j) for j in range(len(p))}
+    mu = dict(zip(p.items, mobius_row(p, p.minimum())))
     assert mu[30] == -1 and mu[60] == 0 and mu[6] == 1 and mu[2] == -1
 
 
 def test_mobius_recursion_identity():
-    p = subsets_poset(3)
-    table = mobius_table(p)
-    for i in range(len(p)):
-        for j in range(len(p)):
-            if not p.leq(i, j):
-                assert (i, j) not in table
-                continue
-            total = sum(table[i, z] for z in range(len(p))
-                        if p.leq(i, z) and p.leq(z, j))
-            assert total == (1 if i == j else 0)
+    for p in (subsets_poset(3), divisor_poset(60)):
+        for i in range(len(p)):
+            row = mobius_row(p, i)
+            for j in range(len(p)):
+                if not p.leq(i, j):
+                    assert row[j] == 0
+                    continue
+                total = sum(row[z] for z in range(len(p))
+                            if p.leq(i, z) and p.leq(z, j))
+                assert total == (1 if i == j else 0)
 
 
 # -------------------------------------------------------------- polynomials
@@ -258,6 +276,44 @@ def test_bowtie_is_not_a_lattice():
     p = build_poset(list(order), leq)
     rep = lattice_checks(p)
     assert not rep.is_lattice
+
+
+def _lattice_by_definition(n, rel):
+    """(is_lattice, is_complemented) of a bounded poset on range(n), from
+    the two-sided definition: every pair has a least common upper bound
+    and a greatest common lower bound."""
+    def least(s):
+        return next((z for z in s if all((z, w) in rel for w in s)), None)
+
+    def greatest(s):
+        return next((z for z in s if all((w, z) in rel for w in s)), None)
+
+    everything = list(range(n))
+    bot, top = least(everything), greatest(everything)
+    join, meet = {}, {}
+    for a, b in itertools.product(everything, repeat=2):
+        join[a, b] = least([z for z in everything
+                            if (a, z) in rel and (b, z) in rel])
+        meet[a, b] = greatest([z for z in everything
+                               if (z, a) in rel and (z, b) in rel])
+    if None in join.values() or None in meet.values():
+        return False, False
+    return True, all(any(meet[a, b] == bot and join[a, b] == top
+                         for b in everything) for a in everything)
+
+
+@given(st.data())
+def test_lattice_checks_match_the_definition(data):
+    # a random partial order on 1..k under a new least element 0 and a
+    # new greatest element k + 1
+    k = data.draw(st.integers(1, 7))
+    inner = _draw_partial_order(data, k)
+    n = k + 2
+    rel = {(a + 1, b + 1) for a, b in inner}
+    rel |= {(0, b) for b in range(n)} | {(a, n - 1) for a in range(n)}
+    rep = lattice_checks(poset_from_up(range(n), _up_masks(n, rel)))
+    assert (rep.is_lattice, rep.is_complemented) == \
+        _lattice_by_definition(n, rel)
 
 
 # ----------------------------------------------------------------- products
