@@ -24,7 +24,7 @@ from .wachs import (
     KINDS, ClosedForms, Kind, chi_map, closed_polys, coatom_c, decode, encode,
     enumerate_wachs, f_map, involution_wa, involution_wb, is_wachs,
     kind_record, longest_element, mobius_closed, rank_lw, star, wachs_covers,
-    wachs_leq,
+    wachs_leq, wachs_up_sets,
 )
 from .weak import tl_set, weak_leq, weak_product_iso
 

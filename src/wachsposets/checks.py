@@ -92,11 +92,11 @@ def _check_graded(kind, n):
 
 def _check_order(kind, n):
     p = bruhat_poset(kind, n)
-    for i, u in enumerate(p.items):
-        up = p.up[i]
-        for j, v in enumerate(p.items):
-            if wachs.wachs_leq(u, v, kind) != bool(up >> j & 1):
-                return False, f"{p.elements[i]} vs {p.elements[j]}"
+    for i, up in enumerate(wachs.wachs_up_sets(p.items, kind)):
+        diff = up ^ p.up[i]
+        if diff:
+            j = (diff & -diff).bit_length() - 1
+            return False, f"{p.elements[i]} vs {p.elements[j]}"
     return True, None
 
 
@@ -315,11 +315,10 @@ def run_cells(cells: list) -> list:
         raise ValueError(f"WACHS_THREADS must be a positive integer, "
                          f"not {text!r}")
     if threads > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
-    return results
+        # the pool starts every worker at once: no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
+            return list(pool.map(run_cell, cells))
+    return [run_cell(c) for c in cells]
 
 
 def report(max_n_a: Optional[int] = None,

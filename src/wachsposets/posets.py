@@ -10,6 +10,7 @@ Moebius function is computed one row at a time, by whoever needs it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -211,22 +212,21 @@ def grade(poset: FinitePoset) -> GradeResult:
 
 def mobius_row(poset: FinitePoset, u: int) -> list:
     """mu(u, v) for every v, 0 where u is not below v: mu(u, u) = 1 and
-    mu(u, v) = -sum of mu(u, z) over u <= z < v."""
+    mu(u, v) = -sum of mu(u, z) over u <= z < v.
+
+    The v are taken in the linear extension.  The z already done are kept
+    as one mask per nonzero value c of mu, so the sum is the sum over c of
+    c * popcount(down[v] & mask_c), exact for any values.
+    """
     row = [0] * len(poset)
     down = poset.down
-    ups = list(_bits(poset.up[u]))  # ascending == linear extension
-    for v in ups:
-        if v == u:
-            row[v] = 1
-            continue
-        s = 0
-        dv = down[v]
-        for z in ups:
-            if z == v:
-                break
-            if dv >> z & 1:
-                s += row[z]
-        row[v] = -s
+    by_value: dict = {}
+    for v in _bits(poset.up[u]):
+        mu = 1 if v == u else -sum(c * (down[v] & mask).bit_count()
+                                   for c, mask in by_value.items())
+        row[v] = mu
+        if mu:
+            by_value[mu] = by_value.get(mu, 0) | 1 << v
     return row
 
 
@@ -263,11 +263,19 @@ class LatticeReport:
 def lattice_checks(poset: FinitePoset) -> LatticeReport:
     """Check the lattice property and complementation on a bounded poset.
 
-    Only meets are tested: in a finite poset with a greatest element, if
-    every pair has a meet then every pair has a join, the meet of its
-    common upper bounds, a set that holds the top (Stanley, *Enumerative
-    Combinatorics* I, Prop. 3.3.1).  The meet of x and y, if it exists,
-    is the top bit of down[x] & down[y], by the linear extension.
+    Only joins of cover pairs are tested: a finite bounded poset is a
+    lattice iff any two elements covering a common element have a join
+    (Bjorner-Edelman-Ziegler, "Hyperplane arrangements with a lattice of
+    regions", *Discrete Comput. Geom.* 5 (1990), Lemma 2.1).  Proof
+    sketch, by induction from the top: every two elements above x have a
+    join.  Take y, z >= x, upper covers a <= y and b <= z of x, and
+    c = a v b.  d = y v c exists by induction at a, and f = d v z by
+    induction at b.  Any common upper bound of y and z lies above c, so
+    above d, so above f; hence f = y v z.  At x = 0^ every pair has a
+    join, and a finite poset with a 0^ and all joins is a lattice.
+
+    The join of a and b, if it exists, is the lowest bit of up[a] & up[b],
+    by the linear extension.
     """
     bot, top = poset.minimum(), poset.maximum()
     if bot is None or top is None:
@@ -275,13 +283,11 @@ def lattice_checks(poset: FinitePoset) -> LatticeReport:
     n = len(poset)
     up, down = poset.up, poset.down
     keys = poset.elements
-    for x in range(n):
-        dx = down[x]
-        for y in range(x + 1, n):
-            meet = dx & down[y]
-            z = meet.bit_length() - 1
-            if down[z] != meet:
-                return LatticeReport(False, False, ("meet", keys[x], keys[y]))
+    for above in _cover_lists(poset)[0]:
+        for a, b in itertools.combinations(above, 2):
+            join = up[a] & up[b]
+            if up[(join & -join).bit_length() - 1] != join:
+                return LatticeReport(False, False, ("join", keys[a], keys[b]))
     bot_mask, top_mask = 1 << bot, 1 << top
     for x in range(n):
         if not any(down[x] & down[y] == bot_mask and up[x] & up[y] == top_mask

@@ -9,8 +9,8 @@ signed Wachs permutations.  Every such element is encoded by a code
     even rank 2m:   (tau, T)     tau in S_m or B_m, T subset of [m]
     odd rank 2m+1:  (i, tau, T)  plus the slot i of the extremal value
 
-and all order-theoretic questions (comparison, covers, Moebius values,
-rank polynomials) reduce to the code.  Subsets are stored as frozensets.
+read as (*slot, tau, T), with head code[:-1].  Comparison, covers, Moebius
+values and rank polynomials reduce to the code; subsets are frozensets.
 
 Types A and B share one code path.  A `Kind` record holds what differs
 between them: the group G_m (S_m or B_m), its Bruhat oracles, length and
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import qpoly
 from .bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
@@ -39,7 +39,7 @@ __all__ = [
     "Kind", "KINDS", "kind_record", "longest_element",
     "star", "is_wachs", "enumerate_wachs",
     "encode", "decode", "chi_map", "f_map", "rank_lw",
-    "wachs_leq", "wachs_covers",
+    "wachs_leq", "wachs_up_sets", "wachs_covers",
     "involution_wa", "involution_wb", "coatom_c", "mobius_closed",
     "ClosedForms", "closed_polys",
     "stats_distribution_check", "stabilizer_gi", "descent_class",
@@ -159,23 +159,6 @@ def chi_map(v: Sequence[int]) -> tuple:
     return tuple(x for x in v if abs(x) != n)
 
 
-def _encode_even(v: Sequence[int]):
-    m = len(v) // 2
-    tau = []
-    t = set()
-    for i in range(1, m + 1):
-        a = v[2 * i - 2]
-        if a > 0:
-            tau.append((a + 1) // 2)
-            if a % 2 == 0:
-                t.add(i)
-        else:
-            tau.append(a // 2)  # floor: -5 -> -3, -6 -> -3
-            if a % 2 == 1:
-                t.add(i)
-    return tuple(tau), frozenset(t)
-
-
 def encode(v: Sequence[int]):
     """Code of a (signed) Wachs permutation: (tau, T), or (i, tau, T) for
     odd rank, where the full position of the value n is 2i-1 (i > 0) or
@@ -191,51 +174,53 @@ def encode(v: Sequence[int]):
     return _encode(tuple(v))
 
 
-# The order sweeps compare every pair of a few thousand elements, so each
-# element is encoded many times; the code is immutable and is kept.
+# Callers that compare pairs one at a time, such as wachs_leq, encode
+# each element many times; the code is immutable and is kept.
 @functools.lru_cache(maxsize=65536)
 def _encode(v: tuple):
     n = len(v)
     if not is_wachs(v):
         raise ValueError(f"{v} is not a Wachs permutation")
-    if n % 2 == 0:
-        return _encode_even(v)
-    j = full_position(v, n)
-    assert j % 2 == 1, "the extremal value of a Wachs permutation sits at an odd slot"
-    i = (j + 1) // 2 if j > 0 else (j - 1) // 2
-    tau, t = _encode_even(chi_map(v))
-    return (i, tau, t)
-
-
-def _decode_even(tau, t) -> list:
-    out = []
-    for i, s in enumerate(tau, 1):
-        first, second = (2 * s - 1, 2 * s) if s > 0 else (2 * s, 2 * s + 1)
-        if i in t:
-            first, second = second, first
-        out.extend((first, second))
-    return out
+    slot = ()
+    if n % 2:
+        j = full_position(v, n)
+        assert j % 2 == 1, "the extremal value of a Wachs permutation sits at an odd slot"
+        slot = ((j + 1) // 2 if j > 0 else (j - 1) // 2,)
+        v = chi_map(v)
+    tau = []
+    t = set()
+    for c in range(1, n // 2 + 1):
+        a = v[2 * c - 2]
+        if a > 0:
+            tau.append((a + 1) // 2)
+            if a % 2 == 0:
+                t.add(c)
+        else:
+            tau.append(a // 2)  # floor: -5 -> -3, -6 -> -3
+            if a % 2 == 1:
+                t.add(c)
+    return slot + (tuple(tau), frozenset(t))
 
 
 def decode(code, n: int) -> tuple:
     """Inverse of encode for rank n."""
-    if n % 2 == 0:
-        tau, t = code
-        return tuple(_decode_even(tau, t))
-    i, tau, t = code
-    out = _decode_even(tau, t)
-    j = 2 * i - 1 if i > 0 else 2 * i + 1  # full position of the value n
-    if j > 0:
-        out.insert(j - 1, n)
-    else:
-        out.insert(-j - 1, -n)
+    *slot, tau, t = code
+    out = []
+    for c, s in enumerate(tau, 1):
+        first, second = (2 * s - 1, 2 * s) if s > 0 else (2 * s, 2 * s + 1)
+        if c in t:
+            first, second = second, first
+        out.extend((first, second))
+    if slot:
+        i, = slot
+        j = 2 * i - 1 if i > 0 else 2 * i + 1  # full position of the value n
+        out.insert(abs(j) - 1, n if j > 0 else -n)
     return tuple(out)
 
 
 def f_map(v: Sequence[int]) -> tuple:
     """The quotient element tau of the code of v."""
-    code = encode(v)
-    return code[0] if len(v) % 2 == 0 else code[1]
+    return encode(v)[-2]
 
 
 # ---------------------------------------------------------------- rank
@@ -285,41 +270,74 @@ def _frozen_cells(sigma, tau) -> frozenset:
     return frozenset(out)
 
 
-# An order sweep compares each pair of a few thousand elements, but their
-# quotients range over G_m only: at the default caps, at most 576 pairs of
-# S_4 or 2304 of B_3.
-@functools.lru_cache(maxsize=65536)
-def _group_leq(sigma: tuple, tau: tuple, kind: str) -> bool:
-    return kind_record(kind).leq(sigma, tau)
+def _keep(hu: tuple, hv: tuple, kind: str) -> Optional[frozenset]:
+    """The cells on which the subset of u must lie inside that of v for
+    u <= v, given the heads hu = code(u)[:-1] and hv = code(v)[:-1]; None
+    when the heads alone forbid u <= v.
+
+    The heads forbid it when the slot of v exceeds the slot of u or sigma
+    is not below tau in G_m.  Otherwise the kept cells are those frozen on
+    [sigma, tau], cut at odd rank to the window the extremal value leaves
+    undisturbed while it moves between the two slots.
+    """
+    *slot_u, sigma = hu
+    *slot_v, tau = hv
+    if slot_v > slot_u or not kind_record(kind).leq(sigma, tau):
+        return None
+    keep = _frozen_cells(sigma, tau)
+    if slot_u:
+        (i,), (j,) = slot_u, slot_v
+        lo, hi = sorted((abs(i), abs(j)))
+        window = set(range(hi, len(sigma) + 1))
+        # a sign change sweeps the extremal value through the centre,
+        # which disturbs every cell below max(|i|, |j|)
+        if (i > 0) == (j > 0):
+            window.update(range(1, lo))
+        keep = keep & window
+    return keep
 
 
 def wachs_leq(u: Sequence[int], v: Sequence[int], kind: str) -> bool:
     """Bruhat comparison of (signed) Wachs permutations, via codes only."""
     kind_record(kind)                 # rejects an unknown kind up front
-    u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         raise ValueError("rank mismatch")
-    n = len(u)
-    if n % 2 == 0:
-        sigma, s = encode(u)
-        tau, t = encode(v)
-        if not _group_leq(sigma, tau, kind):
-            return False
-        return s & _frozen_cells(sigma, tau) <= t
-    i, sigma, s = encode(u)
-    j, tau, t = encode(v)
-    if j > i or not _group_leq(sigma, tau, kind):
-        return False
-    m = n // 2
-    lo, hi = min(abs(i), abs(j)), max(abs(i), abs(j))
-    if (i > 0) == (j > 0):
-        window = frozenset(range(1, lo)) | frozenset(range(hi, m + 1))
-    else:
-        # the extremal value changes sign between u and v; sweeping it
-        # through the centre disturbs every cell below max(|i|, |j|)
-        window = frozenset(range(hi, m + 1))
-    keep = window & _frozen_cells(sigma, tau)
-    return s & keep <= t & keep
+    cu, cv = encode(u), encode(v)
+    keep = _keep(cu[:-1], cv[:-1], kind)
+    return keep is not None and cu[-1] & keep <= cv[-1]
+
+
+def wachs_up_sets(elems: Sequence[Sequence[int]], kind: str) -> list:
+    """Up-sets of `wachs_leq` on a list of Wachs elements of one rank, as
+    bitmasks: bit b of up[a] is set iff wachs_leq(elems[a], elems[b]).
+
+    up[a] is the OR, over the heads h that the head of a admits, of the
+    mask of the elements with head h, ANDed with the mask of the elements
+    whose subset holds c, for every kept cell c of the subset of a.
+
+    >>> wachs_up_sets([(1, 2), (2, 1)], "A")
+    [3, 2]
+    """
+    codes = [encode(v) for v in elems]
+    heads: dict = {}
+    holders: dict = {}
+    for b, code in enumerate(codes):
+        heads[code[:-1]] = heads.get(code[:-1], 0) | 1 << b
+        for c in code[-1]:
+            holders[c] = holders.get(c, 0) | 1 << b
+    keeps = {(g, h): _keep(g, h, kind) for g in heads for h in heads}
+    up = []
+    for code in codes:
+        g, s = code[:-1], code[-1]
+        mask = 0
+        for h, members in heads.items():
+            keep = keeps[g, h]
+            if keep is not None:
+                for c in s & keep:
+                    members &= holders[c]
+                mask |= members
+        up.append(mask)
+    return up
 
 
 def _moved_cells(tau, sigma) -> frozenset:
@@ -331,33 +349,22 @@ def _moved_cells(tau, sigma) -> frozenset:
 def wachs_covers(v: Sequence[int], kind: str) -> set:
     """Elements covered by v inside the (signed) Wachs permutations."""
     covers = kind_record(kind).covers
-    v = tuple(v)
     n = len(v)
-    m = n // 2
-    out = set()
-    if n % 2 == 0:
-        tau, t = encode(v)
-        for x in t:
-            out.add(decode((tau, t - {x}), n))
-        for sigma in covers(tau):
-            cells = _moved_cells(tau, sigma)
-            if t.isdisjoint(cells):
-                out.add(decode((sigma, t | cells), n))
-        return out
-    j, tau, t = encode(v)
-    for x in t:
-        out.add(decode((j, tau, t - {x}), n))
-    # slide the extremal value one slot further from the front
-    if j == -1:
-        out.add(decode((1, tau, t), n))
-    elif j != m + 1:
+    *slot, tau, t = encode(v)
+    out = {decode((*slot, tau, t - {x}), n) for x in t}
+    if slot:
+        # slide the extremal value one slot further from the front
+        j, = slot
+        m = n // 2
         x = j if j > 0 else -j - 1
-        if 1 <= x <= m and x not in t:
+        if j == -1:
+            out.add(decode((1, tau, t), n))
+        elif j != m + 1 and 1 <= x <= m and x not in t:
             out.add(decode((j + 1, tau, t | {x}), n))
     for sigma in covers(tau):
         cells = _moved_cells(tau, sigma)
         if t.isdisjoint(cells):
-            out.add(decode((j, sigma, t | cells), n))
+            out.add(decode((*slot, sigma, t | cells), n))
     return out
 
 
@@ -371,18 +378,14 @@ def involution_wa(v: Sequence[int], i: int, j: int) -> tuple:
     >>> involution_wa((4, 3, 1, 2, 7, 6, 5), 2, 3)
     (4, 3, 6, 5, 7, 1, 2)
     """
-    v = tuple(v)
     n = len(v)
     m = n // 2
     if not 1 <= i < j <= m:
         raise ValueError(f"need 1 <= i < j <= {m}")
     swap = list(identity(m))
     swap[i - 1], swap[j - 1] = j, i
-    if n % 2 == 0:
-        tau, t = encode(v)
-        return decode((compose(tau, tuple(swap)), t ^ {i, j}), n)
-    k, tau, t = encode(v)
-    return decode((k, compose(tau, tuple(swap)), t ^ {i, j}), n)
+    *slot, tau, t = encode(v)
+    return decode((*slot, compose(tau, tuple(swap)), t ^ {i, j}), n)
 
 
 def involution_wb(code, i: int, j: int):
@@ -426,11 +429,8 @@ def coatom_c(v: Sequence[int]) -> tuple:
 def mobius_closed(code, n: int) -> int:
     """Closed form for mu(e, v) on (signed) Wachs permutations of rank n >= 2."""
     m = n // 2
-    if n % 2 == 0:
-        tau, t = code
-        return (-1) ** len(t) if tau == identity(m) else 0
-    i, tau, t = code
-    if tau == identity(m) and i == m + 1:
+    *slot, tau, t = code
+    if tau == identity(m) and slot in ([], [m + 1]):
         return (-1) ** len(t)
     return 0
 

@@ -91,15 +91,10 @@ def _bar(tau, i: int):
     return tau[:k - 1] + (v,) + tau[k - 1:]
 
 
-def _factor_map(n: int, v):
+def _factor_map(v):
     """Image of a Wachs element in G_ceil(n/2) x P([floor(n/2)])."""
-    code = encode(v)
-    if n % 2 == 0:
-        tau, t = code
-        small = tau
-    else:
-        i, small, t = code
-        tau = _bar(small, i)
+    *slot, small, t = encode(v)
+    tau = _bar(small, *slot) if slot else small
     # t holds slots of the even part; the factor holds their values
     return tau, frozenset(abs(small[k - 1]) for k in t)
 
@@ -114,8 +109,7 @@ def weak_product_iso(poset: FinitePoset, kind: str) -> WeakIsoResult:
     """Check that `poset`, the right weak order on the Wachs elements of
     one rank n, is isomorphic via the explicit code map to
     (G_ceil(n/2), <=_R) x P([floor(n/2)])."""
-    n = len(poset.items[0])
-    images = [_factor_map(n, v) for v in poset.items]
+    images = [_factor_map(v) for v in poset.items]
     if len(set(images)) != len(images):
         return WeakIsoResult(False, ("not injective",))
     tls = {g: tl_set(g, kind) for g in {g for g, _ in images}}

@@ -2,7 +2,7 @@
 
 import json
 
-from wachsposets import cli
+from wachsposets import checks, cli
 
 
 def run(capsys, *argv):
@@ -113,6 +113,29 @@ def test_pooled_report_equals_serial(tmp_path, capsys, monkeypatch):
         assert code == 0
         reports.append(json.loads(path.read_text()))
     assert _strip_millis(reports[0]) == _strip_millis(reports[1])
+
+
+def test_pool_has_no_more_workers_than_cells(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(checks, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("WACHS_THREADS", "64")
+    cells = checks.check_cells("graded-A", 2)
+    assert [r.ok for r in checks.run_cells(cells)] == [True, True]
+    assert sizes == [2]
 
 
 def test_ranks_below_one_are_usage_errors(capsys):

@@ -1,7 +1,8 @@
 """The fast paths against their independent oracles: the Bruhat up-sets
 against the tableau criterion, the weak-order masks against containment
-of left-inversion sets, and enumeration by decoding against a membership
-filter of the whole group, on every rank up to the default caps."""
+of left-inversion sets, the closed-form order masks against the pairwise
+predicate, and enumeration by decoding against a membership filter of
+the whole group, on every rank up to the default caps."""
 
 import pytest
 
@@ -54,6 +55,14 @@ def test_weak_poset_matches_inversion_set_containment(kind, n, side):
     oracle = build_poset(elems, lambda x, y: tls[x] <= tls[y],
                          key=wachs.kind_record(kind).key)
     assert_same_poset(checks.weak_poset(kind, n, side), oracle)
+
+
+@pytest.mark.parametrize("kind,n", CELLS)
+def test_wachs_up_sets_match_pairwise_wachs_leq(kind, n):
+    elems = checks.wachs_elements(kind, n)
+    assert wachs.wachs_up_sets(elems, kind) == [
+        sum(1 << j for j, v in enumerate(elems) if wachs.wachs_leq(u, v, kind))
+        for u in elems]
 
 
 @pytest.mark.parametrize("kind,n", CELLS)

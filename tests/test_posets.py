@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wachsposets.posets import (
-    PosetError, build_poset, cartesian_product, characteristic_polynomial,
-    dual_check, grade, inclusion_up_sets, lattice_checks, mobius_row,
+    LatticeReport, PosetError, build_poset, cartesian_product,
+    characteristic_polynomial, dual_check, grade, inclusion_up_sets,
+    lattice_checks, mobius_row,
     ordinal_product, poset_from_up, poset_isomorphic,
     rank_generating_polynomial, to_dot, to_json,
 )
@@ -107,6 +108,17 @@ def _draw_partial_order(data, n):
         if (a, c) in rel and (c, b) in rel:
             rel.add((a, b))
     return rel
+
+
+def _draw_bounded_order(data):
+    """(n, relation): a random partial order on 1..k under a new least
+    element 0 and a new greatest element k + 1, so n = k + 2 <= 9."""
+    k = data.draw(st.integers(1, 7))
+    inner = _draw_partial_order(data, k)
+    n = k + 2
+    rel = {(a + 1, b + 1) for a, b in inner}
+    rel |= {(0, b) for b in range(n)} | {(a, n - 1) for a in range(n)}
+    return n, rel
 
 
 def _up_masks(n, rel):
@@ -218,17 +230,35 @@ def test_mobius_of_divisor_lattice():
     assert mu[30] == -1 and mu[60] == 0 and mu[6] == 1 and mu[2] == -1
 
 
+def m3():
+    """0 < a, b, c < 1, where mu(0, 1) = 2."""
+    return build_poset("0abc1", lambda x, y: x == y or x == "0" or y == "1")
+
+
+def assert_mobius_recursion(p):
+    """Each row sums to delta(u, v) over every interval [u, v] and is 0
+    off the up-set of u."""
+    for i in range(len(p)):
+        row = mobius_row(p, i)
+        for j in range(len(p)):
+            if not p.leq(i, j):
+                assert row[j] == 0
+                continue
+            total = sum(row[z] for z in range(len(p))
+                        if p.leq(i, z) and p.leq(z, j))
+            assert total == (1 if i == j else 0)
+
+
 def test_mobius_recursion_identity():
-    for p in (subsets_poset(3), divisor_poset(60)):
-        for i in range(len(p)):
-            row = mobius_row(p, i)
-            for j in range(len(p)):
-                if not p.leq(i, j):
-                    assert row[j] == 0
-                    continue
-                total = sum(row[z] for z in range(len(p))
-                            if p.leq(i, z) and p.leq(z, j))
-                assert total == (1 if i == j else 0)
+    assert mobius_row(m3(), 0)[-1] == 2
+    for p in (subsets_poset(3), divisor_poset(60), m3()):
+        assert_mobius_recursion(p)
+
+
+@given(st.data())
+def test_mobius_recursion_identity_on_random_bounded_posets(data):
+    n, rel = _draw_bounded_order(data)
+    assert_mobius_recursion(poset_from_up(range(n), _up_masks(n, rel)))
 
 
 # -------------------------------------------------------------- polynomials
@@ -278,6 +308,16 @@ def test_bowtie_is_not_a_lattice():
     assert not rep.is_lattice
 
 
+def test_every_pair_of_upper_covers_is_joined():
+    # 0 < a, b, c < 1 and a, c < p, q < 1: only a and c have no join, and
+    # b sits between them in the linear extension
+    below = {"a": "0", "b": "0", "c": "0", "p": "0ac", "q": "0ac",
+             "1": "0abcpq"}
+    p = build_poset("0abcpq1", lambda x, y: x == y or x in below.get(y, ""))
+    assert [p.elements[j] for i, j in p.covers if i == 0] == ["a", "b", "c"]
+    assert lattice_checks(p) == LatticeReport(False, False, ("join", "a", "c"))
+
+
 def _lattice_by_definition(n, rel):
     """(is_lattice, is_complemented) of a bounded poset on range(n), from
     the two-sided definition: every pair has a least common upper bound
@@ -304,13 +344,7 @@ def _lattice_by_definition(n, rel):
 
 @given(st.data())
 def test_lattice_checks_match_the_definition(data):
-    # a random partial order on 1..k under a new least element 0 and a
-    # new greatest element k + 1
-    k = data.draw(st.integers(1, 7))
-    inner = _draw_partial_order(data, k)
-    n = k + 2
-    rel = {(a + 1, b + 1) for a, b in inner}
-    rel |= {(0, b) for b in range(n)} | {(a, n - 1) for a in range(n)}
+    n, rel = _draw_bounded_order(data)
     rep = lattice_checks(poset_from_up(range(n), _up_masks(n, rel)))
     assert (rep.is_lattice, rep.is_complemented) == \
         _lattice_by_definition(n, rel)
