@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from . import wachs
 from .bruhat import bruhat_up_sets
-from .perms import compose, format_perm, inverse
+from .perms import compose, format_perm, inverse, length_a
 from .posets import (FinitePoset, characteristic_polynomial, dual_check,
                      grade, inclusion_up_sets, lattice_checks, mobius_row,
                      poset_from_up)
@@ -53,9 +53,12 @@ def wachs_elements(kind: str, n: int) -> tuple:
 @lru_cache(maxsize=None)
 def bruhat_poset(kind: str, n: int) -> FinitePoset:
     """Induced Bruhat order on the Wachs elements, from the rank-matrix
-    criterion on their images in the ambient symmetric group."""
+    criterion on their images in the ambient symmetric group.  Bruhat
+    order strictly raises length, so the elements, sorted by length and
+    key, are in a linear extension."""
     k = wachs.kind_record(kind)
-    elems = wachs_elements(kind, n)
+    elems = sorted(wachs_elements(kind, n),
+                   key=lambda v: (k.length(v), k.key(v)))
     up = bruhat_up_sets([k.ambient(v) for v in elems])
     return poset_from_up(elems, up, key=k.key)
 
@@ -63,14 +66,14 @@ def bruhat_poset(kind: str, n: int) -> FinitePoset:
 @lru_cache(maxsize=None)
 def weak_poset(kind: str, n: int, side: str) -> FinitePoset:
     """Right (left) weak order on the Wachs elements: inclusion of the
-    left-inversion sets of the elements (of their inverses)."""
-    elems = wachs_elements(kind, n)
-    if side == "L":
-        tls = [tl_set(inverse(v), kind) for v in elems]
-    else:
-        tls = [tl_set(v, kind) for v in elems]
-    return poset_from_up(elems, inclusion_up_sets(tls),
-                         key=wachs.kind_record(kind).key)
+    left-inversion sets of the elements (of their inverses), taken in
+    order of set size, then key, a linear extension."""
+    key = wachs.kind_record(kind).key
+    tls = {v: tl_set(inverse(v) if side == "L" else v, kind)
+           for v in wachs_elements(kind, n)}
+    elems = sorted(tls, key=lambda v: (len(tls[v]), key(v)))
+    return poset_from_up(elems, inclusion_up_sets([tls[v] for v in elems]),
+                         key=key)
 
 
 # ------------------------------------------------------------ check bodies
@@ -185,8 +188,9 @@ def _check_nongraded_remark(kind, n):
     elems = [v for v in wachs_elements("A", 6) if v[0] < v[1]]
     up = bruhat_up_sets(elems)
     a, b = elems.index(lo), elems.index(hi)
-    elems = [v for c, v in enumerate(elems)
-             if up[a] >> c & 1 and up[c] >> b & 1]
+    elems = sorted((v for c, v in enumerate(elems)
+                    if up[a] >> c & 1 and up[c] >> b & 1),
+                   key=lambda v: (length_a(v), format_perm(v)))
     p = poset_from_up(elems, bruhat_up_sets(elems), key=format_perm)
     g = grade(p)
     if g.graded:

@@ -23,7 +23,7 @@ __all__ = [
     "to_dot", "to_json",
 ]
 
-VALIDATION_CAP = 5000
+VALIDATION_CAP = 25000   # A11 has 23040 elements
 _BLOCK = 256    # rows of a relation read as text at once
 
 
@@ -106,7 +106,12 @@ def inclusion_up_sets(sets: Sequence[frozenset]) -> list:
 def poset_from_up(items: Iterable, up: Sequence[int],
                   key: Callable = str) -> FinitePoset:
     """Validate a relation given by up-set bitmasks (bit j of up[i] set
-    iff items[i] <= items[j]) and build the poset it orders."""
+    iff items[i] <= items[j]) and build the poset it orders.
+
+    Items already in a linear extension (no up-set has a bit below its
+    own index) keep their order.  Any other order is sorted by down-set
+    size, then key.
+    """
     items = list(items)
     n = len(items)
     _check_size(n)
@@ -121,14 +126,16 @@ def poset_from_up(items: Iterable, up: Sequence[int],
         if up[i] >> n:
             raise PosetError(f"up-set of {keys[i]} names no element")
 
-    # reorder into a linear extension: sort by down-set size
-    down = _transpose(up)
-    order = sorted(range(n), key=lambda j: (down[j].bit_count(), keys[j]))
-    # bit q of row i of the transpose below is bit order[q] of up[i]
-    rows = _transpose([down[j] for j in order])
-    up = [rows[i] for i in order]
-    items = [items[i] for i in order]
-    keys = [keys[i] for i in order]
+    up = list(up)
+    if any(up[i] >> i << i != up[i] for i in range(n)):
+        # reorder into a linear extension: sort by down-set size
+        down = _transpose(up)
+        order = sorted(range(n), key=lambda j: (down[j].bit_count(), keys[j]))
+        # bit q of row i of the transpose below is bit order[q] of up[i]
+        rows = _transpose([down[j] for j in order])
+        up = [rows[i] for i in order]
+        items = [items[i] for i in order]
+        keys = [keys[i] for i in order]
 
     # Covers, from the top down.  Once every up-set above i is known to be
     # closed and to lie above its element, the lowest element left in the
@@ -148,7 +155,11 @@ def poset_from_up(items: Iterable, up: Sequence[int],
         if strict >> i << i != strict or above & ~up[i]:
             raise _order_error(up, keys)
     covers.sort()
-    down = _transpose(up)
+    # the order is the reflexive transitive closure of the covers; in
+    # sorted order every cover (h, i) comes before every cover (i, j)
+    down = [1 << i for i in range(n)]
+    for i, j in covers:
+        down[j] |= down[i]
     return FinitePoset(keys, items, up, down, covers,
                        index={k: i for i, k in enumerate(keys)})
 

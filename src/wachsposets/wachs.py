@@ -488,20 +488,30 @@ def stats_distribution_check(n: int) -> bool:
 
 
 def stabilizer_gi(n: int) -> list:
-    """Elements of S_n whose conjugation fixes {s_i : i odd} setwise."""
+    """Elements of S_n whose conjugation fixes {s_i : i odd} setwise.
+
+    w s_i w^-1 is the transposition of w(i) and w(i+1), so such a w maps
+    each odd pair {i, i+1} onto an odd pair, and fixes n when n is odd.
+    Only those words are generated, and each passes the conjugation test.
+    """
     gens = []
-    for i in range(1, n):
-        if i % 2 == 1:
-            w = list(identity(n))
-            w[i - 1], w[i] = w[i], w[i - 1]
-            gens.append(tuple(w))
+    for i in range(1, n, 2):
+        w = list(identity(n))
+        w[i - 1], w[i] = w[i], w[i - 1]
+        gens.append(tuple(w))
     gen_set = set(gens)
+    pairs = [(i, i + 1) for i in range(1, n, 2)]
     out = []
-    for w in itertools.permutations(range(1, n + 1)):
-        wi = inverse(w)
-        if all(compose(compose(w, s), wi) in gen_set for s in gens):
-            out.append(w)
-    return out
+    for images in itertools.permutations(pairs):
+        for flips in itertools.product((False, True), repeat=len(pairs)):
+            w = [n] * n
+            for (i, _), (a, b), flip in zip(pairs, images, flips):
+                w[i - 1], w[i] = (b, a) if flip else (a, b)
+            w = tuple(w)
+            wi = inverse(w)
+            if all(compose(compose(w, s), wi) in gen_set for s in gens):
+                out.append(w)
+    return sorted(out)
 
 
 def descent_class(n: int, free: frozenset) -> list:

@@ -2,11 +2,13 @@
 against the tableau criterion, the weak-order masks against containment
 of left-inversion sets, the closed-form order masks against the pairwise
 predicate, and enumeration by decoding against a membership filter of
-the whole group, on every rank up to the default caps."""
+the whole group, on every rank up to the default caps; and the Bruhat
+and weak posets, given in a linear extension, built without a
+bit-matrix transpose."""
 
 import pytest
 
-from wachsposets import checks, wachs
+from wachsposets import checks, posets, wachs
 from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b, bruhat_up_sets
 from wachsposets.perms import all_perms, all_windows, embed_tilde, inverse
 from wachsposets.posets import build_poset
@@ -30,7 +32,9 @@ def filtered_wachs(kind, n):
 @pytest.mark.parametrize("kind,n", CELLS)
 def test_bruhat_poset_matches_tableau_oracle(kind, n):
     k = wachs.kind_record(kind)
-    oracle = build_poset(checks.wachs_elements(kind, n), k.leq, key=k.key)
+    elems = sorted(checks.wachs_elements(kind, n),
+                   key=lambda v: (k.length(v), k.key(v)))
+    oracle = build_poset(elems, k.leq, key=k.key)
     assert_same_poset(checks.bruhat_poset(kind, n), oracle)
 
 
@@ -50,11 +54,28 @@ def test_bruhat_up_sets_on_whole_groups():
 @pytest.mark.parametrize("side", ["L", "R"])
 @pytest.mark.parametrize("kind,n", CELLS)
 def test_weak_poset_matches_inversion_set_containment(kind, n, side):
-    elems = checks.wachs_elements(kind, n)
-    tls = {v: tl_set(inverse(v) if side == "L" else v, kind) for v in elems}
-    oracle = build_poset(elems, lambda x, y: tls[x] <= tls[y],
-                         key=wachs.kind_record(kind).key)
+    key = wachs.kind_record(kind).key
+    tls = {v: tl_set(inverse(v) if side == "L" else v, kind)
+           for v in checks.wachs_elements(kind, n)}
+    elems = sorted(tls, key=lambda v: (len(tls[v]), key(v)))
+    oracle = build_poset(elems, lambda x, y: tls[x] <= tls[y], key=key)
     assert_same_poset(checks.weak_poset(kind, n, side), oracle)
+
+
+@pytest.mark.parametrize("kind,n", [("A", 6), ("B", 4)])
+def test_pipeline_posets_build_without_transposes(kind, n, monkeypatch):
+    def no_transpose(masks):
+        raise AssertionError("transpose called")
+
+    monkeypatch.setattr(posets, "_transpose", no_transpose)
+    with pytest.raises(AssertionError, match="transpose called"):
+        posets.poset_from_up([2, 1], [0b01, 0b11])    # not a linear extension
+    checks.bruhat_poset.cache_clear()
+    checks.weak_poset.cache_clear()
+    size = len(checks.wachs_elements(kind, n))
+    assert len(checks.bruhat_poset(kind, n)) == size
+    assert len(checks.weak_poset(kind, n, "L")) == size
+    assert len(checks.weak_poset(kind, n, "R")) == size
 
 
 @pytest.mark.parametrize("kind,n", CELLS)

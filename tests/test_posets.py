@@ -84,6 +84,16 @@ def test_from_up_rejects_malformed_masks():
         poset_from_up([1, 2], [0b11, 0b10], key=lambda x: "same")
 
 
+def test_from_up_keeps_a_linear_extension_and_sorts_any_other_order():
+    # x <= m and a <= m: the sort would put a before x, by key
+    p = poset_from_up(["x", "a", "m"], [0b101, 0b110, 0b100])
+    assert p.elements == ["x", "a", "m"]
+    assert p.covers == [(0, 2), (1, 2)] and p.down == [0b001, 0b010, 0b111]
+    p = poset_from_up([3, 2, 1], [0b001, 0b011, 0b111])   # a chain, top first
+    assert p.items == [1, 2, 3]
+    assert p.up == [0b111, 0b110, 0b100] and p.down == [0b001, 0b011, 0b111]
+
+
 def _relation_errors(n, rel):
     """Naive check of a reflexive relation given as a set of pairs."""
     if any((a, b) in rel and (b, a) in rel for a in range(n)
@@ -142,6 +152,9 @@ def test_from_up_accepts_exactly_the_partial_orders(data):
             poset_from_up(range(n), up)
         return
     p = poset_from_up(range(n), up)
+    assert all(m >> i << i == m for i, m in enumerate(p.up))
+    if all((b, a) not in rel for a, b in itertools.combinations(range(n), 2)):
+        assert p.items == list(range(n))    # a linear extension is kept
     idx = [p.items.index(a) for a in range(n)]
     for a, b in itertools.product(range(n), repeat=2):
         assert p.leq(idx[a], idx[b]) == ((a, b) in rel)

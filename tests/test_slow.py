@@ -1,10 +1,10 @@
 """Exhaustive sweeps past the default caps: gradedness, the rank function,
-the covers, the Moebius row of the least element and the characteristic
-polynomial at A9, A10 and B7, the largest ranks under the poset
-validation cap; the closed-form order up-sets against the Bruhat poset
-at A9, A10 and B7;
-and the Moebius conjectures on every interval at A9 and B7.  Deselected
-by default; run them with
+the covers, the closed-form order up-sets against the Bruhat poset, the
+Moebius row of the least element and the characteristic polynomial at
+A9, A10, B7 and B8; gradedness and the covers at A11, the largest rank
+under the poset validation cap; the Moebius conjectures on every
+interval at A9 and B7; and the lattice conjecture on the left weak order
+at A11.  Deselected by default; run them with
 
     python -m pytest -m slow
 """
@@ -14,10 +14,22 @@ import pytest
 from wachsposets import checks
 
 CELLS = [(f"{check}-{kind}", kind, n)
-         for kind, ns in (("A", (9, 10)), ("B", (7,)))
+         for kind, ns in (("A", (9, 10)), ("B", (7, 8)))
          for n in ns for check in ("graded", "covers", "order", "mobius",
                                    "charpoly")]
-CELLS += [("mobiusA", "A", 9), ("mobiusB", "B", 7)]
+CELLS += [("graded-A", "A", 11), ("covers-A", "A", 11)]
+CELLS += [("mobiusA", "A", 9), ("mobiusB", "B", 7), ("latticeAodd", "A", 11)]
+
+
+@pytest.fixture(autouse=True)
+def drop_posets_after_each_rank(cell):
+    """Cells of one rank share its cached posets, which are dropped when
+    the next cell is of another rank: those of A11 take over 100 MB."""
+    yield
+    i = CELLS.index(cell)
+    if i + 1 == len(CELLS) or CELLS[i + 1][1:] != cell[1:]:
+        checks.bruhat_poset.cache_clear()
+        checks.weak_poset.cache_clear()
 
 
 @pytest.mark.slow

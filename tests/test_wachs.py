@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 from wachsposets import checks
 from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
 from wachsposets.perms import (
-    all_perms, all_windows, compose, full_position, identity, length_a,
-    signed_reflection,
+    all_perms, all_windows, compose, full_position, identity, inverse,
+    length_a, signed_reflection,
 )
 from wachsposets.qpoly import IntPolynomial, X
 from wachsposets.wachs import (
@@ -529,6 +529,16 @@ def test_statistics_distribution():
 def test_stabilizer_of_odd_generators():
     for n in (2, 4):
         assert set(stabilizer_gi(n)) == set(enumerate_wachs("A", n))
+
+
+def test_stabilizer_matches_the_scan_of_all_of_s_n():
+    for n in range(1, 9):
+        gens = {(*range(1, i), i + 1, i, *range(i + 2, n + 1))
+                for i in range(1, n, 2)}
+        scan = [w for w in itertools.permutations(range(1, n + 1))
+                if all(compose(compose(w, s), inverse(w)) in gens
+                       for s in gens)]
+        assert stabilizer_gi(n) == scan
 
 
 def test_descent_class():
