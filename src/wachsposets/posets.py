@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "PosetError", "FinitePoset", "GradeResult", "LatticeReport",
     "build_poset", "poset_from_up", "inclusion_up_sets", "grade",
-    "mobius_row", "rank_generating_polynomial", "characteristic_polynomial",
+    "mobius_row", "mobius_rows", "rank_generating_polynomial",
+    "characteristic_polynomial",
     "lattice_checks", "poset_isomorphic",
     "cartesian_product", "ordinal_product", "dual_check",
     "to_dot", "to_json",
@@ -221,24 +222,74 @@ def grade(poset: FinitePoset) -> GradeResult:
     return GradeResult(True, tuple(ranks), ranks[top], None)
 
 
-def mobius_row(poset: FinitePoset, u: int) -> list:
-    """mu(u, v) for every v, 0 where u is not below v: mu(u, u) = 1 and
-    mu(u, v) = -sum of mu(u, z) over u <= z < v.
+def mobius_rows(poset: FinitePoset, us: Iterable[int]) -> Iterator[list]:
+    """The rows mu(u, .) for each u in `us`, each a list over every
+    element, 0 where u is not below v: mu(u, u) = 1 and mu(u, v) = -sum
+    of mu(u, z) over u <= z < v.  Exact for any integer values.
 
-    The v are taken in the linear extension.  The z already done are kept
-    as one mask per nonzero value c of mu, so the sum is the sum over c of
-    c * popcount(down[v] & mask_c), exact for any values.
+    Elements are grouped into height layers, h(v) = 1 + max h over the
+    elements v covers.  z < v implies h(z) < h(v), so a layer is an
+    antichain and everything strictly below v sits in lower layers.  Row
+    u keeps the running sum C(v) = sum of mu(u, z) over the z done so far
+    with z <= v, as two bit-sliced unsigned counters P - N (lists of
+    planes, plane k holding bit k of every element's count).  Walking up
+    the layers above h(u), C(v) is complete for every v of the layer, and
+    mu(u, v) = -C(v).  Only the v with C(v) != 0 are visited; each adds
+    |mu| * up[v] to P or N, one ripple-carry add per set bit of |mu|.
     """
-    row = [0] * len(poset)
-    down = poset.down
-    by_value: dict = {}
-    for v in _bits(poset.up[u]):
-        mu = 1 if v == u else -sum(c * (down[v] & mask).bit_count()
-                                   for c, mask in by_value.items())
-        row[v] = mu
-        if mu:
-            by_value[mu] = by_value.get(mu, 0) | 1 << v
-    return row
+    n = len(poset)
+    up = poset.up
+    height = [0] * n
+    for i, j in poset.covers:
+        height[j] = max(height[j], height[i] + 1)
+    layers = [0] * (max(height, default=0) + 1)
+    for i, h in enumerate(height):
+        layers[h] |= 1 << i
+    for u in us:
+        row = [0] * n
+        row[u] = 1
+        pos, neg = [up[u]], [0]     # C = P - N, with as many planes each
+        for level in layers[height[u] + 1:]:
+            live = 0
+            for p, q in zip(pos, neg):
+                live |= p ^ q
+            for v in _bits(level & live):
+                mu = _count(neg, v) - _count(pos, v)
+                row[v] = mu
+                _add(pos if mu > 0 else neg, pos, neg, abs(mu), up[v])
+        yield row
+
+
+def _count(planes: list, v: int) -> int:
+    """Element v's value in a bit-sliced counter."""
+    value = 0
+    for k, p in enumerate(planes):
+        value |= (p >> v & 1) << k
+    return value
+
+
+def _add(planes: list, pos: list, neg: list, count: int, mask: int) -> None:
+    """Add count (>= 1) to the value of each element of `mask` in the
+    bit-sliced counter `planes`, one of pos and neg: a ripple-carry add
+    of the mask, from plane k on, for each set bit k of count.  A carry
+    out of the top plane grows pos and neg by one plane each."""
+    shift = 0
+    while count:
+        if count & 1:
+            k, carry = shift, mask
+            while carry:
+                if k == len(planes):
+                    pos.append(0)
+                    neg.append(0)
+                planes[k], carry = planes[k] ^ carry, planes[k] & carry
+                k += 1
+        count >>= 1
+        shift += 1
+
+
+def mobius_row(poset: FinitePoset, u: int) -> list:
+    """mu(u, v) for every v, 0 where u is not below v."""
+    return next(mobius_rows(poset, [u]))
 
 
 def rank_generating_polynomial(poset: FinitePoset):
@@ -259,7 +310,8 @@ def characteristic_polynomial(poset: FinitePoset):
     if not g.graded:
         raise PosetError("poset is not graded")
     out = [0] * (g.rank + 1)
-    for z, m in enumerate(mobius_row(poset, poset.minimum())):
+    row = next(mobius_rows(poset, [poset.minimum()]))
+    for z, m in enumerate(row):
         out[g.rank - g.ranks[z]] += m
     return IntPolynomial(out)
 
@@ -287,6 +339,14 @@ def lattice_checks(poset: FinitePoset) -> LatticeReport:
 
     The join of a and b, if it exists, is the lowest bit of up[a] & up[b],
     by the linear extension.
+
+    y is a complement of x iff 0^ is their only common lower bound and
+    1^ their only common upper bound.  In a finite bounded poset every
+    element other than 0^ lies above an atom, so the first holds iff no
+    atom lies below both: the y meeting x in 0^ are those outside the OR
+    of up[a] over the atoms a <= x.  Dually, the y joining x in 1^ are
+    those outside the OR of down[c] over the coatoms c >= x.  x has a
+    complement iff some element is outside both.
     """
     bot, top = poset.minimum(), poset.maximum()
     if bot is None or top is None:
@@ -294,15 +354,23 @@ def lattice_checks(poset: FinitePoset) -> LatticeReport:
     n = len(poset)
     up, down = poset.up, poset.down
     keys = poset.elements
-    for above in _cover_lists(poset)[0]:
+    upc, dnc = _cover_lists(poset)
+    for above in upc:
         for a, b in itertools.combinations(above, 2):
             join = up[a] & up[b]
             if up[(join & -join).bit_length() - 1] != join:
                 return LatticeReport(False, False, ("join", keys[a], keys[b]))
-    bot_mask, top_mask = 1 << bot, 1 << top
+    atoms, coatoms = upc[bot], dnc[top]
+    full = (1 << n) - 1
     for x in range(n):
-        if not any(down[x] & down[y] == bot_mask and up[x] & up[y] == top_mask
-                   for y in range(n)):
+        meet = join = 0
+        for a in atoms:
+            if up[a] >> x & 1:
+                meet |= up[a]
+        for c in coatoms:
+            if down[c] >> x & 1:
+                join |= down[c]
+        if not full & ~(meet | join):
             return LatticeReport(True, False, ("complement", keys[x], None))
     return LatticeReport(True, True, None)
 
@@ -421,21 +489,21 @@ def ordinal_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
 
 
 def dual_check(poset: FinitePoset, mapping: dict) -> bool:
-    """True iff the key mapping is an antiautomorphism: u<=v iff f(v)<=f(u)."""
+    """True iff the key mapping is an antiautomorphism: u<=v iff f(v)<=f(u).
+
+    A bijection f is one iff (f(j), f(i)) is a cover for every cover
+    (i, j).  That map on the finite set of covers is injective, so it is
+    a bijection onto the covers; the order is the reflexive transitive
+    closure of the covers, so f reverses it both ways.
+    """
     n = len(poset)
     if len(mapping) != n or set(mapping) != set(poset.elements):
         raise PosetError("mapping is not a bijection on the elements")
     img = [poset.index[mapping[k]] for k in poset.elements]
     if len(set(img)) != n:
         raise PosetError("mapping is not a bijection on the elements")
-    # a bijection sending every comparable pair to a reversed comparable
-    # pair permutes the finite set of comparable pairs, so the forward
-    # implication alone already forces the converse
-    for i in range(n):
-        for j in _bits(poset.up[i]):
-            if not poset.leq(img[j], img[i]):
-                return False
-    return True
+    covers = set(poset.covers)
+    return all((img[j], img[i]) in covers for i, j in poset.covers)
 
 
 def to_dot(poset: FinitePoset) -> str:

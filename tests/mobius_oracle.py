@@ -1,0 +1,22 @@
+"""The Moebius row by the defining recursion, one element at a time: the
+oracle that `posets.mobius_rows` is compared against.
+
+The v above u are taken in the linear extension.  The z already done are
+kept as one mask per nonzero value c of mu, so mu(u, v) is minus the sum
+over c of c * popcount(down[v] & mask_c), exact for any values.
+"""
+
+
+def mobius_row_by_recursion(poset, u):
+    row = [0] * len(poset)
+    down = poset.down
+    by_value: dict = {}
+    for v in range(len(poset)):
+        if not poset.leq(u, v):
+            continue
+        mu = 1 if v == u else -sum(c * (down[v] & mask).bit_count()
+                                   for c, mask in by_value.items())
+        row[v] = mu
+        if mu:
+            by_value[mu] = by_value.get(mu, 0) | 1 << v
+    return row

@@ -1,7 +1,8 @@
 """The fast paths against their independent oracles: the Bruhat up-sets
 against the tableau criterion, the weak-order masks against containment
 of left-inversion sets, the closed-form order masks against the pairwise
-predicate, and enumeration by decoding against a membership filter of
+predicate, every Moebius row against the one-element-at-a-time
+recursion, and enumeration by decoding against a membership filter of
 the whole group, on every rank up to the default caps; and the Bruhat
 and weak posets, given in a linear extension, built without a
 bit-matrix transpose."""
@@ -11,8 +12,9 @@ import pytest
 from wachsposets import checks, posets, wachs
 from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b, bruhat_up_sets
 from wachsposets.perms import all_perms, all_windows, embed_tilde, inverse
-from wachsposets.posets import build_poset
+from wachsposets.posets import build_poset, mobius_rows
 from wachsposets.weak import tl_set
+from mobius_oracle import mobius_row_by_recursion
 
 CELLS = [(kind, n) for kind, top in (("A", 8), ("B", 6))
          for n in range(1, top + 1)]
@@ -84,6 +86,13 @@ def test_wachs_up_sets_match_pairwise_wachs_leq(kind, n):
     assert wachs.wachs_up_sets(elems, kind) == [
         sum(1 << j for j, v in enumerate(elems) if wachs.wachs_leq(u, v, kind))
         for u in elems]
+
+
+@pytest.mark.parametrize("kind,n", CELLS)
+def test_mobius_rows_match_the_recursion(kind, n):
+    p = checks.bruhat_poset(kind, n)
+    assert list(mobius_rows(p, range(len(p)))) == [
+        mobius_row_by_recursion(p, u) for u in range(len(p))]
 
 
 @pytest.mark.parametrize("kind,n", CELLS)

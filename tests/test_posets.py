@@ -9,11 +9,12 @@ from hypothesis import given, strategies as st
 from wachsposets.posets import (
     LatticeReport, PosetError, build_poset, cartesian_product,
     characteristic_polynomial, dual_check, grade, inclusion_up_sets,
-    lattice_checks, mobius_row,
+    lattice_checks, mobius_row, mobius_rows,
     ordinal_product, poset_from_up, poset_isomorphic,
     rank_generating_polynomial, to_dot, to_json,
 )
 from wachsposets.qpoly import IntPolynomial, q_int
+from mobius_oracle import mobius_row_by_recursion
 
 
 def chain(k):
@@ -249,10 +250,11 @@ def m3():
 
 
 def assert_mobius_recursion(p):
-    """Each row sums to delta(u, v) over every interval [u, v] and is 0
-    off the up-set of u."""
-    for i in range(len(p)):
-        row = mobius_row(p, i)
+    """Each row equals the recursion oracle, sums to delta(u, v) over
+    every interval [u, v] and is 0 off the up-set of u."""
+    rows = list(mobius_rows(p, range(len(p))))
+    assert rows == [mobius_row_by_recursion(p, i) for i in range(len(p))]
+    for i, row in enumerate(rows):
         for j in range(len(p)):
             if not p.leq(i, j):
                 assert row[j] == 0
@@ -262,10 +264,28 @@ def assert_mobius_recursion(p):
             assert total == (1 if i == j else 0)
 
 
+def two_levels():
+    """0 < a1, ..., a5 < b1, b2 < 1, every a below both b, where
+    mu(0, b1) = mu(0, b2) = 4 and mu(0, 1) = -4."""
+    level = {"0": 0, "b1": 2, "b2": 2, "1": 3}
+    items = ["0", "a1", "a2", "a3", "a4", "a5", "b1", "b2", "1"]
+    return build_poset(items, lambda x, y: x == y or
+                       level.get(x, 1) < level.get(y, 1))
+
+
 def test_mobius_recursion_identity():
     assert mobius_row(m3(), 0)[-1] == 2
-    for p in (subsets_poset(3), divisor_poset(60), m3()):
+    for p in (subsets_poset(3), divisor_poset(60), m3(), two_levels()):
         assert_mobius_recursion(p)
+
+
+def test_mobius_rows_carry_and_shift_large_values():
+    p = two_levels()
+    mu = dict(zip(p.elements, mobius_row(p, p.minimum())))
+    assert mu == {"0": 1, "a1": -1, "a2": -1, "a3": -1, "a4": -1,
+                  "a5": -1, "b1": 4, "b2": 4, "1": -4}
+    # mu(u, 1) from rows other than the minimum's: u = 0, a1 and b1
+    assert [row[-1] for row in mobius_rows(p, [0, 1, 6])] == [-4, 1, -1]
 
 
 @given(st.data())
@@ -392,6 +412,17 @@ def test_product_rank_polynomials_multiply():
 
 
 # -------------------------------------------------------- duality, iso, I/O
+
+
+@given(st.data())
+def test_dual_check_matches_the_comparable_pair_definition(data):
+    n = data.draw(st.integers(1, 5))
+    rel = _draw_partial_order(data, n)
+    p = poset_from_up(range(n), _up_masks(n, rel))
+    f = data.draw(st.permutations(range(n)))
+    want = all(((a, b) in rel) == ((f[b], f[a]) in rel)
+               for a, b in itertools.product(range(n), repeat=2))
+    assert dual_check(p, {str(a): str(f[a]) for a in range(n)}) == want
 
 
 def test_dual_check_on_a_chain():
