@@ -105,11 +105,11 @@ def _check_order(kind, n):
 
 def _check_covers(kind, n):
     p = bruhat_poset(kind, n)
-    below = {j: set() for j in range(len(p))}
+    below = [0] * len(p)
     for i, j in p.covers:
-        below[j].add(p.items[i])
-    for j, v in enumerate(p.items):
-        if wachs.wachs_covers(v, kind) != below[j]:
+        below[j] |= 1 << i
+    for j, mask in enumerate(wachs.wachs_cover_masks(p.items, kind)):
+        if mask != below[j]:
             return False, f"covers of {p.elements[j]}"
     return True, None
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import combinations, starmap
+from operator import add, gt
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -114,8 +116,7 @@ def inverse(p: Sequence[int]) -> tuple:
 
 def length_a(word: Sequence[int]) -> int:
     """Coxeter length of a permutation: the number of inversions."""
-    n = len(word)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
+    return sum(starmap(gt, combinations(word, 2)))
 
 
 def descent_set_a(word: Sequence[int]) -> frozenset:
@@ -163,15 +164,18 @@ class BLength:
         return self.inv + self.neg + self.nsp
 
 
+# x < 0 as a C-level callable, so that map can count negative values
+_negative = (0).__gt__
+
+
 def length_b(window: Sequence[int]) -> BLength:
     """
     >>> length_b((-1, 3, 2))
     BLength(inv=1, neg=1, nsp=0)
     """
-    n = len(window)
-    inv = sum(1 for i in range(n) for j in range(i + 1, n) if window[i] > window[j])
-    neg = sum(1 for v in window if v < 0)
-    nsp = sum(1 for i in range(n) for j in range(i + 1, n) if window[i] + window[j] < 0)
+    inv = sum(starmap(gt, combinations(window, 2)))
+    neg = sum(map(_negative, window))
+    nsp = sum(map(_negative, starmap(add, combinations(window, 2))))
     return BLength(inv, neg, nsp)
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import qpoly
-from .bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
+from .bruhat import (bruhat_leq_a, bruhat_leq_b, bruhat_up_sets, covers_a,
+                     covers_b)
 from .perms import (
     MAX_N_A, MAX_N_B, SizeCapError, all_perms, all_windows, compose,
     embed_tilde, format_perm, format_window, full_position, full_value,
@@ -39,7 +40,7 @@ __all__ = [
     "Kind", "KINDS", "kind_record", "longest_element",
     "star", "is_wachs", "enumerate_wachs",
     "encode", "decode", "chi_map", "f_map", "rank_lw",
-    "wachs_leq", "wachs_up_sets", "wachs_covers",
+    "wachs_leq", "wachs_up_sets", "wachs_covers", "wachs_cover_masks",
     "involution_wa", "involution_wb", "coatom_c", "mobius_closed",
     "ClosedForms", "closed_polys",
     "stats_distribution_check", "stabilizer_gi", "descent_class",
@@ -235,9 +236,19 @@ def rank_lw(v: Sequence[int], kind: str) -> int:
 # ---------------------------------------------------------------- order
 
 
-def _rank(w: Sequence[int], i: int, j: int) -> int:
-    """r_w(i, j) = #{a <= i : w(a) >= j}."""
-    return sum(x >= j for x in w[:i])
+def _signature(p: Sequence[int], c: int) -> tuple:
+    """What cell c of an element of G_m reads in its image p =
+    embed_tilde(w): the value v at position i = c + m, and r_p(i-1, v+1),
+    the number of larger values before it.
+
+    With r_p(a, b) = #{a' <= a : p(a') >= b}, v at position i and nowhere
+    before it makes the four corners r_p(i-1, v), r_p(i-1, v+1) and
+    r_p(i, v+1) equal that count, and r_p(i, v) one more: given v, the
+    count decides all four.
+    """
+    i = len(p) // 2 + c
+    v = p[i - 1]
+    return v, sum(x > v for x in p[:i - 1])
 
 
 @functools.lru_cache(maxsize=65536)
@@ -255,19 +266,29 @@ def _frozen_cells(sigma, tau) -> frozenset:
     (Bjorner-Brenti, GTM 231, Thm 2.1.5), and the four corners of r_rho
     around (i, v) decide whether rho(i) = v.  Cell c sits at position
     i = c + m of embed_tilde, so it is frozen when sigma and tau put the
-    same v there and their rank matrices agree at those corners.  That
-    no other cell is frozen is verified exhaustively in the tests.
+    same v there and their rank matrices agree at those corners: when
+    their signatures at c are equal.  That no other cell is frozen is
+    verified exhaustively in the tests.
     """
-    m = len(sigma)
     p, q = embed_tilde(sigma), embed_tilde(tau)
-    out = set()
-    for c in range(1, m + 1):
-        i = c + m
-        v = p[i - 1]
-        if q[i - 1] == v and all(_rank(p, a, b) == _rank(q, a, b)
-                                 for a in (i - 1, i) for b in (v, v + 1)):
-            out.add(c)
-    return frozenset(out)
+    return frozenset(c for c in range(1, len(sigma) + 1)
+                     if _signature(p, c) == _signature(q, c))
+
+
+def _slot_window(slot_u: tuple, slot_v: tuple, m: int) -> frozenset:
+    """The cells the extremal value leaves undisturbed while it moves
+    from the slot of u to the slot of v (the slots are () at even rank,
+    where every cell is kept)."""
+    if not slot_u:
+        return frozenset(range(1, m + 1))
+    (i,), (j,) = slot_u, slot_v
+    lo, hi = sorted((abs(i), abs(j)))
+    window = set(range(hi, m + 1))
+    # a sign change sweeps the extremal value through the centre,
+    # which disturbs every cell below max(|i|, |j|)
+    if (i > 0) == (j > 0):
+        window.update(range(1, lo))
+    return frozenset(window)
 
 
 def _keep(hu: tuple, hv: tuple, kind: str) -> Optional[frozenset]:
@@ -277,24 +298,14 @@ def _keep(hu: tuple, hv: tuple, kind: str) -> Optional[frozenset]:
 
     The heads forbid it when the slot of v exceeds the slot of u or sigma
     is not below tau in G_m.  Otherwise the kept cells are those frozen on
-    [sigma, tau], cut at odd rank to the window the extremal value leaves
-    undisturbed while it moves between the two slots.
+    [sigma, tau], cut at odd rank to the slot window.
     """
-    *slot_u, sigma = hu
-    *slot_v, tau = hv
+    slot_u, sigma = hu[:-1], hu[-1]
+    slot_v, tau = hv[:-1], hv[-1]
     if slot_v > slot_u or not kind_record(kind).leq(sigma, tau):
         return None
     keep = _frozen_cells(sigma, tau)
-    if slot_u:
-        (i,), (j,) = slot_u, slot_v
-        lo, hi = sorted((abs(i), abs(j)))
-        window = set(range(hi, len(sigma) + 1))
-        # a sign change sweeps the extremal value through the centre,
-        # which disturbs every cell below max(|i|, |j|)
-        if (i > 0) == (j > 0):
-            window.update(range(1, lo))
-        keep = keep & window
-    return keep
+    return keep & _slot_window(slot_u, slot_v, len(sigma))
 
 
 def wachs_leq(u: Sequence[int], v: Sequence[int], kind: str) -> bool:
@@ -307,64 +318,146 @@ def wachs_leq(u: Sequence[int], v: Sequence[int], kind: str) -> bool:
     return keep is not None and cu[-1] & keep <= cv[-1]
 
 
+def _spread(mask: int, rows: list) -> int:
+    """The OR of rows[t] over the bits t of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def wachs_up_sets(elems: Sequence[Sequence[int]], kind: str) -> list:
     """Up-sets of `wachs_leq` on a list of Wachs elements of one rank, as
     bitmasks: bit b of up[a] is set iff wachs_leq(elems[a], elems[b]).
 
-    up[a] is the OR, over the heads h that the head of a admits, of the
-    mask of the elements with head h, ANDed with the mask of the elements
-    whose subset holds c, for every kept cell c of the subset of a.
+    The rule of `_keep` is applied to all pairs of heads at once.  The
+    distinct tau of the list are compared by one `bruhat_up_sets` call,
+    and for each cell c they are classed by their signature at c: c is
+    frozen on [sigma, tau] iff tau is in the class of sigma.  For the
+    head g of a, Adm(g) is the mask of the elements whose heads g
+    admits, and Free_c(g) the part of it whose heads do not keep c; then
+    up[a] = Adm(g) & AND over c in the subset of a of (Free_c(g) | the
+    elements whose subset holds c).
 
     >>> wachs_up_sets([(1, 2), (2, 1)], "A")
     [3, 2]
     """
     codes = [encode(v) for v in elems]
-    heads: dict = {}
-    holders: dict = {}
+    if not codes:
+        return []
+    cells = range(1, len(codes[0][-2]) + 1)
+    members: dict = {}                  # head -> the elements with it
+    holders = dict.fromkeys(cells, 0)   # cell -> the subsets holding it
     for b, code in enumerate(codes):
-        heads[code[:-1]] = heads.get(code[:-1], 0) | 1 << b
+        members[code[:-1]] = members.get(code[:-1], 0) | 1 << b
         for c in code[-1]:
-            holders[c] = holders.get(c, 0) | 1 << b
-    keeps = {(g, h): _keep(g, h, kind) for g in heads for h in heads}
+            holders[c] |= 1 << b
+    taus = sorted({head[-1] for head in members})
+    index = {tau: t for t, tau in enumerate(taus)}
+    above = bruhat_up_sets([kind_record(kind).ambient(tau) for tau in taus])
+    images = [embed_tilde(tau) for tau in taus]
+    same = {}               # same[c][t]: the taus signed like tau_t at c
+    for c in cells:
+        sigs = [_signature(p, c) for p in images]
+        classes: dict = {}
+        for t, sig in enumerate(sigs):
+            classes[sig] = classes.get(sig, 0) | 1 << t
+        same[c] = [classes[sig] for sig in sigs]
+    slots = sorted({head[:-1] for head in members})
+    rows = {slot: [members.get(slot + (tau,), 0) for tau in taus]
+            for slot in slots}
+    # (t, slot) -> the parts of Adm and Free_c from the heads (slot, tau),
+    # tau >= tau_t, shared by the heads (slot', tau_t), slot' >= slot
+    parts: dict = {}
+    up_of = {}
+    for head in members:
+        slot_u, t = head[:-1], index[head[-1]]
+        adm, free = 0, dict.fromkeys(cells, 0)
+        for slot_v in slots:
+            if slot_v > slot_u:
+                break
+            if (t, slot_v) not in parts:
+                row = rows[slot_v]
+                parts[t, slot_v] = _spread(above[t], row), {
+                    c: _spread(above[t] & ~same[c][t], row) for c in cells}
+            part, part_free = parts[t, slot_v]
+            adm |= part
+            window = _slot_window(slot_u, slot_v, len(cells))
+            for c in cells:
+                free[c] |= part_free[c] if c in window else part
+        up_of[head] = adm, free
     up = []
     for code in codes:
-        g, s = code[:-1], code[-1]
-        mask = 0
-        for h, members in heads.items():
-            keep = keeps[g, h]
-            if keep is not None:
-                for c in s & keep:
-                    members &= holders[c]
-                mask |= members
+        mask, free = up_of[code[:-1]]
+        for c in code[-1]:
+            mask &= free[c] | holders[c]
         up.append(mask)
     return up
 
 
-def _moved_cells(tau, sigma) -> frozenset:
-    """Window positions moved by tau^-1 sigma (the cells of a reflection)."""
-    r = compose(inverse(tau), sigma)
-    return frozenset(k for k in range(1, len(r) + 1) if r[k - 1] != k)
+def _moves(tau, kind: str) -> list:
+    """The covers sigma of tau in G_m, each with the window positions
+    moved by tau^-1 sigma (the cells of a reflection)."""
+    tau_inv = inverse(tau)
+    out = []
+    for sigma in kind_record(kind).covers(tau):
+        r = compose(tau_inv, sigma)
+        out.append((sigma, frozenset(k for k, x in enumerate(r, 1) if x != k)))
+    return out
 
 
-def wachs_covers(v: Sequence[int], kind: str) -> set:
-    """Elements covered by v inside the (signed) Wachs permutations."""
-    covers = kind_record(kind).covers
-    n = len(v)
-    *slot, tau, t = encode(v)
-    out = {decode((*slot, tau, t - {x}), n) for x in t}
+def _cover_codes(code, n: int, moves: list) -> list:
+    """Codes of the elements covered by the element of rank n with this
+    code, given the `_moves` of its tau."""
+    *slot, tau, t = code
+    out = [(*slot, tau, t - {x}) for x in t]
     if slot:
         # slide the extremal value one slot further from the front
         j, = slot
         m = n // 2
         x = j if j > 0 else -j - 1
         if j == -1:
-            out.add(decode((1, tau, t), n))
+            out.append((1, tau, t))
         elif j != m + 1 and 1 <= x <= m and x not in t:
-            out.add(decode((j + 1, tau, t | {x}), n))
-    for sigma in covers(tau):
-        cells = _moved_cells(tau, sigma)
+            out.append((j + 1, tau, t | {x}))
+    for sigma, cells in moves:
         if t.isdisjoint(cells):
-            out.add(decode((*slot, sigma, t | cells), n))
+            out.append((*slot, sigma, t | cells))
+    return out
+
+
+def wachs_covers(v: Sequence[int], kind: str) -> set:
+    """Elements covered by v inside the (signed) Wachs permutations."""
+    n = len(v)
+    code = encode(v)
+    moves = _moves(code[-2], kind)
+    return {decode(c, n) for c in _cover_codes(code, n, moves)}
+
+
+def wachs_cover_masks(elems: Sequence[Sequence[int]], kind: str) -> list:
+    """Lower covers of `wachs_covers` on a list of Wachs elements of one
+    rank, as bitmasks: bit b of masks[a] is set iff elems[b] is covered
+    by elems[a]; a covered element missing from the list sets bit
+    len(elems).  The covers of each tau in G_m are found once.
+
+    >>> wachs_cover_masks([(1, 2), (2, 1)], "A")
+    [0, 1]
+    """
+    codes = [encode(v) for v in elems]
+    index = {code: b for b, code in enumerate(codes)}
+    missing = len(codes)
+    moves: dict = {}
+    out = []
+    for v, code in zip(elems, codes):
+        tau = code[-2]
+        if tau not in moves:
+            moves[tau] = _moves(tau, kind)
+        mask = 0
+        for c in _cover_codes(code, len(v), moves[tau]):
+            mask |= 1 << index.get(c, missing)
+        out.append(mask)
     return out
 
 

@@ -1,11 +1,13 @@
 """The fast paths against their independent oracles: the Bruhat up-sets
 against the tableau criterion, the weak-order masks against containment
 of left-inversion sets, the closed-form order masks against the pairwise
-predicate, every Moebius row against the one-element-at-a-time
-recursion, and enumeration by decoding against a membership filter of
-the whole group, on every rank up to the default caps; and the Bruhat
-and weak posets, given in a linear extension, built without a
-bit-matrix transpose."""
+predicate, the closed-form cover masks against the covers of each
+element and of the Bruhat poset, every Moebius row against the
+one-element-at-a-time recursion, and enumeration by decoding against a
+membership filter of the whole group, on every rank up to the default
+caps.  Also: the Bruhat and weak posets, given in a linear extension,
+are built without a bit-matrix transpose, and the report's order and
+cover sweeps call no pairwise oracle."""
 
 import pytest
 
@@ -86,6 +88,42 @@ def test_wachs_up_sets_match_pairwise_wachs_leq(kind, n):
     assert wachs.wachs_up_sets(elems, kind) == [
         sum(1 << j for j, v in enumerate(elems) if wachs.wachs_leq(u, v, kind))
         for u in elems]
+
+
+@pytest.mark.parametrize("kind,n", CELLS)
+def test_cover_masks_match_wachs_covers_and_the_poset(kind, n):
+    p = checks.bruhat_poset(kind, n)
+    masks = wachs.wachs_cover_masks(p.items, kind)
+    for v, mask in zip(p.items, masks):
+        assert {u for b, u in enumerate(p.items)
+                if mask >> b & 1} == wachs.wachs_covers(v, kind)
+    below = [0] * len(p)
+    for i, j in p.covers:
+        below[j] |= 1 << i
+    assert masks == below
+
+
+@pytest.mark.parametrize("kind,n", [("A", 5), ("A", 6), ("B", 3), ("B", 4)])
+def test_cover_masks_flag_a_covered_element_missing_from_the_list(kind, n):
+    elems = list(checks.wachs_elements(kind, n))
+    for drop, gone in enumerate(elems):
+        rest = elems[:drop] + elems[drop + 1:]
+        for v, mask in zip(rest, wachs.wachs_cover_masks(rest, kind)):
+            assert mask >> len(rest) == (gone in wachs.wachs_covers(v, kind))
+
+
+@pytest.mark.parametrize("kind,n", [("A", 6), ("A", 7), ("B", 4), ("B", 5)])
+def test_order_and_cover_sweeps_call_no_oracle(kind, n, monkeypatch):
+    def oracle(*args):
+        raise AssertionError("oracle called")
+
+    for name in ("bruhat_leq_a", "bruhat_leq_b", "_frozen_cells"):
+        monkeypatch.setattr(wachs, name, oracle)
+    v = checks.wachs_elements(kind, n)[0]
+    with pytest.raises(AssertionError, match="oracle called"):
+        wachs.wachs_leq(v, v, kind)           # the guard reaches the oracle
+    assert checks._check_order(kind, n) == (True, None)
+    assert checks._check_covers(kind, n) == (True, None)
 
 
 @pytest.mark.parametrize("kind,n", CELLS)

@@ -93,6 +93,32 @@ def test_length_b_split():
     assert length_b((-1, 3, 2)).total == 2
 
 
+def length_a_by_pairs(word):
+    """The length oracle: inversions counted by a loop over position pairs."""
+    n = len(word)
+    return sum(1 for i in range(n) for j in range(i + 1, n)
+               if word[i] > word[j])
+
+
+def length_b_by_pairs(window):
+    n = len(window)
+    inv = sum(1 for i in range(n) for j in range(i + 1, n)
+              if window[i] > window[j])
+    neg = sum(1 for v in window if v < 0)
+    nsp = sum(1 for i in range(n) for j in range(i + 1, n)
+              if window[i] + window[j] < 0)
+    return BLength(inv, neg, nsp)
+
+
+def test_lengths_match_the_pair_loops():
+    for n in range(1, 8):
+        for w in all_perms(n):
+            assert length_a(w) == length_a_by_pairs(w)
+    for n in range(1, 6):
+        for w in all_windows(n):
+            assert length_b(w) == length_b_by_pairs(w)
+
+
 def test_longest_elements():
     assert longest_element("A", 4) == (4, 3, 2, 1)
     assert longest_element("B", 3) == (-1, -2, -3)

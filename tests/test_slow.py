@@ -1,9 +1,10 @@
 """Exhaustive sweeps past the default caps: gradedness, the rank function,
 the covers, the closed-form order up-sets against the Bruhat poset, the
 Moebius row of the least element, the characteristic polynomial and the
-Moebius conjecture on every interval at A9, A10, B7 and B8; gradedness
-and the covers at A11, the largest rank under the poset validation cap;
-and the lattice conjecture on the left weak order at A11.  Deselected by
+Moebius conjecture on every interval at A9, A10, B7 and B8; gradedness,
+the covers and the closed-form order at A11, the largest rank under the
+poset validation cap; and the lattice conjecture on the left weak order
+at A11.  Deselected by
 default; run them with
 
     python -m pytest -m slow
@@ -24,7 +25,7 @@ def _rank(kind, n):
 # Bruhat poset of A11 are not held at once: see drop_posets_after_each_rank
 CELLS = (_rank("A", 9) + _rank("A", 10) + [("latticeAodd", "A", 11)]
          + _rank("B", 7) + _rank("B", 8)
-         + [("graded-A", "A", 11), ("covers-A", "A", 11)])
+         + [(f"{check}-A", "A", 11) for check in ("graded", "covers", "order")])
 
 
 @pytest.fixture(autouse=True)

@@ -19,7 +19,7 @@ from wachsposets.wachs import (
     _frozen_cells, chi_map, closed_polys, coatom_c, decode, descent_class,
     encode, enumerate_wachs, f_map, involution_wa, involution_wb, is_wachs,
     kind_record, longest_element, mobius_closed, rank_lw, stabilizer_gi,
-    star, stats_distribution_check, wachs_covers, wachs_leq,
+    star, stats_distribution_check, wachs_covers, wachs_leq, wachs_up_sets,
 )
 
 
@@ -261,6 +261,18 @@ RANKS = [("A", n) for n in range(1, 11)] + [("B", n) for n in range(1, 9)]
 def wachs_element(draw):
     kind, n = draw(st.sampled_from(RANKS))
     return kind, draw(st.sampled_from(checks.wachs_elements(kind, n)))
+
+
+@given(st.data())
+def test_up_sets_of_sublists_match_wachs_leq(data):
+    # a sublist, in any order, misses heads and taus of its rank
+    kind, n = data.draw(st.sampled_from(
+        [("A", n) for n in range(1, 9)] + [("B", n) for n in range(1, 7)]))
+    sub = data.draw(st.lists(st.sampled_from(checks.wachs_elements(kind, n)),
+                             unique=True, max_size=60))
+    assert wachs_up_sets(sub, kind) == [
+        sum(1 << b for b, v in enumerate(sub) if wachs_leq(u, v, kind))
+        for u in sub]
 
 
 @given(wachs_element())
