@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 from . import wachs
 from .bruhat import bruhat_up_sets
-from .perms import compose, format_perm, inverse, length_a
-from .posets import (FinitePoset, characteristic_polynomial, dual_check,
-                     grade, inclusion_up_sets, lattice_checks, mobius_rows,
-                     poset_from_up)
+from .perms import compose, format_perm, inverse
+from .posets import (FinitePoset, characteristic_polynomial,
+                     dominance_up_sets, dual_check, grade, lattice_checks,
+                     mobius_rows, poset_from_up)
 from .qpoly import IntPolynomial
-from .weak import tl_set, weak_product_iso
+from .weak import inversion_row, weak_product_iso
 
 __all__ = ["CheckResult", "THEOREM_IDS", "CONJECTURE_IDS",
            "LATTICE_DEFAULT_MAX_N", "default_max_n", "check_cells",
@@ -47,33 +46,32 @@ class CheckResult:
 
 @lru_cache(maxsize=None)
 def wachs_elements(kind: str, n: int) -> tuple:
-    return tuple(wachs.enumerate_wachs(kind, n))
+    """The Wachs elements sorted by length, then key: a linear extension
+    of the Bruhat order and of both weak orders, which strictly raise
+    length (|T_L(v)| = |T_L(v^-1)| = l(v))."""
+    k = wachs.kind_record(kind)
+    return tuple(sorted(wachs.enumerate_wachs(kind, n),
+                        key=lambda v: (k.length(v), k.key(v))))
 
 
 @lru_cache(maxsize=None)
 def bruhat_poset(kind: str, n: int) -> FinitePoset:
-    """Induced Bruhat order on the Wachs elements, from the rank-matrix
-    criterion on their images in the ambient symmetric group.  Bruhat
-    order strictly raises length, so the elements, sorted by length and
-    key, are in a linear extension."""
+    """Induced Bruhat order on the Wachs elements, from the tableau
+    criterion on their images in the ambient symmetric group."""
     k = wachs.kind_record(kind)
-    elems = sorted(wachs_elements(kind, n),
-                   key=lambda v: (k.length(v), k.key(v)))
+    elems = wachs_elements(kind, n)
     up = bruhat_up_sets([k.ambient(v) for v in elems])
     return poset_from_up(elems, up, key=k.key)
 
 
 @lru_cache(maxsize=None)
 def weak_poset(kind: str, n: int, side: str) -> FinitePoset:
-    """Right (left) weak order on the Wachs elements: inclusion of the
-    left-inversion sets of the elements (of their inverses), taken in
-    order of set size, then key, a linear extension."""
-    key = wachs.kind_record(kind).key
-    tls = {v: tl_set(inverse(v) if side == "L" else v, kind)
-           for v in wachs_elements(kind, n)}
-    elems = sorted(tls, key=lambda v: (len(tls[v]), key(v)))
-    return poset_from_up(elems, inclusion_up_sets([tls[v] for v in elems]),
-                         key=key)
+    """Right (left) weak order on the Wachs elements: the left weak order
+    on their inverses (on the elements), by inversion rows."""
+    elems = wachs_elements(kind, n)
+    xs = elems if side == "L" else map(inverse, elems)
+    up = dominance_up_sets([inversion_row(x, kind) for x in xs])
+    return poset_from_up(elems, up, key=wachs.kind_record(kind).key)
 
 
 # ------------------------------------------------------------ check bodies
@@ -188,9 +186,8 @@ def _check_nongraded_remark(kind, n):
     elems = [v for v in wachs_elements("A", 6) if v[0] < v[1]]
     up = bruhat_up_sets(elems)
     a, b = elems.index(lo), elems.index(hi)
-    elems = sorted((v for c, v in enumerate(elems)
-                    if up[a] >> c & 1 and up[c] >> b & 1),
-                   key=lambda v: (length_a(v), format_perm(v)))
+    elems = [v for c, v in enumerate(elems)
+             if up[a] >> c & 1 and up[c] >> b & 1]
     p = poset_from_up(elems, bruhat_up_sets(elems), key=format_perm)
     g = grade(p)
     if g.graded:
@@ -319,6 +316,8 @@ def run_cells(cells: list) -> list:
         raise ValueError(f"WACHS_THREADS must be a positive integer, "
                          f"not {text!r}")
     if threads > 1 and len(cells) > 1:
+        # imported here: it pulls in multiprocessing, which serial runs skip
+        from concurrent.futures import ProcessPoolExecutor
         # the pool starts every worker at once: no more than there are cells
         with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
             return list(pool.map(run_cell, cells))

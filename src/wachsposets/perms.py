@@ -209,14 +209,10 @@ def embed_tilde(window: Sequence[int]) -> PermWord:
     -n, ..., -1 to 1, ..., n and 1, ..., n to n+1, ..., 2n.
     """
     n = len(window)
-
-    def iota(k: int) -> int:
-        return k + n + 1 if k < 0 else k + n
-
     out = [0] * (2 * n)
-    for i, v in enumerate(window, 1):
-        out[iota(i) - 1] = iota(v)
-        out[iota(-i) - 1] = iota(-v)
+    for i, v in enumerate(window, 1):    # the relabeling: k -> k + n + (k < 0)
+        out[n + i - 1] = v + n + (v < 0)
+        out[n - i] = n - v + (v > 0)
     return tuple(out)
 
 
@@ -266,8 +262,8 @@ def format_perm(word: Sequence[int]) -> str:
     '3412'
     """
     if len(word) <= 9:
-        return "".join(str(v) for v in word)
-    return ",".join(str(v) for v in word)
+        return "".join(map(str, word))
+    return ",".join(map(str, word))
 
 
 def parse_perm(text: str) -> PermWord:
@@ -293,7 +289,7 @@ def format_window(window: Sequence[int]) -> str:
     >>> format_window((-2, 1, 4, 3))
     '[-2,1,4,3]'
     """
-    return "[" + ",".join(str(v) for v in window) + "]"
+    return "[" + ",".join(map(str, window)) + "]"
 
 
 def parse_window(text: str) -> Window:

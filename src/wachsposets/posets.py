@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "PosetError", "FinitePoset", "GradeResult", "LatticeReport",
-    "build_poset", "poset_from_up", "inclusion_up_sets", "grade",
+    "build_poset", "poset_from_up", "dominance_up_sets", "grade",
     "mobius_row", "mobius_rows", "rank_generating_polynomial",
     "characteristic_polynomial",
     "lattice_checks", "poset_isomorphic",
@@ -26,6 +28,7 @@ __all__ = [
 
 VALIDATION_CAP = 25000   # A11 has 23040 elements
 _BLOCK = 256    # rows of a relation read as text at once
+_GE = [b"0" * x + b"1" * (256 - x) for x in range(256)]  # b"1" iff byte >= x
 
 
 class PosetError(ValueError):
@@ -83,25 +86,29 @@ def build_poset(items: Iterable, leq: Callable, key: Callable = str) -> FinitePo
     return poset_from_up(items, up, key)
 
 
-def inclusion_up_sets(sets: Sequence[frozenset]) -> list:
-    """Up-sets of the inclusion order on a list of sets, as bitmasks: bit
-    j of up[i] is set iff sets[i] <= sets[j].  up[i] is the AND, over the
-    members t of sets[i], of the mask of the sets holding t.
+def dominance_up_sets(rows: Sequence[bytes]) -> list:
+    """Up-sets of the entrywise order on equal-length byte rows, as
+    bitmasks: bit j of up[i] is set iff rows[i][p] <= rows[j][p] for
+    every p.  Each distinct column, a strided slice of the joined rows,
+    is translated into the masks of the rows reaching each threshold;
+    up[i] is the AND of the masks of its own entries.
 
-    >>> inclusion_up_sets([frozenset(), frozenset({1}), frozenset({2})])
-    [7, 2, 4]
+    >>> dominance_up_sets([bytes([0, 0]), bytes([1, 0]), bytes([0, 1]),
+    ...                    bytes([1, 1])])
+    [15, 10, 12, 8]
     """
-    holders: dict = {}
-    for i, s in enumerate(sets):
-        for t in s:
-            holders[t] = holders.get(t, 0) | 1 << i
-    up = []
-    for s in sets:
-        m = (1 << len(sets)) - 1
-        for t in s:
-            m &= holders[t]
-        up.append(m)
-    return up
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rows of unequal length")
+    width = len(rows[0]) if rows else 0
+    # reversed, so that the last row is the leading digit of each mask
+    flat = b"".join(reversed(rows))
+    cols = list(dict.fromkeys(flat[p::width] for p in range(width)))
+    tables = [[int(col.translate(_GE[x]), 2) for x in range(max(col) + 1)]
+              for col in cols]
+    if len(cols) < width:
+        rows = list(zip(*cols))[::-1]
+    full, take = (1 << len(rows)) - 1, list.__getitem__
+    return [reduce(and_, map(take, tables, row), full) for row in rows]
 
 
 def poset_from_up(items: Iterable, up: Sequence[int],

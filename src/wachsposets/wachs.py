@@ -104,16 +104,15 @@ def star(i: int, n: int) -> int:
 
 
 def is_wachs(w: Sequence[int]) -> bool:
-    """Membership test; works on one-line words and on windows."""
-    n = len(w)
-    pos = {}
+    """Membership test on one-line words and windows: 2c-1 and 2c sit at
+    signed positions one apart (-1 and 1 are two apart) for all c <= n/2."""
+    pos = [0] * (len(w) + 1)        # pos[|v|]: the signed position of +|v|
     for k, v in enumerate(w, 1):
-        pos[v] = k
-        pos[-v] = -k
-    for i in range(1, n):
-        if abs(pos[i] - pos[star(i, n)]) > 1:
-            return False
-    return True
+        if v > 0:
+            pos[v] = k
+        else:
+            pos[-v] = -k
+    return all(abs(pos[c] - pos[c + 1]) == 1 for c in range(1, len(w), 2))
 
 
 def enumerate_wachs(kind: str, n: int) -> list:

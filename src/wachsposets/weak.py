@@ -10,13 +10,15 @@ plus (a, -a) for the sign changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, starmap
+from operator import gt
 from typing import Optional, Sequence
 
 from .perms import inverse
-from .posets import FinitePoset, inclusion_up_sets
-from .wachs import encode
+from .posets import FinitePoset, dominance_up_sets
+from .wachs import encode, kind_record
 
-__all__ = ["tl_set_a", "tl_set_b", "tl_set", "weak_leq",
+__all__ = ["tl_set_a", "tl_set_b", "tl_set", "weak_leq", "inversion_row",
            "WeakIsoResult", "weak_product_iso"]
 
 
@@ -80,6 +82,14 @@ def weak_leq(u: Sequence[int], v: Sequence[int], side: str, kind: str) -> bool:
     return tl_set(u, kind) <= tl_set(v, kind)
 
 
+def inversion_row(w: Sequence[int], kind: str) -> bytes:
+    """The inversions of the ambient image of w, one byte per pair of
+    positions.  Entrywise order of these rows is the left weak order, in
+    B_n too: it is the weak order of S_2n restricted to the `embed_tilde`
+    images (Bjorner-Brenti, GTM 231, section 8.1)."""
+    return bytes(starmap(gt, combinations(kind_record(kind).ambient(w), 2)))
+
+
 # ------------------------------------------------------- product structure
 
 
@@ -112,11 +122,13 @@ def weak_product_iso(poset: FinitePoset, kind: str) -> WeakIsoResult:
     images = [_factor_map(v) for v in poset.items]
     if len(set(images)) != len(images):
         return WeakIsoResult(False, ("not injective",))
-    tls = {g: tl_set(g, kind) for g in {g for g, _ in images}}
-    group_up = inclusion_up_sets([tls[g] for g, _ in images])
-    subset_up = inclusion_up_sets([s for _, s in images])
+    # the product order is entrywise: group row, then the subset's indicator
+    rows = {g: inversion_row(inverse(g), kind) for g in {g for g, _ in images}}
+    cells = range(1, len(poset.items[0]) // 2 + 1) if images else ()
+    up = dominance_up_sets([rows[g] + bytes(c in s for c in cells)
+                            for g, s in images])
     for a, v in enumerate(poset.items):
-        diff = poset.up[a] ^ (group_up[a] & subset_up[a])
+        diff = poset.up[a] ^ up[a]
         if diff:
             b = (diff & -diff).bit_length() - 1
             return WeakIsoResult(False, (v, poset.items[b]))

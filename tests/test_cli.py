@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes and report files."""
 
+import concurrent.futures
 import json
 
 from wachsposets import checks, cli
@@ -131,7 +132,7 @@ def test_pool_has_no_more_workers_than_cells(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(checks, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setenv("WACHS_THREADS", "64")
     cells = checks.check_cells("graded-A", 2)
     assert [r.ok for r in checks.run_cells(cells)] == [True, True]

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from wachsposets.posets import (
     LatticeReport, PosetError, build_poset, cartesian_product,
-    characteristic_polynomial, dual_check, grade, inclusion_up_sets,
+    characteristic_polynomial, dominance_up_sets, dual_check, grade,
     lattice_checks, mobius_row, mobius_rows,
     ordinal_product, poset_from_up, poset_isomorphic,
     rank_generating_polynomial, to_dot, to_json,
@@ -170,11 +170,21 @@ def test_from_up_accepts_exactly_the_partial_orders(data):
     assert p.maximum() == (idx[greatest[0]] if greatest else None)
 
 
-def test_inclusion_up_sets():
-    sets = [frozenset(s) for r in range(4)
-            for s in itertools.combinations(range(3), r)]
-    want = [sum(1 << j for j, y in enumerate(sets) if x <= y) for x in sets]
-    assert inclusion_up_sets(sets) == want
+@given(st.integers(0, 6).flatmap(lambda width: st.lists(
+    st.lists(st.integers(0, 3), min_size=width, max_size=width).map(bytes),
+    max_size=12)), st.integers(0, 4))
+def test_dominance_up_sets_match_the_pairwise_definition(rows, repeats):
+    rows = rows + rows[:repeats]        # duplicate rows are equal, both ways
+    want = [sum(1 << j for j, y in enumerate(rows)
+                if all(a <= b for a, b in zip(x, y))) for x in rows]
+    assert dominance_up_sets(rows) == want
+
+
+def test_dominance_up_sets_edge_cases():
+    assert dominance_up_sets([]) == []
+    assert dominance_up_sets([b"", b""]) == [3, 3]
+    with pytest.raises(ValueError, match="unequal"):
+        dominance_up_sets([b"\0", b"\0\0"])
 
 
 def test_elements_form_a_linear_extension():

@@ -39,6 +39,26 @@ def test_star_pairing():
     assert [star(i, 7) for i in range(1, 8)] == [2, 1, 4, 3, 6, 5, 7]
 
 
+def is_wachs_by_partners(w):
+    """The membership oracle: the signed positions of i and i* differ by
+    at most one, for every i < n, read from a dict."""
+    n = len(w)
+    pos = {}
+    for k, v in enumerate(w, 1):
+        pos[v] = k
+        pos[-v] = -k
+    return all(abs(pos[i] - pos[star(i, n)]) <= 1 for i in range(1, n))
+
+
+def test_membership_matches_the_partner_oracle():
+    for n in range(1, 9):
+        for w in all_perms(n):
+            assert is_wachs(w) == is_wachs_by_partners(w), w
+    for n in range(1, 7):
+        for w in all_windows(n):
+            assert is_wachs(w) == is_wachs_by_partners(w), w
+
+
 def test_counts_match_closed_formulas():
     for n in range(1, 9):
         m = n // 2

@@ -1,16 +1,22 @@
 """Left-inversion sets, weak orders and the product structure of the weak
 order on (signed) Wachs permutations."""
 
+import functools
 import itertools
+import operator
+
+import pytest
 
 from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b
 from wachsposets.checks import weak_poset
 from wachsposets.perms import (
-    all_perms, all_windows, compose, length_a, length_b, signed_reflection,
+    all_perms, all_windows, compose, inverse, length_a, length_b,
+    signed_reflection,
 )
-from wachsposets.posets import grade, lattice_checks, poset_isomorphic
+from wachsposets.posets import (dominance_up_sets, grade, lattice_checks,
+                                poset_isomorphic)
 from wachsposets.wachs import enumerate_wachs
-from wachsposets.weak import tl_set_a, tl_set_b, weak_leq, \
+from wachsposets.weak import inversion_row, tl_set_a, tl_set_b, weak_leq, \
     weak_product_iso
 
 
@@ -51,6 +57,38 @@ def test_weak_leq_sides():
     assert weak_leq((2, 1, 3), (3, 1, 2), "L", "A")
     assert not weak_leq((2, 1, 3), (1, 3, 2), "R", "A")
     assert weak_leq((1, 2), (-1, 2), "R", "B")
+
+
+def containment_up_sets(sets):
+    """Bit j of up[i] iff sets[i] <= sets[j]: the AND, over the members t
+    of sets[i], of the mask of the sets holding t."""
+    holders = {}
+    for i, s in enumerate(sets):
+        for t in s:
+            holders[t] = holders.get(t, 0) | 1 << i
+    full = (1 << len(sets)) - 1
+    return [functools.reduce(operator.and_, map(holders.get, s), full)
+            for s in sets]
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+@pytest.mark.parametrize("kind,group,n", [("A", all_perms, 6),
+                                          ("B", all_windows, 5)])
+def test_inversion_rows_order_the_whole_group_as_tl_sets_do(kind, group,
+                                                             n, side):
+    # the weak order of B_n is that of S_2n on the embed_tilde images
+    tl = {"A": tl_set_a, "B": tl_set_b}[kind]
+    for m in range(1, n + 1):
+        ws = list(group(m))
+        if side == "L":
+            rows, sets = ws, [tl(inverse(w)) for w in ws]
+        else:
+            rows, sets = map(inverse, ws), [tl(w) for w in ws]
+        got = dominance_up_sets([inversion_row(x, kind) for x in rows])
+        assert got == containment_up_sets(sets)
+        if m <= 3:
+            assert got == [sum(1 << j for j, v in enumerate(ws)
+                               if weak_leq(u, v, side, kind)) for u in ws]
 
 
 def test_weak_order_implies_bruhat():
