@@ -12,7 +12,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import wachs
 from .bruhat import bruhat_up_sets
@@ -45,33 +45,23 @@ class CheckResult:
 
 
 @lru_cache(maxsize=None)
-def wachs_elements(kind: str, n: int) -> tuple:
-    """The Wachs elements sorted by length, then key: a linear extension
-    of the Bruhat order and of both weak orders, which strictly raise
-    length (|T_L(v)| = |T_L(v^-1)| = l(v))."""
-    k = wachs.kind_record(kind)
-    return tuple(sorted(wachs.enumerate_wachs(kind, n),
-                        key=lambda v: (k.length(v), k.key(v))))
-
-
-@lru_cache(maxsize=None)
 def bruhat_poset(kind: str, n: int) -> FinitePoset:
     """Induced Bruhat order on the Wachs elements, from the tableau
     criterion on their images in the ambient symmetric group."""
-    k = wachs.kind_record(kind)
-    elems = wachs_elements(kind, n)
-    up = bruhat_up_sets([k.ambient(v) for v in elems])
-    return poset_from_up(elems, up, key=k.key)
+    table = wachs.element_table(kind, n)
+    ambient = wachs.kind_record(kind).ambient
+    up = bruhat_up_sets([ambient(v) for v in table.items])
+    return poset_from_up(table.items, up, table.keys)
 
 
 @lru_cache(maxsize=None)
 def weak_poset(kind: str, n: int, side: str) -> FinitePoset:
     """Right (left) weak order on the Wachs elements: the left weak order
     on their inverses (on the elements), by inversion rows."""
-    elems = wachs_elements(kind, n)
-    xs = elems if side == "L" else map(inverse, elems)
+    table = wachs.element_table(kind, n)
+    xs = table.items if side == "L" else map(inverse, table.items)
     up = dominance_up_sets([inversion_row(x, kind) for x in xs])
-    return poset_from_up(elems, up, key=wachs.kind_record(kind).key)
+    return poset_from_up(table.items, up, table.keys)
 
 
 # ------------------------------------------------------------ check bodies
@@ -85,15 +75,17 @@ def _check_graded(kind, n):
     forms = wachs.closed_polys(kind, n)
     if g.rank != forms.rank:
         return False, f"rank {g.rank} != {forms.rank}"
-    for i, v in enumerate(p.items):
-        if g.ranks[i] != wachs.rank_lw(v, kind):
-            return False, f"rank function differs from l_W at {p.elements[i]}"
+    ranks = wachs.element_table(kind, n).ranks
+    if g.ranks != ranks:
+        i = next(i for i, r in enumerate(ranks) if g.ranks[i] != r)
+        return False, f"rank function differs from l_W at {p.elements[i]}"
     return True, None
 
 
 def _check_order(kind, n):
     p = bruhat_poset(kind, n)
-    for i, up in enumerate(wachs.wachs_up_sets(p.items, kind)):
+    codes = wachs.element_table(kind, n).codes
+    for i, up in enumerate(wachs.wachs_up_sets(codes, kind)):
         diff = up ^ p.up[i]
         if diff:
             j = (diff & -diff).bit_length() - 1
@@ -106,7 +98,8 @@ def _check_covers(kind, n):
     below = [0] * len(p)
     for i, j in p.covers:
         below[j] |= 1 << i
-    for j, mask in enumerate(wachs.wachs_cover_masks(p.items, kind)):
+    codes = wachs.element_table(kind, n).codes
+    for j, mask in enumerate(wachs.wachs_cover_masks(codes, kind)):
         if mask != below[j]:
             return False, f"covers of {p.elements[j]}"
     return True, None
@@ -115,8 +108,8 @@ def _check_covers(kind, n):
 def _check_mobius(kind, n):
     p = bruhat_poset(kind, n)
     row = next(mobius_rows(p, [p.minimum()]))
-    for j, v in enumerate(p.items):
-        if row[j] != wachs.mobius_closed(wachs.encode(v), n):
+    for j, code in enumerate(wachs.element_table(kind, n).codes):
+        if row[j] != wachs.mobius_closed(code, n):
             return False, f"mu(e, {p.elements[j]})"
     return True, None
 
@@ -129,14 +122,8 @@ def _check_charpoly(kind, n):
 
 
 def _check_rankpoly(kind, n):
-    counts: dict = {}
-    for v in wachs_elements(kind, n):
-        r = wachs.rank_lw(v, kind)
-        counts[r] = counts.get(r, 0) + 1
-    coeffs = [0] * (max(counts) + 1)
-    for r, c in counts.items():
-        coeffs[r] = c
-    got = IntPolynomial(coeffs)
+    ranks = wachs.element_table(kind, n).ranks
+    got = IntPolynomial(map(ranks.count, range(max(ranks) + 1)))
     want = wachs.closed_polys(kind, n).rank_gen
     if got != want:
         return False, f"{got} != {want}"
@@ -147,7 +134,7 @@ def _check_rankpoly(kind, n):
 
 def _check_weakiso(kind, n):
     p = weak_poset(kind, n, "R")
-    res = weak_product_iso(p, kind)
+    res = weak_product_iso(p, wachs.element_table(kind, n).codes, kind)
     if not res.holds:
         return False, f"map mismatch: {res.witness}"
     rep = lattice_checks(p)
@@ -163,10 +150,11 @@ def _check_selfdual(kind, n):
                for i, v in enumerate(p.items)}
     if not dual_check(p, mapping):
         return False, "v -> v w_0 is not an antiautomorphism"
-    top = wachs.rank_lw(w0, "A")
-    for v in p.items:
-        if wachs.rank_lw(compose(v, w0), "A") != top - wachs.rank_lw(v, "A"):
-            return False, f"rank antisymmetry fails at {format_perm(v)}"
+    ranks = wachs.element_table("A", n).ranks
+    top = ranks[p.index[format_perm(w0)]]
+    for i, key in enumerate(p.elements):
+        if ranks[p.index[mapping[key]]] != top - ranks[i]:
+            return False, f"rank antisymmetry fails at {key}"
     return True, None
 
 
@@ -177,18 +165,18 @@ def _check_statdist(kind, n):
 
 def _check_gi(kind, n):
     got = set(wachs.stabilizer_gi(n))
-    want = set(wachs_elements("A", n))
+    want = set(wachs.element_table("A", n).items)
     return got == want, None if got == want else "stabilizer differs"
 
 
 def _check_nongraded_remark(kind, n):
     lo, hi = (1, 2, 4, 3, 6, 5), (5, 6, 1, 2, 3, 4)
-    elems = [v for v in wachs_elements("A", 6) if v[0] < v[1]]
+    elems = [v for v in wachs.element_table("A", 6).items if v[0] < v[1]]
     up = bruhat_up_sets(elems)
     a, b = elems.index(lo), elems.index(hi)
     elems = [v for c, v in enumerate(elems)
              if up[a] >> c & 1 and up[c] >> b & 1]
-    p = poset_from_up(elems, bruhat_up_sets(elems), key=format_perm)
+    p = poset_from_up(elems, bruhat_up_sets(elems), map(format_perm, elems))
     g = grade(p)
     if g.graded:
         return False, "interval is graded"
@@ -305,8 +293,9 @@ def run_cell(cell: tuple) -> CheckResult:
                        witness, millis)
 
 
-def run_cells(cells: list) -> list:
-    """Run the cells, on a process pool of WACHS_THREADS workers."""
+def run_cells(cells: list) -> Iterator[CheckResult]:
+    """Run the cells, on a process pool of WACHS_THREADS workers, and
+    yield each result, in order, as soon as it is done."""
     text = os.environ.get("WACHS_THREADS", "1")
     try:
         threads = int(text)
@@ -320,8 +309,9 @@ def run_cells(cells: list) -> list:
         from concurrent.futures import ProcessPoolExecutor
         # the pool starts every worker at once: no more than there are cells
         with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
-            return list(pool.map(run_cell, cells))
-    return [run_cell(c) for c in cells]
+            yield from pool.map(run_cell, cells)
+    else:
+        yield from map(run_cell, cells)
 
 
 def report(max_n_a: Optional[int] = None,
@@ -330,7 +320,7 @@ def report(max_n_a: Optional[int] = None,
     caps = {"A": max_n_a, "B": max_n_b}
     cells = sorted(c for cid in THEOREM_IDS + CONJECTURE_IDS
                    for c in _cells(cid, caps))
-    results = run_cells(cells)
+    results = list(run_cells(cells))
     return {
         "version": 1,
         "checks": [

@@ -16,6 +16,8 @@ from functools import reduce
 from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .perms import SizeCapError
+
 __all__ = [
     "PosetError", "FinitePoset", "GradeResult", "LatticeReport",
     "build_poset", "poset_from_up", "dominance_up_sets", "grade",
@@ -69,7 +71,7 @@ class FinitePoset:
 
 def _check_size(n: int) -> None:
     if n > VALIDATION_CAP:
-        raise PosetError(f"{n} elements exceeds the validation cap {VALIDATION_CAP}")
+        raise SizeCapError(f"{n} elements exceeds the validation cap {VALIDATION_CAP}")
 
 
 def build_poset(items: Iterable, leq: Callable, key: Callable = str) -> FinitePoset:
@@ -83,7 +85,7 @@ def build_poset(items: Iterable, leq: Callable, key: Callable = str) -> FinitePo
             if leq(x, y):
                 m |= 1 << j
         up.append(m)
-    return poset_from_up(items, up, key)
+    return poset_from_up(items, up, map(key, items))
 
 
 def dominance_up_sets(rows: Sequence[bytes]) -> list:
@@ -112,9 +114,10 @@ def dominance_up_sets(rows: Sequence[bytes]) -> list:
 
 
 def poset_from_up(items: Iterable, up: Sequence[int],
-                  key: Callable = str) -> FinitePoset:
+                  keys: Optional[Iterable[str]] = None) -> FinitePoset:
     """Validate a relation given by up-set bitmasks (bit j of up[i] set
-    iff items[i] <= items[j]) and build the poset it orders.
+    iff items[i] <= items[j]) and build the poset it orders.  `keys` are
+    the string keys of the items, in their order; str(item) by default.
 
     Items already in a linear extension (no up-set has a bit below its
     own index) keep their order.  Any other order is sorted by down-set
@@ -123,9 +126,9 @@ def poset_from_up(items: Iterable, up: Sequence[int],
     items = list(items)
     n = len(items)
     _check_size(n)
-    keys = [key(x) for x in items]
-    if len(set(keys)) != n:
-        raise PosetError("duplicate element keys")
+    keys = list(map(str, items) if keys is None else keys)
+    if len(keys) != n or len(set(keys)) != n:
+        raise PosetError(f"{len(set(keys))} distinct keys for {n} elements")
     if len(up) != n:
         raise PosetError(f"{len(up)} up-sets for {n} elements")
     for i in range(n):
@@ -304,10 +307,7 @@ def rank_generating_polynomial(poset: FinitePoset):
     g = grade(poset)
     if not g.graded:
         raise PosetError("poset is not graded")
-    out = [0] * (g.rank + 1)
-    for r in g.ranks:
-        out[r] += 1
-    return IntPolynomial(out)
+    return IntPolynomial(map(g.ranks.count, range(g.rank + 1)))
 
 
 def characteristic_polynomial(poset: FinitePoset):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import qpoly
@@ -38,7 +39,7 @@ from .perms import (
 
 __all__ = [
     "Kind", "KINDS", "kind_record", "longest_element",
-    "star", "is_wachs", "enumerate_wachs",
+    "star", "is_wachs", "enumerate_wachs", "ElementTable", "element_table",
     "encode", "decode", "chi_map", "f_map", "rank_lw",
     "wachs_leq", "wachs_up_sets", "wachs_covers", "wachs_cover_masks",
     "involution_wa", "involution_wb", "coatom_c", "mobius_closed",
@@ -115,13 +116,13 @@ def is_wachs(w: Sequence[int]) -> bool:
     return all(abs(pos[c] - pos[c + 1]) == 1 for c in range(1, len(w), 2))
 
 
-def enumerate_wachs(kind: str, n: int) -> list:
-    """All Wachs elements of rank n >= 1, lexicographically sorted.
+def _decoded_codes(kind: str, n: int) -> Iterator[tuple]:
+    """Every code of rank n >= 1 with its element, checked by `is_wachs`.
 
-    They are the decoded codes (tau, T) in G_m x P([m]), m = n // 2.  For
-    odd n the slot i of the extremal value is added: inserting the value
-    m + 1 with the sign of i at place |i| of tau is a bijection from the
-    pairs (i, tau) onto G_{m+1}, so the pairs are read off G_{m+1}.
+    The codes are (tau, T) in G_m x P([m]), m = n // 2.  For odd n the
+    slot i of the extremal value is added: inserting the value m + 1
+    with the sign of i at place |i| of tau is a bijection from the pairs
+    (i, tau) onto G_{m+1}, so the pairs are read off G_{m+1}.
     """
     k = kind_record(kind)
     if n < 1:
@@ -139,15 +140,40 @@ def enumerate_wachs(kind: str, n: int) -> list:
             slot = next(a for a, x in enumerate(rho, 1) if abs(x) == m + 1)
             tau = tuple(x for x in rho if abs(x) != m + 1)
             heads.append((slot if rho[slot - 1] > 0 else -slot, tau))
-    out = []
-    for head in heads:
-        for t in subsets:
-            w = decode(head + (t,), n)
-            if not is_wachs(w):
-                raise ValueError(f"code {head + (t,)} decodes to {w}, "
-                                 f"which is not a Wachs permutation")
-            out.append(w)
-    return sorted(out)
+    for code in (head + (t,) for head in heads for t in subsets):
+        w = decode(code, n)
+        if not is_wachs(w):
+            raise ValueError(f"code {code} decodes to {w}, "
+                             f"which is not a Wachs permutation")
+        yield code, w
+
+
+def enumerate_wachs(kind: str, n: int) -> list:
+    """All Wachs elements of rank n >= 1, lexicographically sorted."""
+    return sorted(w for _, w in _decoded_codes(kind, n))
+
+
+# the Wachs elements of one rank with their codes, keys and l(v) - l(tau)
+ElementTable = namedtuple("ElementTable", "items codes keys ranks")
+
+
+@functools.lru_cache(maxsize=None)
+def element_table(kind: str, n: int) -> ElementTable:
+    """The Wachs elements of rank n sorted by length, then key, from one
+    pass over the decoded codes, l(tau) found once per distinct tau.
+    Length order is a linear extension of the Bruhat order and of both
+    weak orders, which strictly raise length (|T_L(v)| = |T_L(v^-1)| =
+    l(v)), so the posets built on the items keep this order."""
+    k = kind_record(kind)
+    tau_length = functools.cache(k.length)
+    rows = []
+    for code, w in _decoded_codes(kind, n):
+        length = k.length(w)
+        rank = length - tau_length(code[-2])
+        rows.append((length, k.key(w), w, code, rank))
+    rows.sort()                 # the keys are distinct: ties end there
+    _, keys, items, codes, ranks = zip(*rows)
+    return ElementTable(items, codes, keys, ranks)
 
 
 # ---------------------------------------------------------------- codes
@@ -159,10 +185,13 @@ def chi_map(v: Sequence[int]) -> tuple:
     return tuple(x for x in v if abs(x) != n)
 
 
-def encode(v: Sequence[int]):
-    """Code of a (signed) Wachs permutation: (tau, T), or (i, tau, T) for
-    odd rank, where the full position of the value n is 2i-1 (i > 0) or
-    2i+1 (i < 0).
+# Callers that compare pairs one at a time, such as wachs_leq, encode
+# each element many times; the code is immutable and is kept.
+@functools.lru_cache(maxsize=65536)
+def encode(v: tuple):
+    """Code of a (signed) Wachs permutation, a tuple: (tau, T), or
+    (i, tau, T) for odd rank, where the full position of the value n is
+    2i-1 (i > 0) or 2i+1 (i < 0).
 
     >>> encode((4, 3, 1, 2, 7, 5, 6))
     (3, (2, 1, 3), frozenset({1}))
@@ -171,13 +200,6 @@ def encode(v: Sequence[int]):
     >>> encode((-1, -2, 5, 6, -7, 3, 4))
     (-3, (-1, 3, 2), frozenset({1}))
     """
-    return _encode(tuple(v))
-
-
-# Callers that compare pairs one at a time, such as wachs_leq, encode
-# each element many times; the code is immutable and is kept.
-@functools.lru_cache(maxsize=65536)
-def _encode(v: tuple):
     n = len(v)
     if not is_wachs(v):
         raise ValueError(f"{v} is not a Wachs permutation")
@@ -220,7 +242,7 @@ def decode(code, n: int) -> tuple:
 
 def f_map(v: Sequence[int]) -> tuple:
     """The quotient element tau of the code of v."""
-    return encode(v)[-2]
+    return encode(tuple(v))[-2]
 
 
 # ---------------------------------------------------------------- rank
@@ -312,7 +334,7 @@ def wachs_leq(u: Sequence[int], v: Sequence[int], kind: str) -> bool:
     kind_record(kind)                 # rejects an unknown kind up front
     if len(u) != len(v):
         raise ValueError("rank mismatch")
-    cu, cv = encode(u), encode(v)
+    cu, cv = encode(tuple(u)), encode(tuple(v))
     keep = _keep(cu[:-1], cv[:-1], kind)
     return keep is not None and cu[-1] & keep <= cv[-1]
 
@@ -327,9 +349,10 @@ def _spread(mask: int, rows: list) -> int:
     return out
 
 
-def wachs_up_sets(elems: Sequence[Sequence[int]], kind: str) -> list:
-    """Up-sets of `wachs_leq` on a list of Wachs elements of one rank, as
-    bitmasks: bit b of up[a] is set iff wachs_leq(elems[a], elems[b]).
+def wachs_up_sets(codes: Sequence[tuple], kind: str) -> list:
+    """Up-sets of `wachs_leq` on the codes of a list of Wachs elements of
+    one rank, as bitmasks: bit b of up[a] is set iff the element of
+    codes[a] lies below that of codes[b].
 
     The rule of `_keep` is applied to all pairs of heads at once.  The
     distinct tau of the list are compared by one `bruhat_up_sets` call,
@@ -340,10 +363,9 @@ def wachs_up_sets(elems: Sequence[Sequence[int]], kind: str) -> list:
     up[a] = Adm(g) & AND over c in the subset of a of (Free_c(g) | the
     elements whose subset holds c).
 
-    >>> wachs_up_sets([(1, 2), (2, 1)], "A")
+    >>> wachs_up_sets([encode((1, 2)), encode((2, 1))], "A")
     [3, 2]
     """
-    codes = [encode(v) for v in elems]
     if not codes:
         return []
     cells = range(1, len(codes[0][-2]) + 1)
@@ -407,15 +429,15 @@ def _moves(tau, kind: str) -> list:
     return out
 
 
-def _cover_codes(code, n: int, moves: list) -> list:
-    """Codes of the elements covered by the element of rank n with this
-    code, given the `_moves` of its tau."""
+def _cover_codes(code, moves: list) -> list:
+    """Codes of the elements covered by the element with this code, given
+    the `_moves` of its tau."""
     *slot, tau, t = code
     out = [(*slot, tau, t - {x}) for x in t]
     if slot:
         # slide the extremal value one slot further from the front
         j, = slot
-        m = n // 2
+        m = len(tau)
         x = j if j > 0 else -j - 1
         if j == -1:
             out.append((1, tau, t))
@@ -429,32 +451,31 @@ def _cover_codes(code, n: int, moves: list) -> list:
 
 def wachs_covers(v: Sequence[int], kind: str) -> set:
     """Elements covered by v inside the (signed) Wachs permutations."""
-    n = len(v)
-    code = encode(v)
-    moves = _moves(code[-2], kind)
-    return {decode(c, n) for c in _cover_codes(code, n, moves)}
+    code = encode(tuple(v))
+    covered = _cover_codes(code, _moves(code[-2], kind))
+    return {decode(c, len(v)) for c in covered}
 
 
-def wachs_cover_masks(elems: Sequence[Sequence[int]], kind: str) -> list:
-    """Lower covers of `wachs_covers` on a list of Wachs elements of one
-    rank, as bitmasks: bit b of masks[a] is set iff elems[b] is covered
-    by elems[a]; a covered element missing from the list sets bit
-    len(elems).  The covers of each tau in G_m are found once.
+def wachs_cover_masks(codes: Sequence[tuple], kind: str) -> list:
+    """Lower covers of `wachs_covers` on the codes of a list of Wachs
+    elements of one rank, as bitmasks: bit b of masks[a] is set iff the
+    element of codes[b] is covered by that of codes[a]; a covered
+    element missing from the list sets bit len(codes).  The covers of
+    each tau in G_m are found once.
 
-    >>> wachs_cover_masks([(1, 2), (2, 1)], "A")
+    >>> wachs_cover_masks([encode((1, 2)), encode((2, 1))], "A")
     [0, 1]
     """
-    codes = [encode(v) for v in elems]
     index = {code: b for b, code in enumerate(codes)}
     missing = len(codes)
     moves: dict = {}
     out = []
-    for v, code in zip(elems, codes):
+    for code in codes:
         tau = code[-2]
         if tau not in moves:
             moves[tau] = _moves(tau, kind)
         mask = 0
-        for c in _cover_codes(code, len(v), moves[tau]):
+        for c in _cover_codes(code, moves[tau]):
             mask |= 1 << index.get(c, missing)
         out.append(mask)
     return out
@@ -476,7 +497,7 @@ def involution_wa(v: Sequence[int], i: int, j: int) -> tuple:
         raise ValueError(f"need 1 <= i < j <= {m}")
     swap = list(identity(m))
     swap[i - 1], swap[j - 1] = j, i
-    *slot, tau, t = encode(v)
+    *slot, tau, t = encode(tuple(v))
     return decode((*slot, compose(tau, tuple(swap)), t ^ {i, j}), n)
 
 
@@ -540,27 +561,21 @@ class ClosedForms:
 def closed_polys(kind: str, n: int) -> ClosedForms:
     """Closed-form rank generating function, characteristic polynomial and
     rank of the Bruhat order on (signed) Wachs permutations of rank n.
-    The characteristic polynomial form needs n >= 2 in the signed case."""
+    The rank is l(w_0) in G_n minus l(w_0) in G_m, m = n // 2.  The
+    characteristic polynomial form needs n >= 2 in the signed case."""
+    k = kind_record(kind)
     m = n // 2
     x = qpoly.X
-    cube_fact = qpoly.q_factorial(m).substitute_power(3)
-    if kind == "A":
-        gen = (1 + x) ** m * cube_fact
-        if n % 2 == 1:
-            gen = gen * qpoly.q_int(m + 1).substitute_power(2)
-        rank = n * (n - 1) // 2 - m * (m - 1) // 2
-        char = (x - 1) ** m * x ** (n * (n - 1) // 2 - (m + 1) * m // 2)
-        return ClosedForms(gen, char, rank)
+    gen = (1 + x) ** m * qpoly.q_factorial(m).substitute_power(3)
+    if n % 2 == 1:
+        gen = gen * qpoly.q_int(m + 1).substitute_power(2)
     if kind == "B":
-        gen = (1 + x) ** m * cube_fact
         for i in range(1, m + 1):
             gen = gen * (1 + x ** (3 * i - 1))
         if n % 2 == 1:
-            gen = gen * qpoly.q_int(m + 1).substitute_power(2) * (1 + x ** n)
-        rank = n * n - m * m
-        char = (x - 1) ** m * x ** (n * n - m * m - m)
-        return ClosedForms(gen, char, rank)
-    raise ValueError(f"unknown kind {kind!r}")
+            gen = gen * (1 + x ** n)
+    rank = k.length(k.w0(n)) - k.length(k.w0(m))
+    return ClosedForms(gen, (x - 1) ** m * x ** (rank - m), rank)
 
 
 def stats_distribution_check(n: int) -> bool:
@@ -568,15 +583,9 @@ def stats_distribution_check(n: int) -> bool:
     function of 3*emaj + odes over the Wachs permutations."""
     if n % 2 != 0:
         raise ValueError("even rank only")
-    lhs: dict = {}
-    rhs: dict = {}
-    for v in enumerate_wachs("A", n):
-        lw = rank_lw(v, "A")
-        lhs[lw] = lhs.get(lw, 0) + 1
-        st = stats_a(v)
-        k = 3 * st.emaj + st.odes
-        rhs[k] = rhs.get(k, 0) + 1
-    return lhs == rhs
+    table = element_table("A", n)
+    stats = map(stats_a, table.items)
+    return sorted(table.ranks) == sorted(3 * s.emaj + s.odes for s in stats)
 
 
 def stabilizer_gi(n: int) -> list:

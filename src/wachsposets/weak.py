@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .perms import inverse
 from .posets import FinitePoset, dominance_up_sets
-from .wachs import encode, kind_record
+from .wachs import kind_record
 
 __all__ = ["tl_set_a", "tl_set_b", "tl_set", "weak_leq", "inversion_row",
            "WeakIsoResult", "weak_product_iso"]
@@ -101,9 +101,9 @@ def _bar(tau, i: int):
     return tau[:k - 1] + (v,) + tau[k - 1:]
 
 
-def _factor_map(v):
-    """Image of a Wachs element in G_ceil(n/2) x P([floor(n/2)])."""
-    *slot, small, t = encode(v)
+def _factor_map(code):
+    """Image of a code of rank n in G_ceil(n/2) x P([floor(n/2)])."""
+    *slot, small, t = code
     tau = _bar(small, *slot) if slot else small
     # t holds slots of the even part; the factor holds their values
     return tau, frozenset(abs(small[k - 1]) for k in t)
@@ -115,16 +115,17 @@ class WeakIsoResult:
     witness: Optional[tuple]        # first mismatching pair, if any
 
 
-def weak_product_iso(poset: FinitePoset, kind: str) -> WeakIsoResult:
+def weak_product_iso(poset: FinitePoset, codes: Sequence[tuple],
+                     kind: str) -> WeakIsoResult:
     """Check that `poset`, the right weak order on the Wachs elements of
-    one rank n, is isomorphic via the explicit code map to
-    (G_ceil(n/2), <=_R) x P([floor(n/2)])."""
-    images = [_factor_map(v) for v in poset.items]
+    one rank n, with their codes aligned to `poset.items`, is isomorphic
+    via the explicit code map to (G_ceil(n/2), <=_R) x P([floor(n/2)])."""
+    images = [_factor_map(code) for code in codes]
     if len(set(images)) != len(images):
         return WeakIsoResult(False, ("not injective",))
     # the product order is entrywise: group row, then the subset's indicator
     rows = {g: inversion_row(inverse(g), kind) for g in {g for g, _ in images}}
-    cells = range(1, len(poset.items[0]) // 2 + 1) if images else ()
+    cells = range(1, len(codes[0][-2]) + 1) if codes else ()
     up = dominance_up_sets([rows[g] + bytes(c in s for c in cells)
                             for g, s in images])
     for a, v in enumerate(poset.items):

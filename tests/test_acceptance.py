@@ -222,7 +222,7 @@ def test_criterion_10_conjecture_sweeps(report):
     ok, d = all_pass(report, "mobiusA")
     ok2, d2 = all_pass(report, "mobiusB")
     cells = checks.check_cells("latticeAodd", 9)
-    results = checks.run_cells(cells)
+    results = list(checks.run_cells(cells))
     ok3 = all(r.ok for r in results) and ("latticeAodd", "A", 9) in [
         (r.id, r.kind, r.n) for r in results]
     conclude(10, "conjecture sweeps", ok and ok2 and ok3,

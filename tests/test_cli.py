@@ -3,7 +3,7 @@
 import concurrent.futures
 import json
 
-from wachsposets import checks, cli
+from wachsposets import checks, cli, posets
 
 
 def run(capsys, *argv):
@@ -185,3 +185,17 @@ def test_fixed_rank_checks_honour_max_n(capsys):
     lines = out.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("nongraded-weakL B n=3 PASS")
+
+
+def test_validation_cap_exits_3_after_printing_finished_cells(capsys,
+                                                              monkeypatch):
+    # A7 has 192 elements: the Bruhat poset build stops at the cap
+    monkeypatch.setattr(posets, "VALIDATION_CAP", 100)
+    checks.bruhat_poset.cache_clear()
+    code, out, err = run(capsys, "check", "theorem", "order-A",
+                         "--max-n", "7")
+    checks.bruhat_poset.cache_clear()
+    assert code == 3
+    assert [line.split(" [")[0] for line in out.splitlines()] == [
+        f"order-A A n={n} PASS" for n in range(1, 7)]
+    assert err == "error: 192 elements exceeds the validation cap 100\n"

@@ -5,9 +5,12 @@ predicate, the closed-form cover masks against the covers of each
 element and of the Bruhat poset, every Moebius row against the
 one-element-at-a-time recursion, and enumeration by decoding against a
 membership filter of the whole group, on every rank up to the default
-caps.  Also: the Bruhat and weak posets, given in a linear extension,
-are built without a bit-matrix transpose, and the report's order and
-cover sweeps call no pairwise oracle."""
+caps; the element table against `encode`, `rank_lw` and the keys of
+each element through A9 and B7.  Also: the Bruhat and weak posets,
+given in a linear extension, are built without a bit-matrix transpose,
+the report's order and cover sweeps call no pairwise oracle, no
+pipeline cell encodes an element or calls `rank_lw`, and a corrupted
+table rank fails the graded check at that element."""
 
 import pytest
 
@@ -36,7 +39,7 @@ def filtered_wachs(kind, n):
 @pytest.mark.parametrize("kind,n", CELLS)
 def test_bruhat_poset_matches_tableau_oracle(kind, n):
     k = wachs.kind_record(kind)
-    elems = sorted(checks.wachs_elements(kind, n),
+    elems = sorted(wachs.element_table(kind, n).items,
                    key=lambda v: (k.length(v), k.key(v)))
     oracle = build_poset(elems, k.leq, key=k.key)
     assert_same_poset(checks.bruhat_poset(kind, n), oracle)
@@ -60,7 +63,7 @@ def test_bruhat_up_sets_on_whole_groups():
 def test_weak_poset_matches_inversion_set_containment(kind, n, side):
     key = wachs.kind_record(kind).key
     tls = {v: tl_set(inverse(v) if side == "L" else v, kind)
-           for v in checks.wachs_elements(kind, n)}
+           for v in wachs.element_table(kind, n).items}
     elems = sorted(tls, key=lambda v: (len(tls[v]), key(v)))
     oracle = build_poset(elems, lambda x, y: tls[x] <= tls[y], key=key)
     assert_same_poset(checks.weak_poset(kind, n, side), oracle)
@@ -76,7 +79,7 @@ def test_pipeline_posets_build_without_transposes(kind, n, monkeypatch):
         posets.poset_from_up([2, 1], [0b01, 0b11])    # not a linear extension
     checks.bruhat_poset.cache_clear()
     checks.weak_poset.cache_clear()
-    size = len(checks.wachs_elements(kind, n))
+    size = len(wachs.element_table(kind, n).items)
     assert len(checks.bruhat_poset(kind, n)) == size
     assert len(checks.weak_poset(kind, n, "L")) == size
     assert len(checks.weak_poset(kind, n, "R")) == size
@@ -84,8 +87,9 @@ def test_pipeline_posets_build_without_transposes(kind, n, monkeypatch):
 
 @pytest.mark.parametrize("kind,n", CELLS)
 def test_wachs_up_sets_match_pairwise_wachs_leq(kind, n):
-    elems = checks.wachs_elements(kind, n)
-    assert wachs.wachs_up_sets(elems, kind) == [
+    table = wachs.element_table(kind, n)
+    elems = table.items
+    assert wachs.wachs_up_sets(table.codes, kind) == [
         sum(1 << j for j, v in enumerate(elems) if wachs.wachs_leq(u, v, kind))
         for u in elems]
 
@@ -93,7 +97,7 @@ def test_wachs_up_sets_match_pairwise_wachs_leq(kind, n):
 @pytest.mark.parametrize("kind,n", CELLS)
 def test_cover_masks_match_wachs_covers_and_the_poset(kind, n):
     p = checks.bruhat_poset(kind, n)
-    masks = wachs.wachs_cover_masks(p.items, kind)
+    masks = wachs.wachs_cover_masks(list(map(wachs.encode, p.items)), kind)
     for v, mask in zip(p.items, masks):
         assert {u for b, u in enumerate(p.items)
                 if mask >> b & 1} == wachs.wachs_covers(v, kind)
@@ -105,10 +109,11 @@ def test_cover_masks_match_wachs_covers_and_the_poset(kind, n):
 
 @pytest.mark.parametrize("kind,n", [("A", 5), ("A", 6), ("B", 3), ("B", 4)])
 def test_cover_masks_flag_a_covered_element_missing_from_the_list(kind, n):
-    elems = list(checks.wachs_elements(kind, n))
+    elems = list(wachs.element_table(kind, n).items)
     for drop, gone in enumerate(elems):
         rest = elems[:drop] + elems[drop + 1:]
-        for v, mask in zip(rest, wachs.wachs_cover_masks(rest, kind)):
+        codes = list(map(wachs.encode, rest))
+        for v, mask in zip(rest, wachs.wachs_cover_masks(codes, kind)):
             assert mask >> len(rest) == (gone in wachs.wachs_covers(v, kind))
 
 
@@ -119,11 +124,53 @@ def test_order_and_cover_sweeps_call_no_oracle(kind, n, monkeypatch):
 
     for name in ("bruhat_leq_a", "bruhat_leq_b", "_frozen_cells"):
         monkeypatch.setattr(wachs, name, oracle)
-    v = checks.wachs_elements(kind, n)[0]
+    v = wachs.element_table(kind, n).items[0]
     with pytest.raises(AssertionError, match="oracle called"):
         wachs.wachs_leq(v, v, kind)           # the guard reaches the oracle
     assert checks._check_order(kind, n) == (True, None)
     assert checks._check_covers(kind, n) == (True, None)
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind, top in
+                                    (("A", 9), ("B", 7))
+                                    for n in range(1, top + 1)])
+def test_element_table_matches_the_per_element_functions(kind, n):
+    k = wachs.kind_record(kind)
+    table = wachs.element_table(kind, n)
+    assert list(table.items) == sorted(wachs.enumerate_wachs(kind, n),
+                                       key=lambda v: (k.length(v), k.key(v)))
+    assert list(table.codes) == [wachs.encode(v) for v in table.items]
+    assert list(table.keys) == [k.key(v) for v in table.items]
+    assert list(table.ranks) == [wachs.rank_lw(v, kind) for v in table.items]
+
+
+@pytest.mark.parametrize("kind,n", [("A", 7), ("B", 5)])
+def test_pipeline_cells_neither_encode_nor_call_rank_lw(kind, n, monkeypatch):
+    def per_element(*args):
+        raise AssertionError("per-element function called")
+
+    for name in ("encode", "rank_lw"):
+        monkeypatch.setattr(wachs, name, per_element)
+    v = tuple(range(1, n + 1))
+    with pytest.raises(AssertionError, match="per-element function called"):
+        wachs.wachs_covers(v, kind)           # the patch reaches encode
+    for cache in (wachs.element_table, checks.bruhat_poset, checks.weak_poset):
+        cache.cache_clear()
+    ids = ["graded", "rankpoly", "order", "covers", "mobius", "weakiso"]
+    for check_id in ids + ["selfdual"] * (kind == "A"):
+        result = checks.run_cell((f"{check_id}-{kind}", kind, n))
+        assert result.ok, (check_id, result.witness)
+
+
+@pytest.mark.parametrize("index", [0, 7, -1])
+def test_graded_check_catches_a_corrupted_table_rank(index, monkeypatch):
+    table = wachs.element_table("A", 5)
+    ranks = list(table.ranks)
+    ranks[index] += 1
+    corrupt = table._replace(ranks=tuple(ranks))
+    monkeypatch.setattr(wachs, "element_table", lambda kind, n: corrupt)
+    assert checks._check_graded("A", 5) == (
+        False, f"rank function differs from l_W at {table.keys[index]}")
 
 
 @pytest.mark.parametrize("kind,n", CELLS)

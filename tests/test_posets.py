@@ -82,7 +82,7 @@ def test_from_up_rejects_malformed_masks():
     with pytest.raises(PosetError):
         poset_from_up([1, 2], [0b101, 0b10])    # names a third element
     with pytest.raises(PosetError):
-        poset_from_up([1, 2], [0b11, 0b10], key=lambda x: "same")
+        poset_from_up([1, 2], [0b11, 0b10], keys=["same", "same"])
 
 
 def test_from_up_keeps_a_linear_extension_and_sorts_any_other_order():

@@ -8,7 +8,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from wachsposets import checks
 from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
 from wachsposets.perms import (
     all_perms, all_windows, compose, full_position, identity, inverse,
@@ -17,9 +16,10 @@ from wachsposets.perms import (
 from wachsposets.qpoly import IntPolynomial, X
 from wachsposets.wachs import (
     _frozen_cells, chi_map, closed_polys, coatom_c, decode, descent_class,
-    encode, enumerate_wachs, f_map, involution_wa, involution_wb, is_wachs,
-    kind_record, longest_element, mobius_closed, rank_lw, stabilizer_gi,
-    star, stats_distribution_check, wachs_covers, wachs_leq, wachs_up_sets,
+    element_table, encode, enumerate_wachs, f_map, involution_wa,
+    involution_wb, is_wachs, kind_record, longest_element, mobius_closed,
+    rank_lw, stabilizer_gi, star, stats_distribution_check, wachs_covers,
+    wachs_leq, wachs_up_sets,
 )
 
 
@@ -280,7 +280,7 @@ RANKS = [("A", n) for n in range(1, 11)] + [("B", n) for n in range(1, 9)]
 @st.composite
 def wachs_element(draw):
     kind, n = draw(st.sampled_from(RANKS))
-    return kind, draw(st.sampled_from(checks.wachs_elements(kind, n)))
+    return kind, draw(st.sampled_from(element_table(kind, n).items))
 
 
 @given(st.data())
@@ -288,9 +288,9 @@ def test_up_sets_of_sublists_match_wachs_leq(data):
     # a sublist, in any order, misses heads and taus of its rank
     kind, n = data.draw(st.sampled_from(
         [("A", n) for n in range(1, 9)] + [("B", n) for n in range(1, 7)]))
-    sub = data.draw(st.lists(st.sampled_from(checks.wachs_elements(kind, n)),
+    sub = data.draw(st.lists(st.sampled_from(element_table(kind, n).items),
                              unique=True, max_size=60))
-    assert wachs_up_sets(sub, kind) == [
+    assert wachs_up_sets([encode(v) for v in sub], kind) == [
         sum(1 << b for b, v in enumerate(sub) if wachs_leq(u, v, kind))
         for u in sub]
 

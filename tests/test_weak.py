@@ -15,7 +15,7 @@ from wachsposets.perms import (
 )
 from wachsposets.posets import (dominance_up_sets, grade, lattice_checks,
                                 poset_isomorphic)
-from wachsposets.wachs import enumerate_wachs
+from wachsposets.wachs import element_table, enumerate_wachs
 from wachsposets.weak import inversion_row, tl_set_a, tl_set_b, weak_leq, \
     weak_product_iso
 
@@ -136,11 +136,14 @@ def test_left_weak_order_is_not_graded_on_wachs_elements():
 
 
 def test_product_structure():
-    res = weak_product_iso(weak_poset("A", 5, "R"), "A")
+    res = weak_product_iso(weak_poset("A", 5, "R"),
+                           element_table("A", 5).codes, "A")
     assert res.holds and res.witness is None
-    res = weak_product_iso(weak_poset("B", 4, "R"), "B")
+    res = weak_product_iso(weak_poset("B", 4, "R"),
+                           element_table("B", 4).codes, "B")
     assert res.holds
-    res = weak_product_iso(weak_poset("B", 2, "R"), "B")
+    res = weak_product_iso(weak_poset("B", 2, "R"),
+                           element_table("B", 2).codes, "B")
     assert res.holds
     for kind, n in (("A", 5), ("B", 4)):
         rep = lattice_checks(weak_poset(kind, n, "R"))
