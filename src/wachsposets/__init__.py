@@ -5,9 +5,8 @@ verification suite for their closed-form structure.
 """
 
 from .perms import (
-    BLength, SizeCapError, StatRecord, check_perm, check_window, compose,
-    descent_set_a, descent_set_b, embed_tilde, format_perm, format_window,
-    identity, inverse, length_a, length_b, parse_perm, parse_window,
+    BLength, SizeCapError, StatRecord, compose, descent_set_a, embed_tilde,
+    format_perm, format_window, identity, inverse, length_a, length_b,
     signed_reflection, stats_a,
 )
 from .bruhat import (
@@ -15,10 +14,9 @@ from .bruhat import (
 )
 from .qpoly import IntPolynomial, q_factorial, q_int
 from .posets import (
-    FinitePoset, build_poset, cartesian_product, characteristic_polynomial,
-    dominance_up_sets, dual_check, grade, lattice_checks, mobius_row,
-    mobius_rows, ordinal_product, poset_from_up, poset_isomorphic,
-    rank_generating_polynomial, to_dot, to_json,
+    FinitePoset, build_poset, characteristic_polynomial, dominance_up_sets,
+    dual_check, grade, lattice_checks, mobius_rows, poset_from_up,
+    poset_isomorphic, to_dot,
 )
 from .wachs import (
     KINDS, ClosedForms, Kind, chi_map, closed_polys, coatom_c, decode, encode,

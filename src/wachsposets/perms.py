@@ -24,13 +24,11 @@ from typing import Iterator, Sequence
 __all__ = [
     "MAX_N_A", "MAX_N_B", "SizeCapError",
     "PermWord", "Window", "StatRecord", "BLength",
-    "check_perm", "check_window", "identity", "compose", "inverse",
-    "length_a", "descent_set_a", "stats_a",
-    "length_b", "descent_set_b",
+    "identity", "compose", "inverse",
+    "length_a", "descent_set_a", "stats_a", "length_b",
     "full_value", "full_position", "embed_tilde",
     "signed_reflection",
-    "all_perms", "all_windows",
-    "parse_perm", "format_perm", "parse_window", "format_window",
+    "all_perms", "all_windows", "format_perm", "format_window",
 ]
 
 PermWord = tuple  # tuple[int, ...], one-line notation, values 1..n
@@ -43,50 +41,6 @@ MAX_N_B = 12
 
 class SizeCapError(ValueError):
     """Raised when a requested rank exceeds the supported size caps."""
-
-
-def check_perm(word: Sequence[int]) -> PermWord:
-    """Validate one-line notation and return it as a tuple.
-
-    >>> check_perm([3, 1, 2])
-    (3, 1, 2)
-    """
-    word = tuple(word)
-    n = len(word)
-    if n < 1:
-        raise ValueError("empty permutation")
-    if n > MAX_N_A:
-        raise SizeCapError(f"n={n} exceeds the cap {MAX_N_A} for permutations")
-    seen = set()
-    for v in word:
-        if not isinstance(v, int) or not 1 <= v <= n:
-            raise ValueError(f"value {v} out of range for n={n}")
-        if v in seen:
-            raise ValueError(f"not a bijection: value {v} repeated")
-        seen.add(v)
-    return word
-
-
-def check_window(window: Sequence[int]) -> Window:
-    """Validate window notation of a signed permutation.
-
-    >>> check_window([-2, 1])
-    (-2, 1)
-    """
-    window = tuple(window)
-    n = len(window)
-    if n < 1:
-        raise ValueError("empty window")
-    if n > MAX_N_B:
-        raise SizeCapError(f"n={n} exceeds the cap {MAX_N_B} for signed permutations")
-    seen = set()
-    for v in window:
-        if not isinstance(v, int) or not 1 <= abs(v) <= n:
-            raise ValueError(f"value {v} out of range for n={n}")
-        if abs(v) in seen:
-            raise ValueError(f"not a bijection: value {abs(v)} repeated")
-        seen.add(abs(v))
-    return window
 
 
 def identity(n: int) -> PermWord:
@@ -179,14 +133,6 @@ def length_b(window: Sequence[int]) -> BLength:
     return BLength(inv, neg, nsp)
 
 
-def descent_set_b(window: Sequence[int]) -> frozenset:
-    """D(w) = {i in {0,...,n-1} : w(i) > w(i+1)}, with w(0) = 0."""
-    d = set(i for i in range(1, len(window)) if window[i - 1] > window[i])
-    if window[0] < 0:
-        d.add(0)
-    return frozenset(d)
-
-
 def full_value(window: Sequence[int], k: int) -> int:
     """w(k) for a position k in [+-n]."""
     return window[k - 1] if k > 0 else -window[-k - 1]
@@ -266,39 +212,9 @@ def format_perm(word: Sequence[int]) -> str:
     return ",".join(map(str, word))
 
 
-def parse_perm(text: str) -> PermWord:
-    """Inverse of format_perm; rejects non-bijections.
-
-    >>> parse_perm("3412")
-    (3, 4, 1, 2)
-    """
-    text = text.strip()
-    if "," in text:
-        parts = [p.strip() for p in text.split(",")]
-    else:
-        parts = list(text)
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"cannot parse permutation {text!r}") from None
-    return check_perm(values)
-
-
 def format_window(window: Sequence[int]) -> str:
     """
     >>> format_window((-2, 1, 4, 3))
     '[-2,1,4,3]'
     """
     return "[" + ",".join(map(str, window)) + "]"
-
-
-def parse_window(text: str) -> Window:
-    """Inverse of format_window; rejects non-bijections."""
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        text = text[1:-1]
-    try:
-        values = [int(p.strip()) for p in text.split(",")]
-    except ValueError:
-        raise ValueError(f"cannot parse window {text!r}") from None
-    return check_window(values)

@@ -3,7 +3,7 @@ Finite posets over opaque string keys, with bitset internals.
 
 A FinitePoset keeps its elements in some linear extension; `up[i]` and
 `down[i]` are integer bitmasks of the (weak) up-set and down-set of element
-i.  All algorithms (grading, Moebius function, lattice tests, products,
+i.  All algorithms (grading, Moebius function, lattice tests, duality,
 isomorphism) work on these masks.  A poset holds no derived state: the
 Moebius function is computed one row at a time, by whoever needs it.
 """
@@ -17,15 +17,13 @@ from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .perms import SizeCapError
+from .qpoly import IntPolynomial
 
 __all__ = [
     "PosetError", "FinitePoset", "GradeResult", "LatticeReport",
     "build_poset", "poset_from_up", "dominance_up_sets", "grade",
-    "mobius_row", "mobius_rows", "rank_generating_polynomial",
-    "characteristic_polynomial",
-    "lattice_checks", "poset_isomorphic",
-    "cartesian_product", "ordinal_product", "dual_check",
-    "to_dot", "to_json",
+    "mobius_rows", "characteristic_polynomial",
+    "lattice_checks", "poset_isomorphic", "dual_check", "to_dot",
 ]
 
 VALIDATION_CAP = 25000   # A11 has 23040 elements
@@ -221,15 +219,21 @@ def grade(poset: FinitePoset) -> GradeResult:
     bot, top = poset.minimum(), poset.maximum()
     if bot is None or top is None:
         raise PosetError("grading needs a bounded poset")
-    n = len(poset)
-    ranks = [0] * n
-    for i, j in poset.covers:  # elements are in a linear extension
-        ranks[j] = max(ranks[j], ranks[i] + 1)
+    ranks = _heights(poset)
     for i, j in poset.covers:
         if ranks[j] - ranks[i] != 1:
             return GradeResult(False, tuple(ranks), None,
                                (poset.elements[i], poset.elements[j]))
     return GradeResult(True, tuple(ranks), ranks[top], None)
+
+
+def _heights(poset: FinitePoset) -> list:
+    """h(v) = 1 + max h over the elements v covers, 0 at the minimal ones:
+    the longest chain from a minimal element up to v."""
+    height = [0] * len(poset)
+    for i, j in poset.covers:  # elements are in a linear extension
+        height[j] = max(height[j], height[i] + 1)
+    return height
 
 
 def mobius_rows(poset: FinitePoset, us: Iterable[int]) -> Iterator[list]:
@@ -249,9 +253,7 @@ def mobius_rows(poset: FinitePoset, us: Iterable[int]) -> Iterator[list]:
     """
     n = len(poset)
     up = poset.up
-    height = [0] * n
-    for i, j in poset.covers:
-        height[j] = max(height[j], height[i] + 1)
+    height = _heights(poset)
     layers = [0] * (max(height, default=0) + 1)
     for i, h in enumerate(height):
         layers[h] |= 1 << i
@@ -297,22 +299,8 @@ def _add(planes: list, pos: list, neg: list, count: int, mask: int) -> None:
         shift += 1
 
 
-def mobius_row(poset: FinitePoset, u: int) -> list:
-    """mu(u, v) for every v, 0 where u is not below v."""
-    return next(mobius_rows(poset, [u]))
-
-
-def rank_generating_polynomial(poset: FinitePoset):
-    from .qpoly import IntPolynomial
-    g = grade(poset)
-    if not g.graded:
-        raise PosetError("poset is not graded")
-    return IntPolynomial(map(g.ranks.count, range(g.rank + 1)))
-
-
 def characteristic_polynomial(poset: FinitePoset):
     """Sum of mu(0, z) * x^(rank - rank(z)) over all z."""
-    from .qpoly import IntPolynomial
     g = grade(poset)
     if not g.graded:
         raise PosetError("poset is not graded")
@@ -470,31 +458,6 @@ def poset_isomorphic(p: FinitePoset, q: FinitePoset):
     return True, {p.elements[i]: q.elements[mapping[i]] for i in range(n)}
 
 
-def _product(p: FinitePoset, q: FinitePoset, leq_pair) -> FinitePoset:
-    items = [(i, j) for i in range(len(p)) for j in range(len(q))]
-
-    def key(pair):
-        return f"({p.elements[pair[0]]},{q.elements[pair[1]]})"
-
-    return build_poset(items, leq_pair, key=key)
-
-
-def cartesian_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    """Componentwise order on pairs."""
-    def leq_pair(a, b):
-        return p.leq(a[0], b[0]) and q.leq(a[1], b[1])
-    return _product(p, q, leq_pair)
-
-
-def ordinal_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    """(a,b) <= (c,d) iff a < c, or a == c and b <= d."""
-    def leq_pair(a, b):
-        if a[0] == b[0]:
-            return q.leq(a[1], b[1])
-        return p.leq(a[0], b[0])
-    return _product(p, q, leq_pair)
-
-
 def dual_check(poset: FinitePoset, mapping: dict) -> bool:
     """True iff the key mapping is an antiautomorphism: u<=v iff f(v)<=f(u).
 
@@ -531,15 +494,3 @@ def to_dot(poset: FinitePoset) -> str:
         lines.append(f'  "{poset.elements[i]}" -> "{poset.elements[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def to_json(poset: FinitePoset) -> dict:
-    out = {"elements": list(poset.elements),
-           "covers": [list(c) for c in poset.covers]}
-    try:
-        g = grade(poset)
-        if g.graded:
-            out["rank"] = list(g.ranks)
-    except PosetError:
-        pass
-    return out

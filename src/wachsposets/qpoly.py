@@ -8,7 +8,6 @@ q-analogues and characteristic polynomials.
 
 from __future__ import annotations
 
-import re
 from typing import Sequence
 
 __all__ = ["IntPolynomial", "X", "ONE", "ZERO", "q_int", "q_factorial"]
@@ -27,11 +26,6 @@ class IntPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -140,43 +134,6 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self.coeffs!r})"
-
-    _TERM = re.compile(
-        r"^(?P<coeff>-?\d+)?(?:(?(coeff)\*|)(?P<x>x)(?:\^(?P<pow>\d+))?)?$")
-
-    @classmethod
-    def parse(cls, text: str) -> "IntPolynomial":
-        """Parse the display form, e.g. '1 + 2*x + x^3'.
-
-        >>> IntPolynomial.parse("1 + 2*x + x^3") == 1 + 2*X + X**3
-        True
-        """
-        text = text.strip()
-        if text == "0":
-            return cls()
-        chunks = re.split(r"\s*([+-])\s*", text)
-        if chunks[0] == "":
-            chunks = chunks[1:]
-        else:
-            chunks = ["+"] + chunks
-        if len(chunks) % 2 != 0:
-            raise ValueError(f"cannot parse polynomial {text!r}")
-        coeffs: dict[int, int] = {}
-        for sign, term in zip(chunks[::2], chunks[1::2]):
-            m = cls._TERM.match(term.replace(" ", ""))
-            if not m or (m.group("coeff") is None and m.group("x") is None):
-                raise ValueError(f"cannot parse term {term!r}")
-            c = int(m.group("coeff")) if m.group("coeff") is not None else 1
-            if sign == "-":
-                c = -c
-            p = 0
-            if m.group("x"):
-                p = int(m.group("pow")) if m.group("pow") else 1
-            coeffs[p] = coeffs.get(p, 0) + c
-        out = [0] * (max(coeffs) + 1)
-        for p, c in coeffs.items():
-            out[p] = c
-        return cls(out)
 
 
 X = IntPolynomial((0, 1))

@@ -44,7 +44,7 @@ __all__ = [
     "wachs_leq", "wachs_up_sets", "wachs_covers", "wachs_cover_masks",
     "involution_wa", "involution_wb", "coatom_c", "mobius_closed",
     "ClosedForms", "closed_polys",
-    "stats_distribution_check", "stabilizer_gi", "descent_class",
+    "stats_distribution_check", "stabilizer_gi",
 ]
 
 
@@ -613,9 +613,3 @@ def stabilizer_gi(n: int) -> list:
             if all(compose(compose(w, s), wi) in gen_set for s in gens):
                 out.append(w)
     return sorted(out)
-
-
-def descent_class(n: int, free: frozenset) -> list:
-    """Permutations of [n] that ascend at every position in `free`."""
-    return [p for p in itertools.permutations(range(1, n + 1))
-            if all(p[i - 1] < p[i] for i in free)]

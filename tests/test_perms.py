@@ -8,27 +8,36 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wachsposets.bruhat
+import wachsposets.checks
 import wachsposets.perms
 import wachsposets.posets
 import wachsposets.qpoly
 import wachsposets.wachs
 import wachsposets.weak
 from wachsposets.perms import (
-    BLength, SizeCapError, all_perms, all_windows, check_perm, check_window,
-    compose, descent_set_a, descent_set_b, embed_tilde, format_perm,
-    format_window, identity, inverse, length_a, length_b, parse_perm,
-    parse_window, signed_reflection, stats_a,
+    BLength, SizeCapError, all_perms, all_windows, compose, descent_set_a,
+    embed_tilde, format_perm, format_window, identity, inverse, length_a,
+    length_b, signed_reflection, stats_a,
 )
 from wachsposets.qpoly import IntPolynomial, q_factorial, q_int
 from wachsposets.wachs import longest_element
 
 
-@pytest.mark.parametrize("mod", [
+MODULES = [
     wachsposets.perms, wachsposets.bruhat, wachsposets.qpoly,
     wachsposets.posets, wachsposets.wachs, wachsposets.weak,
-])
+]
+
+
+@pytest.mark.parametrize("mod", MODULES)
 def test_module_doctests(mod):
     assert doctest.testmod(mod).failed == 0
+
+
+@pytest.mark.parametrize("mod", MODULES + [wachsposets.checks])
+def test_all_names_exist(mod):
+    """`from mod import *` fails on a name in __all__ that is gone."""
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 perm_strategy = st.integers(1, 8).flatmap(
@@ -160,13 +169,6 @@ def test_poincare_series():
 def test_descent_sets():
     assert descent_set_a((3, 4, 1, 2)) == frozenset({2})
     assert descent_set_a((1, 2, 3)) == frozenset()
-    assert descent_set_b((1, 2, 3)) == frozenset()
-    assert descent_set_b((-1, 3, 2)) == frozenset({0, 2})
-    for w in all_windows(3):
-        want = {i for i in range(1, 3) if w[i - 1] > w[i]}
-        if w[0] < 0:
-            want.add(0)
-        assert descent_set_b(w) == frozenset(want)
 
 
 def test_stats_record():
@@ -215,28 +217,11 @@ def test_signed_reflections():
 # --------------------------------------------------------------- text forms
 
 
-def test_format_and_parse_round_trip():
+def test_text_forms():
     assert format_perm((3, 4, 1, 2)) == "3412"
-    assert parse_perm("3412") == (3, 4, 1, 2)
     assert format_window((-2, 1, 4, 3)) == "[-2,1,4,3]"
-    assert parse_window("[-2,1,4,3]") == (-2, 1, 4, 3)
-    big = tuple(range(10, 0, -1))
-    assert parse_perm(format_perm(big)) == big
-    for p in all_perms(4):
-        assert parse_perm(format_perm(p)) == p
-    for w in all_windows(3):
-        assert parse_window(format_window(w)) == w
-
-
-def test_validation_rejects_malformed_input():
-    with pytest.raises(ValueError):
-        check_perm((1, 1, 2))
-    with pytest.raises(ValueError):
-        check_perm((0, 1, 2))
-    with pytest.raises(ValueError):
-        check_window((2, 2, -1))
-    with pytest.raises(ValueError):
-        check_window((1, 4, 2))
+    # from n = 10 on, the values are comma separated
+    assert format_perm(tuple(range(10, 0, -1))) == "10,9,8,7,6,5,4,3,2,1"
 
 
 def test_size_cap_error_is_value_error():

@@ -1,5 +1,5 @@
 """Generic finite poset engine: construction, grading, Moebius function,
-polynomials, products, duality and isomorphism."""
+characteristic polynomial, duality and isomorphism."""
 
 import itertools
 
@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wachsposets.posets import (
-    LatticeReport, PosetError, build_poset, cartesian_product,
-    characteristic_polynomial, dominance_up_sets, dual_check, grade,
-    lattice_checks, mobius_row, mobius_rows,
-    ordinal_product, poset_from_up, poset_isomorphic,
-    rank_generating_polynomial, to_dot, to_json,
+    LatticeReport, PosetError, build_poset, characteristic_polynomial,
+    dominance_up_sets, dual_check, grade, lattice_checks, mobius_rows,
+    poset_from_up, poset_isomorphic, to_dot,
 )
-from wachsposets.qpoly import IntPolynomial, q_int
+from wachsposets.qpoly import IntPolynomial
 from mobius_oracle import mobius_row_by_recursion
 
 
@@ -242,7 +240,7 @@ def test_grade_requires_bounds():
 
 def test_mobius_of_boolean_lattice():
     p = subsets_poset(3)
-    row = mobius_row(p, p.minimum())
+    row = next(mobius_rows(p, [p.minimum()]))
     assert row[p.maximum()] == -1
     for j, s in enumerate(p.items):
         assert row[j] == (-1) ** len(s)
@@ -250,7 +248,7 @@ def test_mobius_of_boolean_lattice():
 
 def test_mobius_of_divisor_lattice():
     p = divisor_poset(60)
-    mu = dict(zip(p.items, mobius_row(p, p.minimum())))
+    mu = dict(zip(p.items, next(mobius_rows(p, [p.minimum()]))))
     assert mu[30] == -1 and mu[60] == 0 and mu[6] == 1 and mu[2] == -1
 
 
@@ -284,14 +282,14 @@ def two_levels():
 
 
 def test_mobius_recursion_identity():
-    assert mobius_row(m3(), 0)[-1] == 2
+    assert next(mobius_rows(m3(), [0]))[-1] == 2
     for p in (subsets_poset(3), divisor_poset(60), m3(), two_levels()):
         assert_mobius_recursion(p)
 
 
 def test_mobius_rows_carry_and_shift_large_values():
     p = two_levels()
-    mu = dict(zip(p.elements, mobius_row(p, p.minimum())))
+    mu = dict(zip(p.elements, next(mobius_rows(p, [p.minimum()]))))
     assert mu == {"0": 1, "a1": -1, "a2": -1, "a3": -1, "a4": -1,
                   "a5": -1, "b1": 4, "b2": 4, "1": -4}
     # mu(u, 1) from rows other than the minimum's: u = 0, a1 and b1
@@ -305,12 +303,6 @@ def test_mobius_recursion_identity_on_random_bounded_posets(data):
 
 
 # -------------------------------------------------------------- polynomials
-
-
-def test_rank_generating_polynomial():
-    assert rank_generating_polynomial(chain(4)) == q_int(4)
-    assert rank_generating_polynomial(subsets_poset(3)) == \
-        IntPolynomial([1, 3, 3, 1])
 
 
 def test_characteristic_polynomial():
@@ -393,35 +385,7 @@ def test_lattice_checks_match_the_definition(data):
         _lattice_by_definition(n, rel)
 
 
-# ----------------------------------------------------------------- products
-
-
-def test_cartesian_product_of_chains_is_a_grid():
-    p = cartesian_product(chain(2), chain(2))
-    assert poset_isomorphic(p, subsets_poset(2))[0]
-
-
-def test_ordinal_product_of_chains_is_a_chain():
-    p = ordinal_product(chain(3), chain(4))
-    assert poset_isomorphic(p, chain(12))[0]
-
-
-def test_ordinal_product_order():
-    p = ordinal_product(chain(2), antichain(2))
-    # (0, x) <= (1, y) for all x, y; no order within a level
-    idx = {p.items[i]: i for i in range(len(p))}
-    assert p.leq(idx[(0, 0)], idx[(1, 1)])
-    assert not p.leq(idx[(0, 0)], idx[(0, 1)])
-
-
-def test_product_rank_polynomials_multiply():
-    a, b = subsets_poset(2), chain(3)
-    got = rank_generating_polynomial(cartesian_product(a, b))
-    assert got == (rank_generating_polynomial(a)
-                   * rank_generating_polynomial(b))
-
-
-# -------------------------------------------------------- duality, iso, I/O
+# -------------------------------------------------------- duality, iso, DOT
 
 
 @given(st.data())
@@ -448,8 +412,9 @@ def test_dual_check_on_a_chain():
 def test_isomorphism_decisions():
     assert poset_isomorphic(chain(3), chain(3))[0]
     assert not poset_isomorphic(chain(3), antichain(3))[0]
-    ok, mapping = poset_isomorphic(subsets_poset(2),
-                                   cartesian_product(chain(2), chain(2)))
+    grid = build_poset(itertools.product(range(2), repeat=2),
+                       lambda a, b: a[0] <= b[0] and a[1] <= b[1])
+    ok, mapping = poset_isomorphic(subsets_poset(2), grid)
     assert ok and len(mapping) == 4
 
 
@@ -459,11 +424,3 @@ def test_dot_export():
     assert "rankdir=BT" in dot
     assert "rank=same" in dot
     assert dot.count("->") == len(p.covers)
-
-
-def test_json_export():
-    p = chain(3)
-    data = to_json(p)
-    assert data["elements"] == ["0", "1", "2"]
-    assert data["covers"] == [[0, 1], [1, 2]]
-    assert data["rank"] == [0, 1, 2]

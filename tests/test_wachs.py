@@ -15,11 +15,10 @@ from wachsposets.perms import (
 )
 from wachsposets.qpoly import IntPolynomial, X
 from wachsposets.wachs import (
-    _frozen_cells, chi_map, closed_polys, coatom_c, decode, descent_class,
-    element_table, encode, enumerate_wachs, f_map, involution_wa,
-    involution_wb, is_wachs, kind_record, longest_element, mobius_closed,
-    rank_lw, stabilizer_gi, star, stats_distribution_check, wachs_covers,
-    wachs_leq, wachs_up_sets,
+    _frozen_cells, chi_map, closed_polys, coatom_c, decode, element_table,
+    encode, enumerate_wachs, f_map, involution_wa, involution_wb, is_wachs,
+    kind_record, longest_element, mobius_closed, rank_lw, stabilizer_gi,
+    star, stats_distribution_check, wachs_covers, wachs_leq, wachs_up_sets,
 )
 
 
@@ -571,10 +570,3 @@ def test_stabilizer_matches_the_scan_of_all_of_s_n():
                 if all(compose(compose(w, s), inverse(w)) in gens
                        for s in gens)]
         assert stabilizer_gi(n) == scan
-
-
-def test_descent_class():
-    cls = descent_class(6, frozenset({1}))
-    assert (1, 2, 4, 3, 6, 5) in cls
-    assert (5, 6, 1, 2, 3, 4) in cls
-    assert len(cls) == math.factorial(6) // 2
