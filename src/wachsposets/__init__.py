@@ -10,7 +10,7 @@ from .perms import (
     signed_reflection, stats_a,
 )
 from .bruhat import (
-    bruhat_leq_a, bruhat_leq_b, bruhat_up_sets, covers_a, covers_b,
+    bruhat_covers, bruhat_leq_a, bruhat_leq_b, bruhat_up_sets,
 )
 from .qpoly import IntPolynomial, q_factorial, q_int
 from .posets import (
@@ -20,7 +20,7 @@ from .posets import (
 )
 from .wachs import (
     KINDS, ClosedForms, Kind, chi_map, closed_polys, coatom_c, decode, encode,
-    enumerate_wachs, f_map, involution_wa, involution_wb, is_wachs,
+    enumerate_wachs, f_map, involution, is_wachs,
     kind_record, longest_element, mobius_closed, rank_lw, star, wachs_covers,
     wachs_leq, wachs_up_sets,
 )

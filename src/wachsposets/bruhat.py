@@ -6,8 +6,10 @@ smaller element: u <= v iff for every k in D(u) the increasing rearrangement
 of u(1..k) is componentwise <= that of v(1..k).
 
 Comparison in B_n goes through the order-preserving embedding of the full
-map on [+-n] into S_2n (see perms.embed_tilde).  Covers in B_n are computed
-directly from the cover description by suitable "free rises".
+map on [+-n] into S_2n (see perms.embed_tilde).  Covers have one rule for
+both groups: w t for the reflections t of B_n that lower the length by
+one, which on S_n, a standard parabolic subgroup of B_n, are the covers
+in S_n.
 
 `bruhat_up_sets` compares a whole list of permutations at once with the
 same criterion over every k; the pairwise oracles above are the
@@ -21,11 +23,11 @@ from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
-from .perms import embed_tilde, full_value
+from .perms import compose, embed_tilde, length_b, signed_reflection
 from .posets import dominance_up_sets
 
 __all__ = ["bruhat_leq_a", "bruhat_leq_b", "bruhat_up_sets",
-           "covers_a", "covers_b"]
+           "bruhat_covers"]
 
 
 @lru_cache(maxsize=262144)
@@ -82,61 +84,27 @@ def bruhat_up_sets(words: Sequence[Sequence[int]]) -> list:
          for w in words])
 
 
-def covers_a(p: Sequence[int]) -> set:
-    """The set of permutations covered by p in Bruhat order.
+@lru_cache(maxsize=None)
+def _reflections(n: int) -> tuple:
+    """The n^2 reflections (i, j)_B of B_n, i < |j| or j = -i."""
+    return tuple(signed_reflection(i, j, n) for i in range(1, n + 1)
+                 for j in range(-n, n + 1) if abs(j) > i or j == -i)
 
-    q is covered by p iff q = p with positions i < j exchanged, where
-    p(i) > p(j) and no position between them holds an intermediate value.
+
+def bruhat_covers(w: Sequence[int]) -> set:
+    """The elements covered by w in Bruhat order, for w in S_n or B_n:
+    the w t, t a reflection of B_n, with l(w t) = l(w) - 1
+    (Bjorner-Brenti, GTM 231, Def. 2.1.1 and the chain property,
+    Thm 2.2.6).  S_n is a standard parabolic subgroup of B_n, so a
+    reflection that changes a sign makes an unsigned w longer, and for
+    w in S_n these are its covers in S_n.
+
+    >>> sorted(bruhat_covers((2, 1, 4, 3)))
+    [(1, 2, 4, 3), (2, 1, 3, 4)]
+    >>> bruhat_covers((-1, 2))
+    {(1, 2)}
     """
-    p = tuple(p)
-    n = len(p)
-    out = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if p[i] <= p[j]:
-                continue
-            if any(p[j] < p[k] < p[i] for k in range(i + 1, j)):
-                continue
-            q = list(p)
-            q[i], q[j] = q[j], q[i]
-            out.add(tuple(q))
-    return out
-
-
-def covers_b(v: Sequence[int]) -> set:
-    """The set of signed permutations covered by v in Bruhat order.
-
-    u is covered by v iff v arises from u by a free rise (i, j): either the
-    symmetric swap at positions i, j and -i, -j when the rise is not
-    central, or the single swap at positions -j, j when it is central.
-    Conditions (rise, free, centrality) are evaluated on u.
-    """
-    v = tuple(v)
-    n = len(v)
-    positions = [k for k in range(-n, n + 1) if k != 0]
-    out = set()
-    for a in range(len(positions)):
-        for b in range(a + 1, len(positions)):
-            i, j = positions[a], positions[b]
-            vi, vj = full_value(v, i), full_value(v, j)
-            if vi <= vj:
-                continue  # (i, j) must be an inversion of v
-            if i == -j:
-                # central symmetric rise of u: swap positions -j, j only
-                if any(vj < full_value(v, k) < vi
-                       for k in range(i + 1, j) if k != 0):
-                    continue
-                u = list(v)
-                u[j - 1] = -u[j - 1]
-                out.add(tuple(u))
-            else:
-                # non-central rise: swap (i, j) and (-i, -j) simultaneously
-                f = {k: full_value(v, k) for k in positions}
-                f[i], f[j] = f[j], f[i]
-                f[-i], f[-j] = f[-j], f[-i]
-                if i < 0 < j and f[i] < 0 < f[j]:
-                    continue  # central rectangles need the symmetric case
-                if any(f[i] < f[k] < f[j] for k in range(i + 1, j) if k != 0):
-                    continue
-                out.add(tuple(f[k] for k in range(1, n + 1)))
-    return out
+    w = tuple(w)
+    below = length_b(w).total - 1
+    return {u for u in (compose(w, t) for t in _reflections(len(w)))
+            if length_b(u).total == below}

@@ -85,7 +85,7 @@ def _check_graded(kind, n):
 def _check_order(kind, n):
     p = bruhat_poset(kind, n)
     codes = wachs.element_table(kind, n).codes
-    for i, up in enumerate(wachs.wachs_up_sets(codes, kind)):
+    for i, up in enumerate(wachs.wachs_up_sets(codes)):
         diff = up ^ p.up[i]
         if diff:
             j = (diff & -diff).bit_length() - 1
@@ -99,7 +99,7 @@ def _check_covers(kind, n):
     for i, j in p.covers:
         below[j] |= 1 << i
     codes = wachs.element_table(kind, n).codes
-    for j, mask in enumerate(wachs.wachs_cover_masks(codes, kind)):
+    for j, mask in enumerate(wachs.wachs_cover_masks(codes)):
         if mask != below[j]:
             return False, f"covers of {p.elements[j]}"
     return True, None

@@ -12,12 +12,12 @@ signed Wachs permutations.  Every such element is encoded by a code
 read as (*slot, tau, T), with head code[:-1].  Comparison, covers, Moebius
 values and rank polynomials reduce to the code; subsets are frozensets.
 
-Types A and B share one code path.  A `Kind` record holds what differs
-between them: the group G_m (S_m or B_m), its Bruhat oracles, length and
-text form.  S_m is a standard parabolic subgroup of B_m, so the Bruhat
-order, covers, length and lower intervals of B_m restricted to S_m are
-those of S_m, and the signed rules read on unsigned codes are the type-A
-rules.
+Types A and B share one code path.  S_m is a standard parabolic subgroup
+of B_m, so the Bruhat order, covers, length and lower intervals of B_m
+restricted to S_m are those of S_m: the order, covers and ranks run the
+signed rules, and read the type from the code.  A `Kind` record holds
+what the enumeration and the output need by type: the group G_m (S_m or
+B_m), its ambient image, length, text form and caps.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from collections import namedtuple
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import qpoly
-from .bruhat import (bruhat_leq_a, bruhat_leq_b, bruhat_up_sets, covers_a,
-                     covers_b)
+from .bruhat import bruhat_covers, bruhat_leq_b, bruhat_up_sets
 from .perms import (
     MAX_N_A, MAX_N_B, SizeCapError, all_perms, all_windows, compose,
     embed_tilde, format_perm, format_window, full_position, full_value,
@@ -42,7 +41,7 @@ __all__ = [
     "star", "is_wachs", "enumerate_wachs", "ElementTable", "element_table",
     "encode", "decode", "chi_map", "f_map", "rank_lw",
     "wachs_leq", "wachs_up_sets", "wachs_covers", "wachs_cover_masks",
-    "involution_wa", "involution_wb", "coatom_c", "mobius_closed",
+    "involution", "coatom_c", "mobius_closed",
     "ClosedForms", "closed_polys",
     "stats_distribution_check", "stabilizer_gi",
 ]
@@ -55,9 +54,7 @@ __all__ = [
 class Kind:
     """What type A (G_m = S_m) and type B (G_m = B_m) differ in."""
     elements: Callable[[int], Iterator[tuple]]   # all of G_m, lazily
-    leq: Callable[[tuple, tuple], bool]          # Bruhat order on G_m
     ambient: Callable[[tuple], tuple]            # Bruhat embedding in S_m/S_2m
-    covers: Callable[[tuple], set]               # Bruhat covers in G_m
     length: Callable[[Sequence[int]], int]
     key: Callable[[Sequence[int]], str]          # text form of an element
     w0: Callable[[int], tuple]                   # longest element of G_m
@@ -65,19 +62,12 @@ class Kind:
     max_n: int                                   # largest n enumerated
 
 
-# The Bruhat oracles are looked up by their names in this module at each
-# call rather than stored, so that rebinding those names (as the layer
-# trace in bench/layertrace.py does) reaches every caller of the record.
 KINDS = {
-    "A": Kind(elements=all_perms,
-              leq=lambda u, v: bruhat_leq_a(u, v), ambient=tuple,
-              covers=lambda w: covers_a(w),
+    "A": Kind(elements=all_perms, ambient=tuple,
               length=length_a, key=format_perm,
               w0=lambda n: tuple(range(n, 0, -1)),
               default_cap=8, max_n=MAX_N_A),
-    "B": Kind(elements=all_windows,
-              leq=lambda u, v: bruhat_leq_b(u, v), ambient=embed_tilde,
-              covers=lambda w: covers_b(w),
+    "B": Kind(elements=all_windows, ambient=embed_tilde,
               length=lambda w: length_b(w).total, key=format_window,
               w0=lambda n: tuple(range(-1, -n - 1, -1)),
               default_cap=6, max_n=MAX_N_B),
@@ -201,6 +191,8 @@ def encode(v: tuple):
     (-3, (-1, 3, 2), frozenset({1}))
     """
     n = len(v)
+    if sorted(map(abs, v)) != list(range(1, n + 1)):
+        raise ValueError(f"{v} is not a (signed) permutation")
     if not is_wachs(v):
         raise ValueError(f"{v} is not a Wachs permutation")
     slot = ()
@@ -248,10 +240,9 @@ def f_map(v: Sequence[int]) -> tuple:
 # ---------------------------------------------------------------- rank
 
 
-def rank_lw(v: Sequence[int], kind: str) -> int:
+def rank_lw(v: Sequence[int]) -> int:
     """Length of v above the minimal element of its coset: l(v) - l(tau)."""
-    length = kind_record(kind).length
-    return length(v) - length(f_map(v))
+    return length_b(v).total - length_b(f_map(v)).total
 
 
 # ---------------------------------------------------------------- order
@@ -312,7 +303,7 @@ def _slot_window(slot_u: tuple, slot_v: tuple, m: int) -> frozenset:
     return frozenset(window)
 
 
-def _keep(hu: tuple, hv: tuple, kind: str) -> Optional[frozenset]:
+def _keep(hu: tuple, hv: tuple) -> Optional[frozenset]:
     """The cells on which the subset of u must lie inside that of v for
     u <= v, given the heads hu = code(u)[:-1] and hv = code(v)[:-1]; None
     when the heads alone forbid u <= v.
@@ -323,19 +314,18 @@ def _keep(hu: tuple, hv: tuple, kind: str) -> Optional[frozenset]:
     """
     slot_u, sigma = hu[:-1], hu[-1]
     slot_v, tau = hv[:-1], hv[-1]
-    if slot_v > slot_u or not kind_record(kind).leq(sigma, tau):
+    if slot_v > slot_u or not bruhat_leq_b(sigma, tau):
         return None
     keep = _frozen_cells(sigma, tau)
     return keep & _slot_window(slot_u, slot_v, len(sigma))
 
 
-def wachs_leq(u: Sequence[int], v: Sequence[int], kind: str) -> bool:
+def wachs_leq(u: Sequence[int], v: Sequence[int]) -> bool:
     """Bruhat comparison of (signed) Wachs permutations, via codes only."""
-    kind_record(kind)                 # rejects an unknown kind up front
     if len(u) != len(v):
         raise ValueError("rank mismatch")
     cu, cv = encode(tuple(u)), encode(tuple(v))
-    keep = _keep(cu[:-1], cv[:-1], kind)
+    keep = _keep(cu[:-1], cv[:-1])
     return keep is not None and cu[-1] & keep <= cv[-1]
 
 
@@ -349,7 +339,7 @@ def _spread(mask: int, rows: list) -> int:
     return out
 
 
-def wachs_up_sets(codes: Sequence[tuple], kind: str) -> list:
+def wachs_up_sets(codes: Sequence[tuple]) -> list:
     """Up-sets of `wachs_leq` on the codes of a list of Wachs elements of
     one rank, as bitmasks: bit b of up[a] is set iff the element of
     codes[a] lies below that of codes[b].
@@ -363,7 +353,7 @@ def wachs_up_sets(codes: Sequence[tuple], kind: str) -> list:
     up[a] = Adm(g) & AND over c in the subset of a of (Free_c(g) | the
     elements whose subset holds c).
 
-    >>> wachs_up_sets([encode((1, 2)), encode((2, 1))], "A")
+    >>> wachs_up_sets([encode((1, 2)), encode((2, 1))])
     [3, 2]
     """
     if not codes:
@@ -377,8 +367,8 @@ def wachs_up_sets(codes: Sequence[tuple], kind: str) -> list:
             holders[c] |= 1 << b
     taus = sorted({head[-1] for head in members})
     index = {tau: t for t, tau in enumerate(taus)}
-    above = bruhat_up_sets([kind_record(kind).ambient(tau) for tau in taus])
     images = [embed_tilde(tau) for tau in taus]
+    above = bruhat_up_sets(images)
     same = {}               # same[c][t]: the taus signed like tau_t at c
     for c in cells:
         sigs = [_signature(p, c) for p in images]
@@ -418,18 +408,20 @@ def wachs_up_sets(codes: Sequence[tuple], kind: str) -> list:
     return up
 
 
-def _moves(tau, kind: str) -> list:
+# shared by every element with this tau, in every rank and call
+@functools.lru_cache(maxsize=None)
+def _moves(tau) -> tuple:
     """The covers sigma of tau in G_m, each with the window positions
     moved by tau^-1 sigma (the cells of a reflection)."""
     tau_inv = inverse(tau)
     out = []
-    for sigma in kind_record(kind).covers(tau):
+    for sigma in bruhat_covers(tau):
         r = compose(tau_inv, sigma)
         out.append((sigma, frozenset(k for k, x in enumerate(r, 1) if x != k)))
-    return out
+    return tuple(out)
 
 
-def _cover_codes(code, moves: list) -> list:
+def _cover_codes(code, moves: tuple) -> list:
     """Codes of the elements covered by the element with this code, given
     the `_moves` of its tau."""
     *slot, tau, t = code
@@ -449,33 +441,28 @@ def _cover_codes(code, moves: list) -> list:
     return out
 
 
-def wachs_covers(v: Sequence[int], kind: str) -> set:
+def wachs_covers(v: Sequence[int]) -> set:
     """Elements covered by v inside the (signed) Wachs permutations."""
     code = encode(tuple(v))
-    covered = _cover_codes(code, _moves(code[-2], kind))
+    covered = _cover_codes(code, _moves(code[-2]))
     return {decode(c, len(v)) for c in covered}
 
 
-def wachs_cover_masks(codes: Sequence[tuple], kind: str) -> list:
+def wachs_cover_masks(codes: Sequence[tuple]) -> list:
     """Lower covers of `wachs_covers` on the codes of a list of Wachs
     elements of one rank, as bitmasks: bit b of masks[a] is set iff the
     element of codes[b] is covered by that of codes[a]; a covered
-    element missing from the list sets bit len(codes).  The covers of
-    each tau in G_m are found once.
+    element missing from the list sets bit len(codes).
 
-    >>> wachs_cover_masks([encode((1, 2)), encode((2, 1))], "A")
+    >>> wachs_cover_masks([encode((1, 2)), encode((2, 1))])
     [0, 1]
     """
     index = {code: b for b, code in enumerate(codes)}
     missing = len(codes)
-    moves: dict = {}
     out = []
     for code in codes:
-        tau = code[-2]
-        if tau not in moves:
-            moves[tau] = _moves(tau, kind)
         mask = 0
-        for c in _cover_codes(code, moves[tau]):
+        for c in _cover_codes(code, _moves(code[-2])):
             mask |= 1 << index.get(c, missing)
         out.append(mask)
     return out
@@ -484,34 +471,18 @@ def wachs_cover_masks(codes: Sequence[tuple], kind: str) -> list:
 # ---------------------------------------------------------------- involutions
 
 
-def involution_wa(v: Sequence[int], i: int, j: int) -> tuple:
-    """The fixed-point-free involution on [l(u), l(w^A_ij(u))] intervals:
-    exchange tau(i), tau(j) and toggle i, j in T.
+def involution(code, i: int, j: int) -> tuple:
+    """The fixed-point-free involution on [l(u), l(w_ij(u))] intervals,
+    on codes: tau -> tau (i,j)_B, T -> T symmetric-difference {i, |j|}.
 
-    >>> involution_wa((4, 3, 1, 2, 7, 6, 5), 2, 3)
+    >>> decode(involution(encode((4, 3, 1, 2, 7, 6, 5)), 2, 3), 7)
     (4, 3, 6, 5, 7, 1, 2)
-    """
-    n = len(v)
-    m = n // 2
-    if not 1 <= i < j <= m:
-        raise ValueError(f"need 1 <= i < j <= {m}")
-    swap = list(identity(m))
-    swap[i - 1], swap[j - 1] = j, i
-    *slot, tau, t = encode(tuple(v))
-    return decode((*slot, compose(tau, tuple(swap)), t ^ {i, j}), n)
-
-
-def involution_wb(code, i: int, j: int):
-    """Code-level involution for even signed rank: tau -> tau (i,j)_B,
-    T -> T symmetric-difference {i, |j|}.
-
-    >>> involution_wb(((-2, 1, 4, 3), frozenset({1, 4})), 3, -3)
+    >>> involution(((-2, 1, 4, 3), frozenset({1, 4})), 3, -3)
     ((-2, 1, -4, 3), frozenset({1, 3, 4}))
     """
-    tau, t = code
-    m = len(tau)
-    refl = signed_reflection(i, j, m)
-    return (compose(tau, refl), t ^ {i, abs(j)})
+    *slot, tau, t = code
+    refl = signed_reflection(i, j, len(tau))
+    return (*slot, compose(tau, refl), t ^ {i, abs(j)})
 
 
 def coatom_c(v: Sequence[int]) -> tuple:

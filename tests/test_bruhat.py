@@ -2,7 +2,7 @@
 
 import itertools
 
-from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
+from wachsposets.bruhat import bruhat_covers, bruhat_leq_a, bruhat_leq_b
 from wachsposets.perms import (
     all_perms, all_windows, compose, embed_tilde, identity, inverse, length_a,
     length_b,
@@ -26,9 +26,9 @@ def test_known_comparisons_b():
 
 
 def test_known_covers():
-    assert covers_a((2, 1, 4, 3)) == {(1, 2, 4, 3), (2, 1, 3, 4)}
-    assert covers_b((2, 1)) == {(1, 2)}
-    assert covers_b((-1, 2)) == {(1, 2)}
+    assert bruhat_covers((2, 1, 4, 3)) == {(1, 2, 4, 3), (2, 1, 3, 4)}
+    assert bruhat_covers((2, 1)) == {(1, 2)}
+    assert bruhat_covers((-1, 2)) == {(1, 2)}
 
 
 def test_order_properties_a():
@@ -55,7 +55,7 @@ def test_leq_matches_cover_reachability():
         reach = [1 << i for i in range(len(perms))]
         # saturate downward reachability by rank, low to high
         for p in sorted(perms, key=length_a):
-            for q in covers_a(p):
+            for q in bruhat_covers(p):
                 reach[idx[p]] |= reach[idx[q]]
         for p in perms:
             for q in perms:
@@ -67,7 +67,7 @@ def test_leq_matches_cover_reachability_b():
     idx = {w: i for i, w in enumerate(wins)}
     reach = [1 << i for i in range(len(wins))]
     for w in sorted(wins, key=lambda w: length_b(w).total):
-        for u in covers_b(w):
+        for u in bruhat_covers(w):
             reach[idx[w]] |= reach[idx[u]]
     for w in wins:
         for u in wins:
@@ -76,13 +76,37 @@ def test_leq_matches_cover_reachability_b():
 
 def test_covers_raise_length_by_one():
     for p in all_perms(5):
-        for q in covers_a(p):
+        for q in bruhat_covers(p):
             assert length_a(p) - length_a(q) == 1
             assert bruhat_leq_a(q, p)
     for w in all_windows(3):
-        for u in covers_b(w):
+        for u in bruhat_covers(w):
             assert length_b(w).total - length_b(u).total == 1
             assert bruhat_leq_b(u, w)
+
+
+def test_s_n_is_a_parabolic_subgroup_of_b_n():
+    # the facts the one signed path for both types rests on: on S_n the
+    # covers, the order and the length of B_n are those of S_n
+    for n in range(1, 7):
+        perms = list(all_perms(n))
+        below = []                  # below[a]: the q < perms[a], a bitmask
+        for p in perms:
+            mask = 0
+            for b, q in enumerate(perms):
+                leq = bruhat_leq_a(q, p)
+                assert bruhat_leq_b(q, p) == leq
+                mask |= (leq and q != p) << b
+            below.append(mask)
+        for a, p in enumerate(perms):
+            # the transitive reduction: what lies below no element below p
+            shadow = 0
+            for b in range(len(perms)):
+                if below[a] >> b & 1:
+                    shadow |= below[b]
+            assert bruhat_covers(p) == {q for b, q in enumerate(perms)
+                                        if (below[a] & ~shadow) >> b & 1}
+            assert length_b(p).total == length_a(p)
 
 
 def test_signed_order_agrees_with_even_embedding():

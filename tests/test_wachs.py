@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b, covers_a, covers_b
+from wachsposets.bruhat import bruhat_covers, bruhat_leq_a, bruhat_leq_b
 from wachsposets.perms import (
     all_perms, all_windows, compose, full_position, identity, inverse,
     length_a, signed_reflection,
@@ -16,8 +16,8 @@ from wachsposets.perms import (
 from wachsposets.qpoly import IntPolynomial, X
 from wachsposets.wachs import (
     _frozen_cells, chi_map, closed_polys, coatom_c, decode, element_table,
-    encode, enumerate_wachs, f_map, involution_wa, involution_wb, is_wachs,
-    kind_record, longest_element, mobius_closed, rank_lw, stabilizer_gi,
+    encode, enumerate_wachs, f_map, involution, is_wachs, longest_element,
+    mobius_closed, rank_lw, stabilizer_gi,
     star, stats_distribution_check, wachs_covers, wachs_leq, wachs_up_sets,
 )
 
@@ -111,6 +111,17 @@ def test_encode_rejects_non_wachs():
         encode((3, 4, -2, 1))
 
 
+def test_encode_rejects_words_that_are_not_permutations():
+    # (3, 1, 2, 1) keeps every pair of partners one apart, and 5 is no
+    # value of a word of length 2
+    with pytest.raises(ValueError, match=r"not a \(signed\) permutation"):
+        encode((3, 1, 2, 1))
+    with pytest.raises(ValueError, match=r"not a \(signed\) permutation"):
+        encode((1, 5))
+    with pytest.raises(ValueError, match=r"not a \(signed\) permutation"):
+        wachs_leq((3, 1, 2, 1), (4, 3, 2, 1))
+
+
 def test_code_round_trip():
     for n in range(1, 8):
         for v in enumerate_wachs("A", n):
@@ -140,19 +151,19 @@ def test_quotient_map():
 
 
 def test_rank_examples():
-    assert rank_lw((3, 4, 2, 1, 5, 6), "A") == 4
-    assert rank_lw((3, 4, 7, 2, 1, 5, 6), "A") == 8
-    assert rank_lw((-1, -2, 5, 6, -7, 3, 4), "B") == 17
+    assert rank_lw((3, 4, 2, 1, 5, 6)) == 4
+    assert rank_lw((3, 4, 7, 2, 1, 5, 6)) == 8
+    assert rank_lw((-1, -2, 5, 6, -7, 3, 4)) == 17
 
 
 def test_rank_of_top_element():
     for n in range(1, 9):
         m = n // 2
-        top = rank_lw(longest_element("A", n), "A")
+        top = rank_lw(longest_element("A", n))
         assert top == n * (n - 1) // 2 - m * (m - 1) // 2
     for n in range(1, 7):
         m = n // 2
-        top = rank_lw(longest_element("B", n), "B")
+        top = rank_lw(longest_element("B", n))
         assert top == n * n - m * m
 
 
@@ -162,19 +173,19 @@ def test_rank_of_top_element():
 def test_order_examples():
     u = decode((4, (2, 4, 3, 1), frozenset({1, 2, 3})), 9)
     v = decode((3, (3, 4, 2, 1), frozenset({2})), 9)
-    assert wachs_leq(u, v, "A")
+    assert wachs_leq(u, v)
     u = (3, 4, -5, -6, 1, 2, 9, -7, -8)
     v = (-3, -4, -9, 1, 2, -5, -6, -8, -7)
-    assert not wachs_leq(u, v, "B")
+    assert not wachs_leq(u, v)
 
 
 def test_order_matches_oracle_small():
     for n in range(1, 7):
         for u, v in itertools.product(enumerate_wachs("A", n), repeat=2):
-            assert wachs_leq(u, v, "A") == bruhat_leq_a(u, v)
+            assert wachs_leq(u, v) == bruhat_leq_a(u, v)
     for n in range(1, 5):
         for u, v in itertools.product(enumerate_wachs("B", n), repeat=2):
-            assert wachs_leq(u, v, "B") == bruhat_leq_b(u, v)
+            assert wachs_leq(u, v) == bruhat_leq_b(u, v)
 
 
 def _frozen_by_interval_scan(elements, leq):
@@ -229,25 +240,13 @@ def test_code_comparison_alone_is_not_the_order():
 
 def test_cover_examples():
     v = (7, 8, 2, 1, 5, 6, 9, 3, 4)
-    got = wachs_covers(v, "A")
+    got = wachs_covers(v)
     assert {(7, 8, 1, 2, 5, 6, 9, 3, 4),
             (7, 8, 2, 1, 5, 6, 4, 3, 9),
             (6, 5, 2, 1, 8, 7, 9, 3, 4)} <= got
     for u in got:
-        assert rank_lw(v, "A") - rank_lw(u, "A") == 1
-        assert wachs_leq(u, v, "A")
-
-
-def test_type_a_elements_read_the_same_as_type_b():
-    # S_m is a standard parabolic subgroup of B_m, so the shared code path
-    # gives type-A elements the same order, covers and rank under either kind
-    for n in range(1, 7):
-        els = enumerate_wachs("A", n)
-        for v in els:
-            assert wachs_covers(v, "B") == wachs_covers(v, "A")
-            assert rank_lw(v, "B") == rank_lw(v, "A")
-            for u in els:
-                assert wachs_leq(u, v, "B") == wachs_leq(u, v, "A")
+        assert rank_lw(v) - rank_lw(u) == 1
+        assert wachs_leq(u, v)
 
 
 def test_covers_match_transitive_reduction_small():
@@ -257,7 +256,7 @@ def test_covers_match_transitive_reduction_small():
             below = [u for u in els if u != v and leq(u, v)]
             want = {u for u in below
                     if not any(u != z and leq(u, z) for z in below)}
-            assert wachs_covers(v, kind) == want
+            assert wachs_covers(v) == want
 
 
 def test_signed_cover_chain():
@@ -266,8 +265,8 @@ def test_signed_cover_chain():
              (1, 2, -9, -3, -4, 8, 7, -6, -5),
              (1, 2, -9, -3, -4, 8, 7, -5, -6)]
     for lo, hi in zip(chain, chain[1:]):
-        assert lo in wachs_covers(hi, "B")
-        assert rank_lw(hi, "B") - rank_lw(lo, "B") == 1
+        assert lo in wachs_covers(hi)
+        assert rank_lw(hi) - rank_lw(lo) == 1
 
 
 # ------------------------------------------------------------- properties
@@ -289,8 +288,8 @@ def test_up_sets_of_sublists_match_wachs_leq(data):
         [("A", n) for n in range(1, 9)] + [("B", n) for n in range(1, 7)]))
     sub = data.draw(st.lists(st.sampled_from(element_table(kind, n).items),
                              unique=True, max_size=60))
-    assert wachs_up_sets([encode(v) for v in sub], kind) == [
-        sum(1 << b for b, v in enumerate(sub) if wachs_leq(u, v, kind))
+    assert wachs_up_sets([encode(v) for v in sub]) == [
+        sum(1 << b for b, v in enumerate(sub) if wachs_leq(u, v))
         for u in sub]
 
 
@@ -303,26 +302,27 @@ def test_decode_inverts_encode(case):
 @given(wachs_element())
 def test_covers_lie_strictly_below(case):
     kind, v = case
-    leq = kind_record(kind).leq
-    for u in wachs_covers(v, kind):
+    leq = {"A": bruhat_leq_a, "B": bruhat_leq_b}[kind]
+    for u in wachs_covers(v):
         assert u != v and leq(u, v)
 
 
 @given(wachs_element())
 def test_covers_sit_one_rank_lower(case):
     kind, v = case
-    for u in wachs_covers(v, kind):
-        assert rank_lw(u, kind) == rank_lw(v, kind) - 1
+    for u in wachs_covers(v):
+        assert rank_lw(u) == rank_lw(v) - 1
 
 
 # -------------------------------------------------------------- involutions
 
 
 def test_involution_examples():
-    assert involution_wa((4, 3, 1, 2, 7, 6, 5), 2, 3) == (4, 3, 6, 5, 7, 1, 2)
-    assert involution_wb(((-2, 1, 4, 3), frozenset({1, 4})), 3, -3) == \
+    assert decode(involution(encode((4, 3, 1, 2, 7, 6, 5)), 2, 3), 7) == \
+        (4, 3, 6, 5, 7, 1, 2)
+    assert involution(((-2, 1, 4, 3), frozenset({1, 4})), 3, -3) == \
         ((-2, 1, -4, 3), frozenset({1, 3, 4}))
-    assert involution_wb(((-2, 1, 4, 3), frozenset({1, 4})), 1, -3) == \
+    assert involution(((-2, 1, 4, 3), frozenset({1, 4})), 1, -3) == \
         ((-4, 1, 2, 3), frozenset({3, 4}))
 
 
@@ -332,9 +332,9 @@ def test_involution_wa_is_an_involution():
         for v in enumerate_wachs("A", n):
             for i in range(1, m + 1):
                 for j in range(i + 1, m + 1):
-                    w = involution_wa(v, i, j)
+                    w = decode(involution(encode(v), i, j), n)
                     assert is_wachs(w)
-                    assert involution_wa(w, i, j) == v
+                    assert decode(involution(encode(w), i, j), n) == v
 
 
 def test_involution_wb_is_an_involution():
@@ -345,8 +345,8 @@ def test_involution_wb_is_an_involution():
             for j in range(-m, m + 1):
                 if j == 0 or i == j or (0 < j < i):
                     continue
-                w = involution_wb(code, i, j)
-                assert involution_wb(w, i, j) == code
+                w = involution(code, i, j)
+                assert involution(w, i, j) == code
 
 
 def _swap_slots(sigma, i, j):
@@ -370,15 +370,15 @@ def test_involution_wa_steps_down_one_rank():
                     if i in t or j in t:
                         continue
                     tij = _swap_slots(tau, i, j)
-                    if tij not in covers_a(tau):
+                    if tij not in bruhat_covers(tau):
                         continue
-                    w = involution_wa(v, i, j)
-                    assert wachs_leq(w, v, "A") and w != v
-                    assert rank_lw(v, "A") - rank_lw(w, "A") == 1
+                    w = decode(involution(encode(v), i, j), n)
+                    assert wachs_leq(w, v) and w != v
+                    assert rank_lw(v) - rank_lw(w) == 1
                     for u in els:
-                        if (u != v and wachs_leq(u, v, "A")
+                        if (u != v and wachs_leq(u, v)
                                 and bruhat_leq_a(encode(u)[0], tij)):
-                            assert wachs_leq(u, w, "A")
+                            assert wachs_leq(u, w)
 
 
 def test_involution_wa_steps_down_one_rank_odd():
@@ -394,17 +394,17 @@ def test_involution_wa_steps_down_one_rank_odd():
                 w[p - 1], w[p + 1] = w[p + 1], w[p - 1]
                 w = tuple(w)
                 assert is_wachs(w)
-                assert wachs_leq(w, v, "A")
-                assert rank_lw(v, "A") - rank_lw(w, "A") == 1
+                assert wachs_leq(w, v)
+                assert rank_lw(v) - rank_lw(w) == 1
             for i in range(1, m + 1):
                 for j in range(i + 1, m + 1):
                     if i in s or j in s or k in s:
                         continue
-                    if _swap_slots(sig, i, j) not in covers_a(sig):
+                    if _swap_slots(sig, i, j) not in bruhat_covers(sig):
                         continue
-                    w = involution_wa(v, i, j)
-                    assert wachs_leq(w, v, "A") and w != v
-                    assert rank_lw(v, "A") - rank_lw(w, "A") == 1
+                    w = decode(involution(encode(v), i, j), n)
+                    assert wachs_leq(w, v) and w != v
+                    assert rank_lw(v) - rank_lw(w) == 1
 
 
 def test_involution_wb_steps_down_one_rank():
@@ -413,7 +413,7 @@ def test_involution_wb_steps_down_one_rank():
         els = enumerate_wachs("B", n)
         for v in els:
             tau, t = encode(v)
-            ctau = covers_b(tau)
+            ctau = bruhat_covers(tau)
             for i in range(1, m + 1):
                 for j in itertools.chain(range(-m, 0), range(i + 1, m + 1)):
                     if i == j or i in t or abs(j) in t:
@@ -421,13 +421,13 @@ def test_involution_wb_steps_down_one_rank():
                     tij = compose(tau, signed_reflection(i, j, m))
                     if tij not in ctau:
                         continue
-                    w = decode(involution_wb((tau, t), i, j), n)
-                    assert wachs_leq(w, v, "B") and w != v
-                    assert rank_lw(v, "B") - rank_lw(w, "B") == 1
+                    w = decode(involution((tau, t), i, j), n)
+                    assert wachs_leq(w, v) and w != v
+                    assert rank_lw(v) - rank_lw(w) == 1
                     for u in els:
-                        if (u != v and wachs_leq(u, v, "B")
+                        if (u != v and wachs_leq(u, v)
                                 and bruhat_leq_b(encode(u)[0], tij)):
-                            assert wachs_leq(u, w, "B")
+                            assert wachs_leq(u, w)
 
 
 def test_join_irreducibility_step():
@@ -438,7 +438,7 @@ def test_join_irreducibility_step():
         for v in els:
             i = v.index(n) + 1
             for u in els:
-                if u == v or not wachs_leq(u, v, "A"):
+                if u == v or not wachs_leq(u, v):
                     continue
                 if u.index(n) + 1 <= i:
                     continue
@@ -448,7 +448,7 @@ def test_join_irreducibility_step():
                 else:
                     z[i], z[i + 1] = z[i + 1], z[i]
                 z = tuple(z)
-                assert wachs_leq(u, z, "A") and wachs_leq(z, v, "A") and z != v
+                assert wachs_leq(u, z) and wachs_leq(z, v) and z != v
 
 
 def test_interval_subsets_are_union_closed():
@@ -492,17 +492,17 @@ def test_coatom_properties():
             if j == n:
                 continue
             c = coatom_c(v)
-            assert c in wachs_covers(v, "B")
-            assert rank_lw(v, "B") - rank_lw(c, "B") == 1
+            assert c in wachs_covers(v)
+            assert rank_lw(v) - rank_lw(c) == 1
             # the only coatom that moves the extremal value
-            movers = {w for w in wachs_covers(v, "B")
+            movers = {w for w in wachs_covers(v)
                       if full_position(w, n) != j}
             assert movers <= {c}
             # every u below v whose extremal value sits further right
             # stays below c(v)
             for u in els:
-                if u != v and wachs_leq(u, v, "B") and full_position(u, n) > j:
-                    assert wachs_leq(u, c, "B")
+                if u != v and wachs_leq(u, v) and full_position(u, n) > j:
+                    assert wachs_leq(u, c)
 
 
 # ------------------------------------------------------------------ Moebius
