@@ -20,7 +20,7 @@ from .posets import (
 )
 from .wachs import (
     KINDS, ClosedForms, Kind, chi_map, closed_polys, coatom_c, decode, encode,
-    enumerate_wachs, f_map, involution, is_wachs,
+    enumerate_wachs, f_map, involution, involution_wa, involution_wb, is_wachs,
     kind_record, longest_element, mobius_closed, rank_lw, star, wachs_covers,
     wachs_leq, wachs_up_sets,
 )

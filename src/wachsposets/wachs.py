@@ -485,6 +485,29 @@ def involution(code, i: int, j: int) -> tuple:
     return (*slot, compose(tau, refl), t ^ {i, abs(j)})
 
 
+def involution_wa(v: Sequence[int], i: int, j: int) -> tuple:
+    """`involution` on a Wachs permutation word, for a transposition
+    1 <= i < j <= m of S_m.
+
+    >>> involution_wa((4, 3, 1, 2, 7, 6, 5), 2, 3)
+    (4, 3, 6, 5, 7, 1, 2)
+    """
+    if not 1 <= i < j <= len(v) // 2:
+        raise ValueError(f"need 1 <= i < j <= {len(v) // 2}")
+    return decode(involution(encode(tuple(v)), i, j), len(v))
+
+
+def involution_wb(code, i: int, j: int) -> tuple:
+    """`involution` on the code (tau, T) of an even-rank signed Wachs element.
+
+    >>> involution_wb(((-2, 1, 4, 3), frozenset({1, 4})), 3, -3)
+    ((-2, 1, -4, 3), frozenset({1, 3, 4}))
+    """
+    if len(code) != 2:
+        raise ValueError("need the code (tau, T) of an even rank")
+    return involution(code, i, j)
+
+
 def coatom_c(v: Sequence[int]) -> tuple:
     """The canonical coatom map on signed Wachs permutations of odd rank."""
     v = tuple(v)
