@@ -5,7 +5,7 @@ verification suite for their closed-form structure.
 """
 
 from .perms import (
-    BLength, SizeCapError, StatRecord, compose, descent_set_a, embed_tilde,
+    SizeCapError, StatRecord, compose, descent_set_a, embed_tilde,
     format_perm, format_window, identity, inverse, length_a, length_b,
     signed_reflection, stats_a,
 )

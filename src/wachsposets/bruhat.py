@@ -58,11 +58,15 @@ def bruhat_leq_a(p: Sequence[int], q: Sequence[int]) -> bool:
     return True
 
 
+# embed_tilde per window, kept: bruhat_leq_b compares each window with many
+_embedded = lru_cache(maxsize=262144)(embed_tilde)
+
+
 def bruhat_leq_b(u: Sequence[int], v: Sequence[int]) -> bool:
     """Bruhat comparison u <= v in B_n (windows)."""
     if len(u) != len(v):
         raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
-    return bruhat_leq_a(embed_tilde(u), embed_tilde(v))
+    return bruhat_leq_a(_embedded(tuple(u)), _embedded(tuple(v)))
 
 
 def bruhat_up_sets(words: Sequence[Sequence[int]]) -> list:
@@ -105,6 +109,6 @@ def bruhat_covers(w: Sequence[int]) -> set:
     {(1, 2)}
     """
     w = tuple(w)
-    below = length_b(w).total - 1
+    below = length_b(w) - 1
     return {u for u in (compose(w, t) for t in _reflections(len(w)))
-            if length_b(u).total == below}
+            if length_b(u) == below}

@@ -2,13 +2,12 @@
 Named verification checks over the (signed) Wachs permutation posets.
 
 Each check id covers a family of (kind, n) cells; a cell is pure and
-returns a CheckResult.  Cells can be fanned out to a process pool sized
-by the WACHS_THREADS environment variable.
+returns a CheckResult.  Cells run one after another in one process, so
+the posets a cell builds are cached for the cells that follow it.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -294,24 +293,9 @@ def run_cell(cell: tuple) -> CheckResult:
 
 
 def run_cells(cells: list) -> Iterator[CheckResult]:
-    """Run the cells, on a process pool of WACHS_THREADS workers, and
-    yield each result, in order, as soon as it is done."""
-    text = os.environ.get("WACHS_THREADS", "1")
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"WACHS_THREADS must be a positive integer, "
-                         f"not {text!r}")
-    if threads > 1 and len(cells) > 1:
-        # imported here: it pulls in multiprocessing, which serial runs skip
-        from concurrent.futures import ProcessPoolExecutor
-        # the pool starts every worker at once: no more than there are cells
-        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
-            yield from pool.map(run_cell, cells)
-    else:
-        yield from map(run_cell, cells)
+    """Run the cells in order, lazily: each result is yielded as soon as
+    it is done."""
+    return map(run_cell, cells)
 
 
 def report(max_n_a: Optional[int] = None,

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "MAX_N_A", "MAX_N_B", "SizeCapError",
-    "PermWord", "Window", "StatRecord", "BLength",
+    "PermWord", "Window", "StatRecord",
     "identity", "compose", "inverse",
     "length_a", "descent_set_a", "stats_a", "length_b",
     "full_value", "full_position", "embed_tilde",
@@ -106,31 +106,21 @@ def stats_a(word: Sequence[int]) -> StatRecord:
 # ---------------------------------------------------------------- type B
 
 
-@dataclass(frozen=True)
-class BLength:
-    """Length of a signed permutation, split as inv + neg + nsp."""
-    inv: int  # inversions of the window
-    neg: int  # number of negative window entries
-    nsp: int  # pairs i<j with w(i)+w(j) < 0
-
-    @property
-    def total(self) -> int:
-        return self.inv + self.neg + self.nsp
-
-
 # x < 0 as a C-level callable, so that map can count negative values
 _negative = (0).__gt__
 
 
-def length_b(window: Sequence[int]) -> BLength:
-    """
+def length_b(window: Sequence[int]) -> int:
+    """Coxeter length of a signed permutation: inv + neg + nsp, where inv
+    counts the inversions of the window, neg its negative entries and
+    nsp the pairs i < j with w(i) + w(j) < 0.
+
     >>> length_b((-1, 3, 2))
-    BLength(inv=1, neg=1, nsp=0)
+    2
     """
-    inv = sum(starmap(gt, combinations(window, 2)))
-    neg = sum(map(_negative, window))
-    nsp = sum(map(_negative, starmap(add, combinations(window, 2))))
-    return BLength(inv, neg, nsp)
+    return (sum(starmap(gt, combinations(window, 2)))
+            + sum(map(_negative, window))
+            + sum(map(_negative, starmap(add, combinations(window, 2)))))
 
 
 def full_value(window: Sequence[int], k: int) -> int:

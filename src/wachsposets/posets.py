@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 VALIDATION_CAP = 25000   # A11 has 23040 elements
-_BLOCK = 256    # rows of a relation read as text at once
 _GE = [b"0" * x + b"1" * (256 - x) for x in range(256)]  # b"1" iff byte >= x
 
 
@@ -73,17 +72,26 @@ def _check_size(n: int) -> None:
 
 
 def build_poset(items: Iterable, leq: Callable, key: Callable = str) -> FinitePoset:
-    """Build and validate a poset from elements and a comparison oracle."""
+    """Build and validate a poset from elements and a comparison oracle.
+
+    Items already in a linear extension keep their order.  Any other
+    order is sorted by down-set size, then key: x < y makes the down-set
+    of x a proper subset of that of y, so this is a linear extension of
+    any partial order.
+    """
     items = list(items)
-    _check_size(len(items))
-    up = []
-    for x in items:
-        m = 0
-        for j, y in enumerate(items):
-            if leq(x, y):
-                m |= 1 << j
-        up.append(m)
-    return poset_from_up(items, up, map(key, items))
+    n = len(items)
+    _check_size(n)
+    keys = list(map(key, items))
+    rel = [[bool(leq(x, y)) for y in items] for x in items]
+    if any(rel[i][j] for i in range(n) for j in range(i)):
+        order = sorted(range(n),
+                       key=lambda j: (sum(row[j] for row in rel), keys[j]))
+        items = [items[i] for i in order]
+        keys = [keys[i] for i in order]
+        rel = [[rel[i][j] for j in order] for i in order]
+    up = [sum(1 << j for j, b in enumerate(row) if b) for row in rel]
+    return poset_from_up(items, up, keys)
 
 
 def dominance_up_sets(rows: Sequence[bytes]) -> list:
@@ -117,9 +125,8 @@ def poset_from_up(items: Iterable, up: Sequence[int],
     iff items[i] <= items[j]) and build the poset it orders.  `keys` are
     the string keys of the items, in their order; str(item) by default.
 
-    Items already in a linear extension (no up-set has a bit below its
-    own index) keep their order.  Any other order is sorted by down-set
-    size, then key.
+    The items must come in a linear extension: no up-set may have a bit
+    below its own index.  `build_poset` sorts any other order.
     """
     items = list(items)
     n = len(items)
@@ -136,16 +143,6 @@ def poset_from_up(items: Iterable, up: Sequence[int],
             raise PosetError(f"up-set of {keys[i]} names no element")
 
     up = list(up)
-    if any(up[i] >> i << i != up[i] for i in range(n)):
-        # reorder into a linear extension: sort by down-set size
-        down = _transpose(up)
-        order = sorted(range(n), key=lambda j: (down[j].bit_count(), keys[j]))
-        # bit q of row i of the transpose below is bit order[q] of up[i]
-        rows = _transpose([down[j] for j in order])
-        up = [rows[i] for i in order]
-        items = [items[i] for i in order]
-        keys = [keys[i] for i in order]
-
     # Covers, from the top down.  Once every up-set above i is known to be
     # closed and to lie above its element, the lowest element left in the
     # strict up-set of i is minimal there, so it is a cover, and removing
@@ -173,29 +170,16 @@ def poset_from_up(items: Iterable, up: Sequence[int],
                        index={k: i for i, k in enumerate(keys)})
 
 
-def _transpose(masks: list) -> list:
-    """The transposed n x n bit matrix: bit i of out[j] is bit j of
-    masks[i].  Blocks of rows are read as "0"/"1" text, so that each
-    column of a block is one strided slice."""
-    n = len(masks)
-    out = [0] * n
-    for start in range(0, n, _BLOCK):
-        text = "".join(format(m, f"0{n}b") for m in masks[start:start + _BLOCK])
-        for j in range(n):                      # bit j sits at column n-1-j
-            out[j] |= int(text[n - 1 - j::n][::-1], 2) << start
-    return out
-
-
 def _order_error(up: list, keys: list) -> PosetError:
-    """The first failure of antisymmetry, else of transitivity, in a
-    reflexive relation that is not a partial order."""
+    """The first failure of antisymmetry, else of transitivity, else of
+    the linear extension, in a reflexive relation that poset_from_up
+    rejects."""
     n = len(up)
-    down = _transpose(up)
-    # antisymmetry: up-set and down-set meet only in the element itself
+    # antisymmetry: no other element both above and below
     for i in range(n):
-        if up[i] & down[i] != 1 << i:
-            other = next(b for b in _bits(up[i] & down[i]) if b != i)
-            return PosetError(f"antisymmetry fails at {keys[i]}, {keys[other]}")
+        for j in _bits(up[i] & ~(1 << i)):
+            if up[j] >> i & 1:
+                return PosetError(f"antisymmetry fails at {keys[i]}, {keys[j]}")
     # transitivity: up-sets are closed upward
     for i in range(n):
         for j in _bits(up[i]):
@@ -203,7 +187,11 @@ def _order_error(up: list, keys: list) -> PosetError:
                 k = next(_bits(up[j] & ~up[i]))
                 return PosetError(
                     f"transitivity fails: {keys[i]} <= {keys[j]} <= {keys[k]}")
-    raise AssertionError("the relation is a partial order")
+    # a partial order out of sequence: an element lies below an earlier one
+    i = next(i for i in range(n) if up[i] & ((1 << i) - 1))
+    j = (up[i] & -up[i]).bit_length() - 1
+    return PosetError(f"out of sequence: {keys[i]} <= {keys[j]}, "
+                      f"but {keys[j]} comes first")
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ KINDS = {
               w0=lambda n: tuple(range(n, 0, -1)),
               default_cap=8, max_n=MAX_N_A),
     "B": Kind(elements=all_windows, ambient=embed_tilde,
-              length=lambda w: length_b(w).total, key=format_window,
+              length=length_b, key=format_window,
               w0=lambda n: tuple(range(-1, -n - 1, -1)),
               default_cap=6, max_n=MAX_N_B),
 }
@@ -95,15 +95,21 @@ def star(i: int, n: int) -> int:
 
 
 def is_wachs(w: Sequence[int]) -> bool:
-    """Membership test on one-line words and windows: 2c-1 and 2c sit at
-    signed positions one apart (-1 and 1 are two apart) for all c <= n/2."""
+    """Membership test on one-line words and windows: w is a (signed)
+    permutation of 1..n, and 2c-1 and 2c sit at signed positions one
+    apart (-1 and 1 are two apart) for all c <= n/2."""
     pos = [0] * (len(w) + 1)        # pos[|v|]: the signed position of +|v|
-    for k, v in enumerate(w, 1):
-        if v > 0:
-            pos[v] = k
-        else:
-            pos[-v] = -k
-    return all(abs(pos[c] - pos[c + 1]) == 1 for c in range(1, len(w), 2))
+    try:
+        for k, v in enumerate(w, 1):
+            if v > 0:
+                pos[v] = k
+            else:
+                pos[-v] = -k
+    except IndexError:              # |v| > n
+        return False
+    # a 0 left in pos[1:] is a value missing from w
+    return 0 not in pos[1:] and all(
+        abs(pos[c] - pos[c + 1]) == 1 for c in range(1, len(w), 2))
 
 
 def _decoded_codes(kind: str, n: int) -> Iterator[tuple]:
@@ -242,7 +248,7 @@ def f_map(v: Sequence[int]) -> tuple:
 
 def rank_lw(v: Sequence[int]) -> int:
     """Length of v above the minimal element of its coset: l(v) - l(tau)."""
-    return length_b(v).total - length_b(f_map(v)).total
+    return length_b(v) - length_b(f_map(v))
 
 
 # ---------------------------------------------------------------- order

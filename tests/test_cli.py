@@ -1,6 +1,5 @@
 """Command line interface: subcommands, exit codes and report files."""
 
-import concurrent.futures
 import json
 
 from wachsposets import checks, cli, posets
@@ -104,41 +103,6 @@ def _strip_millis(report):
             for e in report["checks"]]
 
 
-def test_pooled_report_equals_serial(tmp_path, capsys, monkeypatch):
-    reports = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("WACHS_THREADS", threads)
-        path = tmp_path / f"r{threads}.json"
-        code, _, _ = run(capsys, "report", "--json", str(path),
-                         "--max-n-a", "4", "--max-n-b", "3")
-        assert code == 0
-        reports.append(json.loads(path.read_text()))
-    assert _strip_millis(reports[0]) == _strip_millis(reports[1])
-
-
-def test_pool_has_no_more_workers_than_cells(monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setenv("WACHS_THREADS", "64")
-    cells = checks.check_cells("graded-A", 2)
-    assert [r.ok for r in checks.run_cells(cells)] == [True, True]
-    assert sizes == [2]
-
-
 def test_ranks_below_one_are_usage_errors(capsys):
     for argv in (("enumerate", "A", "0"), ("enumerate", "A", "-3"),
                  ("enumerate", "B", "0"), ("hasse", "A", "0"),
@@ -159,16 +123,6 @@ def test_empty_sweeps_are_usage_errors(capsys):
     assert code == 2
     assert out == ""
     assert "no cells" in err
-
-
-def test_bad_thread_counts_are_usage_errors(capsys, monkeypatch):
-    for value in ("abc", "0", "-2", ""):
-        monkeypatch.setenv("WACHS_THREADS", value)
-        code, out, err = run(capsys, "check", "theorem", "graded-A",
-                             "--max-n", "2")
-        assert code == 2, value
-        assert out == ""
-        assert "WACHS_THREADS" in err
 
 
 def test_fixed_rank_checks_honour_max_n(capsys):

@@ -6,15 +6,14 @@ element and of the Bruhat poset, every Moebius row against the
 one-element-at-a-time recursion, and enumeration by decoding against a
 membership filter of the whole group, on every rank up to the default
 caps; the element table against `encode`, `rank_lw` and the keys of
-each element through A9 and B7.  Also: the Bruhat and weak posets,
-given in a linear extension, are built without a bit-matrix transpose,
-the report's order and cover sweeps call no pairwise oracle, no
-pipeline cell encodes an element or calls `rank_lw`, and a corrupted
-table rank fails the graded check at that element."""
+each element through A9 and B7.  Also: the report's order and cover
+sweeps call no pairwise oracle, no pipeline cell encodes an element or
+calls `rank_lw`, and a corrupted table rank fails the graded check at
+that element."""
 
 import pytest
 
-from wachsposets import checks, posets, wachs
+from wachsposets import checks, wachs
 from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b, bruhat_up_sets
 from wachsposets.perms import all_perms, all_windows, embed_tilde, inverse
 from wachsposets.posets import build_poset, mobius_rows
@@ -68,22 +67,6 @@ def test_weak_poset_matches_inversion_set_containment(kind, n, side):
     elems = sorted(tls, key=lambda v: (len(tls[v]), key(v)))
     oracle = build_poset(elems, lambda x, y: tls[x] <= tls[y], key=key)
     assert_same_poset(checks.weak_poset(kind, n, side), oracle)
-
-
-@pytest.mark.parametrize("kind,n", [("A", 6), ("B", 4)])
-def test_pipeline_posets_build_without_transposes(kind, n, monkeypatch):
-    def no_transpose(masks):
-        raise AssertionError("transpose called")
-
-    monkeypatch.setattr(posets, "_transpose", no_transpose)
-    with pytest.raises(AssertionError, match="transpose called"):
-        posets.poset_from_up([2, 1], [0b01, 0b11])    # not a linear extension
-    checks.bruhat_poset.cache_clear()
-    checks.weak_poset.cache_clear()
-    size = len(wachs.element_table(kind, n).items)
-    assert len(checks.bruhat_poset(kind, n)) == size
-    assert len(checks.weak_poset(kind, n, "L")) == size
-    assert len(checks.weak_poset(kind, n, "R")) == size
 
 
 @pytest.mark.parametrize("kind,n", CELLS)

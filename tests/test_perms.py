@@ -15,7 +15,7 @@ import wachsposets.qpoly
 import wachsposets.wachs
 import wachsposets.weak
 from wachsposets.perms import (
-    BLength, SizeCapError, all_perms, all_windows, compose, descent_set_a,
+    SizeCapError, all_perms, all_windows, compose, descent_set_a,
     embed_tilde, format_perm, format_window, identity, inverse, length_a,
     length_b, signed_reflection, stats_a,
 )
@@ -83,7 +83,7 @@ def test_inverse_properties_random(p):
 
 @given(window_strategy)
 def test_signed_inverse_preserves_length(w):
-    assert length_b(inverse(w)).total == length_b(w).total
+    assert length_b(inverse(w)) == length_b(w)
 
 
 # ------------------------------------------------------------------ lengths
@@ -96,10 +96,9 @@ def test_length_a_counts_inversions():
 
 
 def test_length_b_split():
-    got = length_b((-1, -2, 5, 6, -7, 3, 4))
-    assert got == BLength(inv=9, neg=3, nsp=7)
-    assert got.total == 19
-    assert length_b((-1, 3, 2)).total == 2
+    # 9 inversions, 3 negative entries, 7 pairs with a negative sum
+    assert length_b((-1, -2, 5, 6, -7, 3, 4)) == 9 + 3 + 7
+    assert length_b((-1, 3, 2)) == 2
 
 
 def length_a_by_pairs(word):
@@ -116,7 +115,7 @@ def length_b_by_pairs(window):
     neg = sum(1 for v in window if v < 0)
     nsp = sum(1 for i in range(n) for j in range(i + 1, n)
               if window[i] + window[j] < 0)
-    return BLength(inv, neg, nsp)
+    return inv + neg + nsp
 
 
 def test_lengths_match_the_pair_loops():
@@ -133,15 +132,15 @@ def test_longest_elements():
     assert longest_element("B", 3) == (-1, -2, -3)
     for n in range(1, 6):
         assert length_a(longest_element("A", n)) == n * (n - 1) // 2
-        assert length_b(longest_element("B", n)).total == n * n
+        assert length_b(longest_element("B", n)) == n * n
 
 
 def test_signed_length_via_even_embedding():
     # 2 l_B(w) = l_A(w~) + neg(w)
     for n in range(1, 5):
         for w in all_windows(n):
-            lb = length_b(w)
-            assert 2 * lb.total == length_a(embed_tilde(w)) + lb.neg
+            neg = sum(1 for v in w if v < 0)
+            assert 2 * length_b(w) == length_a(embed_tilde(w)) + neg
 
 
 def test_poincare_series():
@@ -154,7 +153,7 @@ def test_poincare_series():
     for n in range(1, 5):
         counts = {}
         for w in all_windows(n):
-            t = length_b(w).total
+            t = length_b(w)
             counts[t] = counts.get(t, 0) + 1
         coeffs = [counts.get(k, 0) for k in range(max(counts) + 1)]
         want = IntPolynomial([1])

@@ -2,6 +2,7 @@
 characteristic polynomial, duality and isomorphism."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -88,9 +89,12 @@ def test_from_up_keeps_a_linear_extension_and_sorts_any_other_order():
     p = poset_from_up(["x", "a", "m"], [0b101, 0b110, 0b100])
     assert p.elements == ["x", "a", "m"]
     assert p.covers == [(0, 2), (1, 2)] and p.down == [0b001, 0b010, 0b111]
-    p = poset_from_up([3, 2, 1], [0b001, 0b011, 0b111])   # a chain, top first
+    # the oracle builder sorts by down-set size, then key
+    p = build_poset([3, 2, 1], lambda a, b: a <= b)     # a chain, top first
     assert p.items == [1, 2, 3]
     assert p.up == [0b111, 0b110, 0b100] and p.down == [0b001, 0b011, 0b111]
+    p = build_poset(["m", "x", "a"], lambda s, t: s == t or t == "m")
+    assert p.elements == ["a", "x", "m"]
 
 
 def _relation_errors(n, rel):
@@ -130,6 +134,16 @@ def _draw_bounded_order(data):
     return n, rel
 
 
+def _draw_relation(data, n):
+    """A random reflexive relation on range(n); half the cases are partial
+    orders."""
+    if data.draw(st.booleans()):
+        return _draw_partial_order(data, n)
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1))))
+    return pairs | {(a, a) for a in range(n)}
+
+
 def _up_masks(n, rel):
     return [sum(1 << b for b in range(n) if (a, b) in rel) for a in range(n)]
 
@@ -137,20 +151,13 @@ def _up_masks(n, rel):
 @given(st.data())
 def test_from_up_accepts_exactly_the_partial_orders(data):
     n = data.draw(st.integers(1, 6))
-    if data.draw(st.booleans()):
-        # half the cases are partial orders
-        rel = _draw_partial_order(data, n)
-    else:
-        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1),
-                                            st.integers(0, n - 1))))
-        rel = pairs | {(a, a) for a in range(n)}
-    up = _up_masks(n, rel)
+    rel = _draw_relation(data, n)
     error = _relation_errors(n, rel)
     if error:
         with pytest.raises(PosetError, match=error):
-            poset_from_up(range(n), up)
+            build_poset(range(n), lambda a, b: (a, b) in rel)
         return
-    p = poset_from_up(range(n), up)
+    p = build_poset(range(n), lambda a, b: (a, b) in rel)
     assert all(m >> i << i == m for i, m in enumerate(p.up))
     if all((b, a) not in rel for a, b in itertools.combinations(range(n), 2)):
         assert p.items == list(range(n))    # a linear extension is kept
@@ -166,6 +173,26 @@ def test_from_up_accepts_exactly_the_partial_orders(data):
     greatest = [b for b in range(n) if all((a, b) in rel for a in range(n))]
     assert p.minimum() == (idx[least[0]] if least else None)
     assert p.maximum() == (idx[greatest[0]] if greatest else None)
+
+
+@given(st.data())
+def test_from_up_accepts_exactly_the_partial_orders_in_sequence(data):
+    n = data.draw(st.integers(1, 6))
+    rel = _draw_relation(data, n)
+    up = _up_masks(n, rel)
+    error = _relation_errors(n, rel)
+    if error:
+        with pytest.raises(PosetError, match=error):
+            poset_from_up(range(n), up)
+    elif any((b, a) in rel for a, b in itertools.combinations(range(n), 2)):
+        # a partial order, but some element lies below an earlier one
+        with pytest.raises(PosetError, match="out of sequence") as got:
+            poset_from_up(range(n), up)
+        b, a = map(int, re.search(r"(\d+) <= (\d+)", str(got.value)).groups())
+        assert (b, a) in rel and a < b
+    else:
+        p = poset_from_up(range(n), up)
+        assert p.items == list(range(n)) and p.up == up
 
 
 @given(st.integers(0, 6).flatmap(lambda width: st.lists(
@@ -299,7 +326,7 @@ def test_mobius_rows_carry_and_shift_large_values():
 @given(st.data())
 def test_mobius_recursion_identity_on_random_bounded_posets(data):
     n, rel = _draw_bounded_order(data)
-    assert_mobius_recursion(poset_from_up(range(n), _up_masks(n, rel)))
+    assert_mobius_recursion(build_poset(range(n), lambda a, b: (a, b) in rel))
 
 
 # -------------------------------------------------------------- polynomials
@@ -380,7 +407,7 @@ def _lattice_by_definition(n, rel):
 @given(st.data())
 def test_lattice_checks_match_the_definition(data):
     n, rel = _draw_bounded_order(data)
-    rep = lattice_checks(poset_from_up(range(n), _up_masks(n, rel)))
+    rep = lattice_checks(build_poset(range(n), lambda a, b: (a, b) in rel))
     assert (rep.is_lattice, rep.is_complemented) == \
         _lattice_by_definition(n, rel)
 
@@ -392,7 +419,7 @@ def test_lattice_checks_match_the_definition(data):
 def test_dual_check_matches_the_comparable_pair_definition(data):
     n = data.draw(st.integers(1, 5))
     rel = _draw_partial_order(data, n)
-    p = poset_from_up(range(n), _up_masks(n, rel))
+    p = build_poset(range(n), lambda a, b: (a, b) in rel)
     f = data.draw(st.permutations(range(n)))
     want = all(((a, b) in rel) == ((f[b], f[a]) in rel)
                for a, b in itertools.product(range(n), repeat=2))

@@ -33,6 +33,13 @@ def test_membership_examples():
     assert not is_wachs((1, 3, 2, 4))
 
 
+def test_membership_rejects_words_that_are_not_permutations():
+    # (4, 1, 2, 1) misses the value 3, yet 1, 2 and 3, 4 sit one apart;
+    # 3 and 5 are no values of words of length 2 and 3
+    for w in ((4, 1, 2, 1), (3, 1), (2, 1, 5)):
+        assert not is_wachs(w), w
+
+
 def test_star_pairing():
     assert [star(i, 6) for i in range(1, 7)] == [2, 1, 4, 3, 6, 5]
     assert [star(i, 7) for i in range(1, 8)] == [2, 1, 4, 3, 6, 5, 7]
