@@ -15,8 +15,7 @@ from .bruhat import (
 from .qpoly import IntPolynomial, q_factorial, q_int
 from .posets import (
     FinitePoset, build_poset, characteristic_polynomial, dominance_up_sets,
-    dual_check, grade, lattice_checks, mobius_rows, poset_from_up,
-    poset_isomorphic, to_dot,
+    dual_check, grade, lattice_checks, mobius_rows, poset_from_up, to_dot,
 )
 from .wachs import (
     KINDS, ClosedForms, Kind, chi_map, closed_polys, coatom_c, decode, encode,

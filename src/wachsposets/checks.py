@@ -108,7 +108,7 @@ def _check_mobius(kind, n):
     p = bruhat_poset(kind, n)
     row = next(mobius_rows(p, [p.minimum()]))
     for j, code in enumerate(wachs.element_table(kind, n).codes):
-        if row[j] != wachs.mobius_closed(code, n):
+        if row.get(j, 0) != wachs.mobius_closed(code, n):
             return False, f"mu(e, {p.elements[j]})"
     return True, None
 
@@ -193,8 +193,9 @@ def _check_nongraded_weakl(kind, n):
 def _check_conj_mobius(kind, n):
     p = bruhat_poset(kind, n)
     for i, row in enumerate(mobius_rows(p, range(len(p)))):
-        if max(row) > 1 or min(row) < -1:
-            j = next(j for j, value in enumerate(row) if abs(value) > 1)
+        big = [j for j, value in row.items() if abs(value) > 1]
+        if big:
+            j = min(big)        # the row's keys run by layer, not by index
             return False, f"mu({p.elements[i]},{p.elements[j]}) = {row[j]}"
     return True, None
 

@@ -3,9 +3,10 @@ Finite posets over opaque string keys, with bitset internals.
 
 A FinitePoset keeps its elements in some linear extension; `up[i]` and
 `down[i]` are integer bitmasks of the (weak) up-set and down-set of element
-i.  All algorithms (grading, Moebius function, lattice tests, duality,
-isomorphism) work on these masks.  A poset holds no derived state: the
-Moebius function is computed one row at a time, by whoever needs it.
+i.  All algorithms (grading, Moebius function, lattice tests, duality)
+work on these masks.  A poset holds no derived state: the Moebius
+function is computed one row at a time, by whoever needs it, and a row
+holds its nonzero values only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ __all__ = [
     "PosetError", "FinitePoset", "GradeResult", "LatticeReport",
     "build_poset", "poset_from_up", "dominance_up_sets", "grade",
     "mobius_rows", "characteristic_polynomial",
-    "lattice_checks", "poset_isomorphic", "dual_check", "to_dot",
+    "lattice_checks", "dual_check", "to_dot",
 ]
 
 VALIDATION_CAP = 25000   # A11 has 23040 elements
@@ -224,10 +225,10 @@ def _heights(poset: FinitePoset) -> list:
     return height
 
 
-def mobius_rows(poset: FinitePoset, us: Iterable[int]) -> Iterator[list]:
-    """The rows mu(u, .) for each u in `us`, each a list over every
-    element, 0 where u is not below v: mu(u, u) = 1 and mu(u, v) = -sum
-    of mu(u, z) over u <= z < v.  Exact for any integer values.
+def mobius_rows(poset: FinitePoset, us: Iterable[int]) -> Iterator[dict]:
+    """The rows mu(u, .) for each u in `us`, each a dict {v: mu(u, v)}
+    of the nonzero values only: mu(u, u) = 1 and mu(u, v) = -sum of
+    mu(u, z) over u <= z < v.  Exact for any integer values.
 
     Elements are grouped into height layers, h(v) = 1 + max h over the
     elements v covers.  z < v implies h(z) < h(v), so a layer is an
@@ -236,18 +237,17 @@ def mobius_rows(poset: FinitePoset, us: Iterable[int]) -> Iterator[list]:
     with z <= v, as two bit-sliced unsigned counters P - N (lists of
     planes, plane k holding bit k of every element's count).  Walking up
     the layers above h(u), C(v) is complete for every v of the layer, and
-    mu(u, v) = -C(v).  Only the v with C(v) != 0 are visited; each adds
-    |mu| * up[v] to P or N, one ripple-carry add per set bit of |mu|.
+    mu(u, v) = -C(v).  Only the v with C(v) != 0 are visited, and they
+    are the entries of the row; each adds |mu| * up[v] to P or N, one
+    ripple-carry add per set bit of |mu|.
     """
-    n = len(poset)
     up = poset.up
     height = _heights(poset)
     layers = [0] * (max(height, default=0) + 1)
     for i, h in enumerate(height):
         layers[h] |= 1 << i
     for u in us:
-        row = [0] * n
-        row[u] = 1
+        row = {u: 1}
         pos, neg = [up[u]], [0]     # C = P - N, with as many planes each
         for level in layers[height[u] + 1:]:
             live = 0
@@ -294,7 +294,7 @@ def characteristic_polynomial(poset: FinitePoset):
         raise PosetError("poset is not graded")
     out = [0] * (g.rank + 1)
     row = next(mobius_rows(poset, [poset.minimum()]))
-    for z, m in enumerate(row):
+    for z, m in row.items():
         out[g.rank - g.ranks[z]] += m
     return IntPolynomial(out)
 
@@ -366,84 +366,6 @@ def _cover_lists(poset: FinitePoset):
         upc[i].append(j)
         dnc[j].append(i)
     return upc, dnc
-
-
-def poset_isomorphic(p: FinitePoset, q: FinitePoset):
-    """Decide isomorphism; returns (bool, key mapping or None).
-
-    Colors are refined from (down-set size, up-set size) by cover-neighbor
-    color multisets, then a backtracking search matches Hasse diagrams.
-    """
-    n = len(p)
-    if n != len(q):
-        return False, None
-    pu, pd = _cover_lists(p)
-    qu, qd = _cover_lists(q)
-
-    def initial(poset):
-        return [(bin(poset.down[i]).count("1"), bin(poset.up[i]).count("1"))
-                for i in range(len(poset))]
-
-    cp, cq = initial(p), initial(q)
-    for _ in range(n):
-        palette: dict = {}
-
-        def refine(colors, upc, dnc):
-            out = []
-            for i in range(len(colors)):
-                sig = (colors[i],
-                       tuple(sorted(colors[j] for j in upc[i])),
-                       tuple(sorted(colors[j] for j in dnc[i])))
-                out.append(palette.setdefault(sig, len(palette)))
-            return out
-
-        np_, nq_ = refine(cp, pu, pd), refine(cq, qu, qd)
-        if sorted(np_) != sorted(nq_):
-            return False, None
-        if len(set(np_)) == len(set(cp)):
-            cp, cq = np_, nq_
-            break
-        cp, cq = np_, nq_
-
-    by_color: dict = {}
-    for j, c in enumerate(cq):
-        by_color.setdefault(c, []).append(j)
-    # match rare colors first
-    order = sorted(range(n), key=lambda i: (len(by_color.get(cp[i], ())), cp[i]))
-    mapping = [-1] * n
-    used = [False] * n
-
-    adj_p = [set(pu[i]) for i in range(n)]
-    adj_q = [set(qu[i]) for i in range(n)]
-
-    def fits(i, j):
-        for k in range(n):
-            m = mapping[k]
-            if m < 0:
-                continue
-            if (i in adj_p[k]) != (j in adj_q[m]):
-                return False
-            if (k in adj_p[i]) != (m in adj_q[j]):
-                return False
-        return True
-
-    def search(depth):
-        if depth == n:
-            return True
-        i = order[depth]
-        for j in by_color.get(cp[i], ()):
-            if not used[j] and fits(i, j):
-                mapping[i] = j
-                used[j] = True
-                if search(depth + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
-
-    if not search(0):
-        return False, None
-    return True, {p.elements[i]: q.elements[mapping[i]] for i in range(n)}
 
 
 def dual_check(poset: FinitePoset, mapping: dict) -> bool:

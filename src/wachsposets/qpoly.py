@@ -90,13 +90,6 @@ class IntPolynomial:
             k >>= 1
         return out
 
-    def __call__(self, value):
-        """Evaluate at an integer (Horner)."""
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * value + c
-        return out
-
     def substitute_power(self, k: int) -> "IntPolynomial":
         """p(x) -> p(x^k).
 

@@ -59,27 +59,22 @@ def tl_set_b(w: Sequence[int]) -> frozenset:
     return frozenset(out)
 
 
-# the two algorithms differ, and the tests use each as an oracle
-_TL_SET = {"A": tl_set_a, "B": tl_set_b}
+# T_L(w) in S_n or B_n: S_n is a parabolic subgroup of B_n, and the signed
+# rules read on a permutation are those of S_n.  tl_set_a, a different
+# algorithm, stays as the tests' type-A reference.
+tl_set = tl_set_b
 
 
-def tl_set(w: Sequence[int], kind: str) -> frozenset:
-    """T_L(w) in S_n (kind "A") or B_n (kind "B")."""
-    if kind not in _TL_SET:
-        raise ValueError(f"unknown kind {kind!r}")
-    return _TL_SET[kind](w)
-
-
-def weak_leq(u: Sequence[int], v: Sequence[int], side: str, kind: str) -> bool:
-    """Weak order comparison: right order is T_L containment, the left
-    order compares inverses in the right order."""
+def weak_leq(u: Sequence[int], v: Sequence[int], side: str) -> bool:
+    """Weak order comparison in S_n or B_n: right order is T_L
+    containment, the left order compares inverses in the right order."""
     if len(u) != len(v):
         raise ValueError("rank mismatch")
     if side == "L":
-        return weak_leq(inverse(u), inverse(v), "R", kind)
+        return weak_leq(inverse(u), inverse(v), "R")
     if side != "R":
         raise ValueError(f"unknown side {side!r}")
-    return tl_set(u, kind) <= tl_set(v, kind)
+    return tl_set(u) <= tl_set(v)
 
 
 def inversion_row(w: Sequence[int], kind: str) -> bytes:

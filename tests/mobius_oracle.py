@@ -20,3 +20,9 @@ def mobius_row_by_recursion(poset, u):
         if mu:
             by_value[mu] = by_value.get(mu, 0) | 1 << v
     return row
+
+
+def nonzero(row):
+    """The entries of a dense row that `mobius_rows` yields: {v: mu}
+    for the nonzero mu only."""
+    return {v: mu for v, mu in enumerate(row) if mu}

@@ -8,6 +8,7 @@ from wachsposets.perms import (
     length_b,
 )
 from wachsposets.wachs import longest_element
+from wachsposets.weak import tl_set_a, tl_set_b
 
 
 def test_known_comparisons_a():
@@ -87,7 +88,8 @@ def test_covers_raise_length_by_one():
 
 def test_s_n_is_a_parabolic_subgroup_of_b_n():
     # the facts the one signed path for both types rests on: on S_n the
-    # covers, the order and the length of B_n are those of S_n
+    # covers, the order, the length and the left inversions of B_n are
+    # those of S_n
     for n in range(1, 7):
         perms = list(all_perms(n))
         below = []                  # below[a]: the q < perms[a], a bitmask
@@ -107,6 +109,7 @@ def test_s_n_is_a_parabolic_subgroup_of_b_n():
             assert bruhat_covers(p) == {q for b, q in enumerate(perms)
                                         if (below[a] & ~shadow) >> b & 1}
             assert length_b(p) == length_a(p)
+            assert tl_set_b(p) == tl_set_a(p)
 
 
 def test_signed_order_agrees_with_even_embedding():

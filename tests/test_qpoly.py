@@ -44,12 +44,6 @@ def test_power_matches_repeated_product(p, k):
     assert p ** k == prod
 
 
-@given(polys, st.integers(-4, 4))
-def test_evaluation_matches_naive_sum(p, x):
-    want = sum(c * x ** i for i, c in enumerate(p.coeffs))
-    assert p(x) == want
-
-
 def test_substitute_power():
     assert q_int(3).substitute_power(2) == IntPolynomial([1, 0, 1, 0, 1])
     assert q_int(2).substitute_power(3) == IntPolynomial([1, 0, 0, 1])

@@ -551,7 +551,7 @@ def test_rank_polynomial_counts_elements():
     for kind, top in (("A", 6), ("B", 4)):
         for n in range(1, top + 1):
             gen = closed_polys(kind, n).rank_gen
-            assert gen(1) == len(enumerate_wachs(kind, n))
+            assert sum(gen.coeffs) == len(enumerate_wachs(kind, n))
 
 
 # --------------------------------------------------- statistics, stabilizer
