@@ -9,9 +9,8 @@ the posets a cell builds are cached for the cells that follow it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import wachs
 from .bruhat import bruhat_up_sets
@@ -29,8 +28,7 @@ __all__ = ["CheckResult", "THEOREM_IDS", "CONJECTURE_IDS",
 LATTICE_DEFAULT_MAX_N = 9  # (W(S_n), <=_L) lattice sweep: odd n, m <= 4
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     kind: str
     n: int
@@ -208,8 +206,7 @@ def _check_conj_lattice(kind, n):
     return True, None
 
 
-@dataclass(frozen=True)
-class _Spec:
+class _Spec(NamedTuple):
     kind: str                       # "A", "B" or "AB"
     fn: Callable
     ns: Callable                    # (kind, max_n) -> list of n

@@ -16,10 +16,9 @@ from w(-k) = -w(k).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from itertools import combinations, starmap
 from operator import add, gt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
     "MAX_N_A", "MAX_N_B", "SizeCapError",
@@ -78,8 +77,7 @@ def descent_set_a(word: Sequence[int]) -> frozenset:
     return frozenset(i for i in range(1, len(word)) if word[i - 1] > word[i])
 
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(NamedTuple):
     """Descent-based statistics of a permutation."""
     des: int   # |D(w)|
     maj: int   # sum of D(w)

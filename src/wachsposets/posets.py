@@ -12,10 +12,9 @@ holds its nonzero values only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import SizeCapError
 from .qpoly import IntPolynomial
@@ -42,14 +41,17 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass
 class FinitePoset:
-    elements: list          # canonical string keys, in a linear extension
-    items: list             # original objects, aligned with elements
-    up: list                # up[i]: bitmask of {j : e_i <= e_j}, includes i
-    down: list              # down[i]: bitmask of {j : e_j <= e_i}
-    covers: list            # pairs (i, j) with e_i covered by e_j
-    index: dict = field(default_factory=dict)
+    __slots__ = ("elements", "items", "up", "down", "covers", "index")
+
+    def __init__(self, elements: list, items: list, up: list, down: list,
+                 covers: list, index: Optional[dict] = None):
+        self.elements = elements  # canonical string keys, in a linear extension
+        self.items = items        # original objects, aligned with elements
+        self.up = up              # up[i]: bitmask of {j : e_i <= e_j}, includes i
+        self.down = down          # down[i]: bitmask of {j : e_j <= e_i}
+        self.covers = covers      # pairs (i, j) with e_i covered by e_j
+        self.index = {} if index is None else index    # key -> position
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -195,8 +197,7 @@ def _order_error(up: list, keys: list) -> PosetError:
                       f"but {keys[j]} comes first")
 
 
-@dataclass(frozen=True)
-class GradeResult:
+class GradeResult(NamedTuple):
     graded: bool
     ranks: Optional[tuple]       # longest-path ranks from the bottom
     rank: Optional[int]          # rank of the top element when graded
@@ -299,8 +300,7 @@ def characteristic_polynomial(poset: FinitePoset):
     return IntPolynomial(out)
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(NamedTuple):
     is_lattice: bool
     is_complemented: bool
     witness: Optional[tuple]  # (kind, u_key, v_key) for the first failure

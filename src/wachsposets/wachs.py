@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from collections import namedtuple
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import qpoly
 from .bruhat import bruhat_covers, bruhat_leq_b, bruhat_up_sets
@@ -50,8 +49,7 @@ __all__ = [
 # ---------------------------------------------------------------- types
 
 
-@dataclass(frozen=True, eq=False)
-class Kind:
+class Kind(NamedTuple):
     """What type A (G_m = S_m) and type B (G_m = B_m) differ in."""
     elements: Callable[[int], Iterator[tuple]]   # all of G_m, lazily
     ambient: Callable[[tuple], tuple]            # Bruhat embedding in S_m/S_2m
@@ -551,8 +549,7 @@ def mobius_closed(code, n: int) -> int:
 # ---------------------------------------------------------------- polynomials
 
 
-@dataclass(frozen=True)
-class ClosedForms:
+class ClosedForms(NamedTuple):
     rank_gen: qpoly.IntPolynomial
     char: qpoly.IntPolynomial
     rank: int

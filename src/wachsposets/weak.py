@@ -9,10 +9,9 @@ plus (a, -a) for the sign changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, starmap
 from operator import gt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .perms import inverse
 from .posets import FinitePoset, dominance_up_sets
@@ -104,8 +103,7 @@ def _factor_map(code):
     return tau, frozenset(abs(small[k - 1]) for k in t)
 
 
-@dataclass(frozen=True)
-class WeakIsoResult:
+class WeakIsoResult(NamedTuple):
     holds: bool
     witness: Optional[tuple]        # first mismatching pair, if any
 

@@ -1,8 +1,11 @@
 """Command line interface: subcommands, exit codes and report files."""
 
 import json
+import os
+import subprocess
+import sys
 
-from wachsposets import checks, cli, posets
+from wachsposets import checks, cli, posets, wachs
 
 
 def run(capsys, *argv):
@@ -55,6 +58,15 @@ def test_check_conjecture_pass(capsys):
                        "--max-n", "4")
     assert code == 0
     assert all("PASS" in line for line in out.splitlines())
+
+
+def test_failing_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(wachs, "mobius_closed", lambda code, n: 0)
+    code, out, _ = run(capsys, "check", "theorem", "mobius-A", "--max-n", "3")
+    assert code == 1
+    lines = [line.split(" [")[0] for line in out.splitlines()]
+    assert "mobius-A A n=1 FAIL (mu(e, 1))" in lines
+    assert not checks.run_cell(("mobius-A", "A", 2)).ok
 
 
 def test_check_cap_requires_override(capsys):
@@ -153,3 +165,17 @@ def test_validation_cap_exits_3_after_printing_finished_cells(capsys,
     assert [line.split(" [")[0] for line in out.splitlines()] == [
         f"order-A A n={n} PASS" for n in range(1, 7)]
     assert err == "error: 192 elements exceeds the validation cap 100\n"
+
+
+def test_importing_the_cli_skips_the_dataclasses_chain():
+    # a fresh interpreter, so that nothing the tests loaded is counted
+    probe = ("import sys; before = set(sys.modules); "
+             "import wachsposets.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+    added = set(out.split())
+    assert "wachsposets.cli" in added
+    assert not added & {"dataclasses", "inspect"}

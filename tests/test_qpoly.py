@@ -1,5 +1,6 @@
 """Exact integer polynomial arithmetic and q-analogues."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from wachsposets.qpoly import (
@@ -64,3 +65,23 @@ def test_degree():
     # is the leading coefficient
     assert IntPolynomial([1, 0, 0]) == ONE
     assert (X ** 3 + ONE).coeffs == (1, 0, 0, 1)
+
+
+def test_truth_value():
+    assert not ZERO
+    assert bool(X)
+
+
+def test_equal_polynomials_hash_equal():
+    assert hash(IntPolynomial([1, 1])) == hash(q_int(2))
+    assert {q_int(2), IntPolynomial((1, 1, 0)), ONE + X} == {q_int(2)}
+
+
+def test_int_minus_polynomial():
+    assert 1 - X == IntPolynomial((1, -1))
+
+
+def test_coefficients_cannot_be_reassigned():
+    with pytest.raises(AttributeError):
+        setattr(X, "coeffs", (0, 2))
+    assert X.coeffs == (0, 1)

@@ -13,10 +13,14 @@ from wachsposets.perms import (
     all_perms, all_windows, compose, inverse, length_a, length_b,
     signed_reflection,
 )
-from wachsposets.posets import dominance_up_sets, grade, lattice_checks
+from wachsposets.posets import (
+    LatticeReport, dominance_up_sets, grade, lattice_checks,
+)
 from wachsposets.wachs import element_table, enumerate_wachs
-from wachsposets.weak import inversion_row, tl_set_a, tl_set_b, weak_leq, \
-    weak_product_iso
+from wachsposets.weak import (
+    WeakIsoResult, inversion_row, tl_set_a, tl_set_b, weak_leq,
+    weak_product_iso,
+)
 
 
 def test_tl_set_examples():
@@ -164,6 +168,26 @@ def test_product_structure():
     for kind, n in (("A", 5), ("B", 4)):
         rep = lattice_checks(weak_poset(kind, n, "R"))
         assert rep.is_lattice and rep.is_complemented
+
+
+def test_product_map_failures_name_a_witness():
+    poset, codes = weak_poset("A", 4, "R"), element_table("A", 4).codes
+    repeated = (codes[0],) + codes[:-1]
+    assert weak_product_iso(poset, repeated, "A") == WeakIsoResult(
+        holds=False, witness=("not injective",))
+    # complementing every subset T keeps the map a bijection, but not
+    # order-preserving
+    flipped = [(*head, frozenset({1, 2}) - t) for *head, t in codes]
+    assert weak_product_iso(poset, flipped, "A") == WeakIsoResult(
+        holds=False, witness=((1, 2, 3, 4), (1, 2, 4, 3)))
+
+
+def test_signed_left_weak_order_is_not_a_lattice_at_b5():
+    # the signed analogue of latticeAodd fails at B5 (and B7), while B2,
+    # B3, B4 and B6 are lattices
+    assert lattice_checks(weak_poset("B", 5, "L")) == LatticeReport(
+        False, False, ("join", "[1,2,4,3,5]", "[-5,1,2,3,4]"))
+    assert lattice_checks(weak_poset("B", 3, "L")).is_lattice
 
 
 def test_product_structure_counts():
