@@ -86,7 +86,9 @@ def _check_order(kind, n):
         diff = up ^ p.up[i]
         if diff:
             j = (diff & -diff).bit_length() - 1
-            return False, f"{p.elements[i]} vs {p.elements[j]}"
+            side = "closed form" if up >> j & 1 else "Bruhat order"
+            return False, (f"{p.elements[i]} <= {p.elements[j]} "
+                           f"in the {side} only")
     return True, None
 
 

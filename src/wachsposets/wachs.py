@@ -179,10 +179,7 @@ def chi_map(v: Sequence[int]) -> tuple:
     return tuple(x for x in v if abs(x) != n)
 
 
-# Callers that compare pairs one at a time, such as wachs_leq, encode
-# each element many times; the code is immutable and is kept.
-@functools.lru_cache(maxsize=65536)
-def encode(v: tuple):
+def encode(v: Sequence[int]) -> tuple:
     """Code of a (signed) Wachs permutation, a tuple: (tau, T), or
     (i, tau, T) for odd rank, where the full position of the value n is
     2i-1 (i > 0) or 2i+1 (i < 0).
@@ -194,6 +191,13 @@ def encode(v: tuple):
     >>> encode((-1, -2, 5, 6, -7, 3, 4))
     (-3, (-1, 3, 2), frozenset({1}))
     """
+    return _encode(tuple(v))
+
+
+# Callers that compare pairs one at a time, such as wachs_leq, encode
+# each element many times; the code is immutable and is kept.
+@functools.lru_cache(maxsize=65536)
+def _encode(v: tuple) -> tuple:
     n = len(v)
     if sorted(map(abs, v)) != list(range(1, n + 1)):
         raise ValueError(f"{v} is not a (signed) permutation")
@@ -238,7 +242,7 @@ def decode(code, n: int) -> tuple:
 
 def f_map(v: Sequence[int]) -> tuple:
     """The quotient element tau of the code of v."""
-    return encode(tuple(v))[-2]
+    return encode(v)[-2]
 
 
 # ---------------------------------------------------------------- rank
@@ -328,19 +332,9 @@ def wachs_leq(u: Sequence[int], v: Sequence[int]) -> bool:
     """Bruhat comparison of (signed) Wachs permutations, via codes only."""
     if len(u) != len(v):
         raise ValueError("rank mismatch")
-    cu, cv = encode(tuple(u)), encode(tuple(v))
+    cu, cv = encode(u), encode(v)
     keep = _keep(cu[:-1], cv[:-1])
     return keep is not None and cu[-1] & keep <= cv[-1]
-
-
-def _spread(mask: int, rows: list) -> int:
-    """The OR of rows[t] over the bits t of mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def wachs_up_sets(codes: Sequence[tuple]) -> list:
@@ -348,14 +342,20 @@ def wachs_up_sets(codes: Sequence[tuple]) -> list:
     one rank, as bitmasks: bit b of up[a] is set iff the element of
     codes[a] lies below that of codes[b].
 
-    The rule of `_keep` is applied to all pairs of heads at once.  The
-    distinct tau of the list are compared by one `bruhat_up_sets` call,
-    and for each cell c they are classed by their signature at c: c is
-    frozen on [sigma, tau] iff tau is in the class of sigma.  For the
-    head g of a, Adm(g) is the mask of the elements whose heads g
-    admits, and Free_c(g) the part of it whose heads do not keep c; then
-    up[a] = Adm(g) & AND over c in the subset of a of (Free_c(g) | the
-    elements whose subset holds c).
+    The rule of `_keep` as an AND of element masks, read from one pass
+    over the codes and one `bruhat_up_sets` call on the distinct tau.
+    For the head (slot, sigma) of a and the cells c of its subset T_a,
+
+        base = above[sigma] & below[slot]
+        free[c] = base & (~(signed[c, sig_c(sigma)] & window[slot][c])
+                          | holders[c])
+        up[a] = base & the AND of free[c] over c in T_a
+
+    where above[sigma] holds the elements whose tau lies above sigma,
+    below[slot] those of a slot <= slot, signed[c, s] those whose tau
+    has signature s at c (c is frozen on [sigma, tau] iff the signatures
+    at c agree), window[slot][c] those whose slot keeps c in
+    `_slot_window`, and holders[c] those whose subset holds c.
 
     >>> wachs_up_sets([encode((1, 2)), encode((2, 1))])
     [3, 2]
@@ -363,51 +363,41 @@ def wachs_up_sets(codes: Sequence[tuple]) -> list:
     if not codes:
         return []
     cells = range(1, len(codes[0][-2]) + 1)
-    members: dict = {}                  # head -> the elements with it
+    by_tau: dict = {}                   # tau -> the elements with it
+    by_slot: dict = {}                  # slot -> the elements with it
     holders = dict.fromkeys(cells, 0)   # cell -> the subsets holding it
     for b, code in enumerate(codes):
-        members[code[:-1]] = members.get(code[:-1], 0) | 1 << b
+        by_tau[code[-2]] = by_tau.get(code[-2], 0) | 1 << b
+        by_slot[code[:-2]] = by_slot.get(code[:-2], 0) | 1 << b
         for c in code[-1]:
             holders[c] |= 1 << b
-    taus = sorted({head[-1] for head in members})
-    index = {tau: t for t, tau in enumerate(taus)}
-    images = [embed_tilde(tau) for tau in taus]
-    above = bruhat_up_sets(images)
-    same = {}               # same[c][t]: the taus signed like tau_t at c
-    for c in cells:
-        sigs = [_signature(p, c) for p in images]
-        classes: dict = {}
-        for t, sig in enumerate(sigs):
-            classes[sig] = classes.get(sig, 0) | 1 << t
-        same[c] = [classes[sig] for sig in sigs]
-    slots = sorted({head[:-1] for head in members})
-    rows = {slot: [members.get(slot + (tau,), 0) for tau in taus]
-            for slot in slots}
-    # (t, slot) -> the parts of Adm and Free_c from the heads (slot, tau),
-    # tau >= tau_t, shared by the heads (slot', tau_t), slot' >= slot
-    parts: dict = {}
-    up_of = {}
-    for head in members:
-        slot_u, t = head[:-1], index[head[-1]]
-        adm, free = 0, dict.fromkeys(cells, 0)
-        for slot_v in slots:
-            if slot_v > slot_u:
-                break
-            if (t, slot_v) not in parts:
-                row = rows[slot_v]
-                parts[t, slot_v] = _spread(above[t], row), {
-                    c: _spread(above[t] & ~same[c][t], row) for c in cells}
-            part, part_free = parts[t, slot_v]
-            adm |= part
-            window = _slot_window(slot_u, slot_v, len(cells))
-            for c in cells:
-                free[c] |= part_free[c] if c in window else part
-        up_of[head] = adm, free
+    images = [embed_tilde(tau) for tau in by_tau]
+    masks = list(by_tau.values())
+    above, signs, signed = {}, {}, {}   # signs[tau]: its (c, signature)s
+    for tau, p, row in zip(by_tau, images, bruhat_up_sets(images)):
+        above[tau] = sum(mask for t, mask in enumerate(masks) if row >> t & 1)
+        signs[tau] = [(c, _signature(p, c)) for c in cells]
+        for key in signs[tau]:
+            signed[key] = signed.get(key, 0) | by_tau[tau]
+    below, window = {}, {}
+    for slot in by_slot:
+        below[slot] = sum(by_slot[s] for s in by_slot if s <= slot)
+        window[slot] = {c: sum(by_slot[s] for s in by_slot
+                               if c in _slot_window(slot, s, len(cells)))
+                        for c in cells}
+    heads = {}              # head -> (base, free[c] for each cell c)
     up = []
     for code in codes:
-        mask, free = up_of[code[:-1]]
+        head = code[:-1]
+        if head not in heads:
+            slot, tau = head[:-1], head[-1]
+            base = above[tau] & below[slot]
+            heads[head] = base, {
+                c: base & (~(signed[c, sig] & window[slot][c]) | holders[c])
+                for c, sig in signs[tau]}
+        mask, free = heads[head]
         for c in code[-1]:
-            mask &= free[c] | holders[c]
+            mask &= free[c]
         up.append(mask)
     return up
 
@@ -447,7 +437,7 @@ def _cover_codes(code, moves: tuple) -> list:
 
 def wachs_covers(v: Sequence[int]) -> set:
     """Elements covered by v inside the (signed) Wachs permutations."""
-    code = encode(tuple(v))
+    code = encode(v)
     covered = _cover_codes(code, _moves(code[-2]))
     return {decode(c, len(v)) for c in covered}
 
@@ -498,7 +488,7 @@ def involution_wa(v: Sequence[int], i: int, j: int) -> tuple:
     """
     if not 1 <= i < j <= len(v) // 2:
         raise ValueError(f"need 1 <= i < j <= {len(v) // 2}")
-    return decode(involution(encode(tuple(v)), i, j), len(v))
+    return decode(involution(encode(v), i, j), len(v))
 
 
 def involution_wb(code, i: int, j: int) -> tuple:
@@ -513,12 +503,18 @@ def involution_wb(code, i: int, j: int) -> tuple:
 
 
 def coatom_c(v: Sequence[int]) -> tuple:
-    """The canonical coatom map on signed Wachs permutations of odd rank."""
+    """The canonical coatom map on signed Wachs permutations of odd rank
+    whose value n does not sit at position n."""
     v = tuple(v)
     n = len(v)
     if n % 2 == 0:
         raise ValueError("coatom map needs odd rank")
+    if not is_wachs(v):
+        raise ValueError(f"{v} is not a Wachs permutation")
     j = full_position(v, n)
+    if j == n:
+        raise ValueError(f"{v} has the value n at position n, "
+                         f"where the coatom map is not defined")
 
     def swap(p: int, q: int) -> tuple:
         f = {k: full_value(v, k) for k in range(-n, n + 1) if k != 0}

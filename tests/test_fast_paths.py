@@ -8,8 +8,12 @@ membership filter of the whole group, on every rank up to the default
 caps; the element table against `encode`, `rank_lw` and the keys of
 each element through A9 and B7.  Also: the report's order and cover
 sweeps call no pairwise oracle, no pipeline cell encodes an element or
-calls `rank_lw`, and a corrupted table rank fails the graded check at
-that element."""
+calls `rank_lw`, a corrupted table rank fails the graded check at that
+element, and planted faults of the slot window, the signature and the
+cover rule fail the order and cover checks with a witness naming the
+pair (and the side that relates it) or the element."""
+
+import re
 
 import pytest
 
@@ -113,6 +117,59 @@ def test_order_and_cover_sweeps_call_no_oracle(kind, n, monkeypatch):
         wachs.wachs_leq(v, v)                 # the guard reaches the oracle
     assert checks._check_order(kind, n) == (True, None)
     assert checks._check_covers(kind, n) == (True, None)
+
+
+_signature, _cover_codes = wachs._signature, wachs._cover_codes
+# planted faults of the closed forms, each the fault of one function:
+# (name, replacement, the check it breaks, the ranks it fails among A1-A6
+# and B1-B4)
+MUTANTS = {
+    "window keeps every cell": (
+        "_slot_window", lambda slot_u, slot_v, m: frozenset(range(1, m + 1)),
+        "_check_order", {("A", 3), ("A", 5), ("B", 3)}),
+    "window keeps no cell": (
+        "_slot_window", lambda slot_u, slot_v, m: frozenset(),
+        "_check_order", {(kind, n) for kind, top in (("A", 6), ("B", 4))
+                         for n in range(2, top + 1)}),
+    "signature drops its count": (
+        "_signature", lambda p, c: _signature(p, c)[:1],
+        "_check_order", {("A", 6), ("B", 4)}),
+    "covers drop the slot slide": (
+        "_cover_codes", lambda code, moves: [
+            c for c in _cover_codes(code, moves) if c[:-2] == code[:-2]],
+        "_check_covers", {("A", 3), ("A", 5), ("B", 1), ("B", 3)}),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_order_and_cover_checks_fail_on_a_planted_mutant(mutant, monkeypatch):
+    name, fake, check, failing = MUTANTS[mutant]
+    monkeypatch.setattr(wachs, name, fake)
+    for kind, n in [("A", n) for n in range(1, 7)] + \
+            [("B", n) for n in range(1, 5)]:
+        ok, witness = getattr(checks, check)(kind, n)
+        assert ok == ((kind, n) not in failing), (kind, n, witness)
+        if ok:
+            assert witness is None
+            continue
+        p = checks.bruhat_poset(kind, n)
+        if check == "_check_covers":
+            assert witness.startswith("covers of ")
+            assert witness[len("covers of "):] in p.index
+            continue
+        # the witness names a pair of the rank and the side that holds
+        u, v, side = re.fullmatch(
+            r"(\S+) <= (\S+) in the (closed form|Bruhat order) only",
+            witness).groups()
+        in_bruhat = p.up[p.index[u]] >> p.index[v] & 1
+        assert in_bruhat == (side == "Bruhat order"), witness
+
+
+def test_order_witness_of_the_window_mutant(monkeypatch):
+    name, fake, _, _ = MUTANTS["window keeps every cell"]
+    monkeypatch.setattr(wachs, name, fake)
+    assert checks._check_order("A", 3) == (
+        False, "213 <= 312 in the Bruhat order only")
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind, top in

@@ -8,7 +8,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from wachsposets.bruhat import bruhat_covers, bruhat_leq_a, bruhat_leq_b
+from wachsposets.bruhat import (
+    bruhat_covers, bruhat_leq_a, bruhat_leq_b, bruhat_up_sets,
+)
 from wachsposets.perms import (
     all_perms, all_windows, compose, full_position, identity, inverse,
     length_a, signed_reflection,
@@ -109,6 +111,9 @@ def test_encode_examples():
     assert encode((-3, -4, 1, 2, 6, 5)) == ((-2, 1, 3), frozenset({1, 3}))
     assert encode((-1, -2, 5, 6, -7, 3, 4)) == (
         -3, (-1, 3, 2), frozenset({1}))
+    # any sequence, as rank_lw, f_map, wachs_covers and wachs_leq take
+    assert encode([2, 1]) == encode((2, 1)) == ((1,), frozenset({1}))
+    assert encode(range(1, 6)) == (3, (1, 2), frozenset())
 
 
 def test_encode_rejects_non_wachs():
@@ -195,13 +200,13 @@ def test_order_matches_oracle_small():
             assert wachs_leq(u, v) == bruhat_leq_b(u, v)
 
 
-def _frozen_by_interval_scan(elements, leq):
+def _frozen_by_interval_scan(els, up):
     """Brute-force oracle for _frozen_cells: for every comparable pair
-    sigma <= tau of the group, the cells on which every element of the
-    interval [sigma, tau] agrees with sigma.  Intervals are bitmasks."""
-    els = list(elements)
+    sigma <= tau of the group els, whose up-sets are the bitmasks up, the
+    cells on which every element of the interval [sigma, tau] agrees
+    with sigma: the interval up[sigma] & down[tau] lies inside the mask
+    of the elements with the value of sigma at that cell."""
     m = len(els[0])
-    up = [sum(1 << b for b, y in enumerate(els) if leq(x, y)) for x in els]
     down = [sum(1 << a for a in range(len(els)) if up[a] >> b & 1)
             for b in range(len(els))]
     agree = {}      # (cell, value) -> elements with that value there
@@ -221,14 +226,30 @@ def _frozen_by_interval_scan(elements, leq):
 
 def test_frozen_cells_match_interval_scan():
     # the rank-matrix test against the interval scan on every comparable
-    # pair; S_5 has 3781 such pairs and B_4 has 40249
+    # pair, found by the pairwise oracles; S_5 has 3781 such pairs and
+    # B_4 has 40249
     for leq, group, top, pairs in ((bruhat_leq_a, all_perms, 5, 3781),
                                    (bruhat_leq_b, all_windows, 4, 40249)):
         for m in range(1, top + 1):
-            want = _frozen_by_interval_scan(group(m), leq)
+            els = list(group(m))
+            up = [sum(1 << b for b, y in enumerate(els) if leq(x, y))
+                  for x in els]
+            want = _frozen_by_interval_scan(els, up)
             for (sigma, tau), cells in want.items():
                 assert _frozen_cells(sigma, tau) == cells, (sigma, tau)
         assert len(want) == pairs
+
+
+@pytest.mark.slow
+def test_frozen_cells_match_interval_scan_on_s6():
+    # the same scan on the 720 elements of S_6, ordered by one
+    # bruhat_up_sets call: 98,407 comparable pairs, about 3 s with
+    # the calls to _frozen_cells
+    els = list(all_perms(6))
+    want = _frozen_by_interval_scan(els, bruhat_up_sets(els))
+    assert len(want) == 98407
+    for (sigma, tau), cells in want.items():
+        assert _frozen_cells(sigma, tau) == cells, (sigma, tau)
 
 
 def test_code_comparison_alone_is_not_the_order():
@@ -497,6 +518,8 @@ def test_coatom_properties():
         for v in els:
             j = full_position(v, n)
             if j == n:
+                with pytest.raises(ValueError, match="not defined"):
+                    coatom_c(v)
                 continue
             c = coatom_c(v)
             assert c in wachs_covers(v)
@@ -510,6 +533,18 @@ def test_coatom_properties():
             for u in els:
                 if u != v and wachs_leq(u, v) and full_position(u, n) > j:
                     assert wachs_leq(u, c)
+
+
+def test_coatom_rejects_words_outside_its_domain():
+    # the value n at position n, where the map would read position n + 1
+    with pytest.raises(ValueError, match=r"\(1, 2, 3\) has the value n"):
+        coatom_c((1, 2, 3))
+    with pytest.raises(ValueError, match=r"\(1, 3, 2\) is not a Wachs"):
+        coatom_c((1, 3, 2))
+    with pytest.raises(ValueError, match="is not a Wachs"):
+        coatom_c((3, 4, 1, 2, 6, 7, 5))
+    with pytest.raises(ValueError, match="odd rank"):
+        coatom_c((2, 1))
 
 
 # ------------------------------------------------------------------ Moebius
