@@ -1,72 +1,25 @@
 """
 Bruhat order on the symmetric group and on signed permutations.
 
-Comparison in S_n uses the tableau criterion restricted to descents of the
-smaller element: u <= v iff for every k in D(u) the increasing rearrangement
-of u(1..k) is componentwise <= that of v(1..k).
-
-Comparison in B_n goes through the order-preserving embedding of the full
-map on [+-n] into S_2n (see perms.embed_tilde).  Covers have one rule for
-both groups: w t for the reflections t of B_n that lower the length by
-one, which on S_n, a standard parabolic subgroup of B_n, are the covers
-in S_n.
-
-`bruhat_up_sets` compares a whole list of permutations at once with the
-same criterion over every k; the pairwise oracles above are the
-independent check it is tested against.
+`bruhat_up_sets` compares a whole list of permutations at once by the
+tableau criterion; `reference.bruhat_leq_a` and `bruhat_leq_b` compare
+one pair.  Elements of B_n are compared through their images under the
+order-preserving embedding of the full map on [+-n] into S_2n (see
+perms.embed_tilde).  Covers have one rule for both groups: w t for the
+reflections t of B_n that lower the length by one, which on S_n, a
+standard parabolic subgroup of B_n, are the covers in S_n.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
-from .perms import compose, embed_tilde, length_b, signed_reflection
+from .perms import compose, length_b, signed_reflection
 from .posets import dominance_up_sets
 
-__all__ = ["bruhat_leq_a", "bruhat_leq_b", "bruhat_up_sets",
-           "bruhat_covers"]
-
-
-@lru_cache(maxsize=262144)
-def _prefix_tables(word: tuple) -> tuple:
-    """(sorted prefixes indexed by k-1, descent positions)."""
-    prefixes = []
-    cur: list[int] = []
-    for v in word:
-        insort(cur, v)
-        prefixes.append(tuple(cur))
-    descents = tuple(k for k in range(1, len(word)) if word[k - 1] > word[k])
-    return tuple(prefixes), descents
-
-
-def bruhat_leq_a(p: Sequence[int], q: Sequence[int]) -> bool:
-    """Bruhat comparison p <= q in S_n."""
-    p, q = tuple(p), tuple(q)
-    if len(p) != len(q):
-        raise ValueError(f"rank mismatch: {len(p)} vs {len(q)}")
-    if p == q:
-        return True
-    tp, descents = _prefix_tables(p)
-    tq, _ = _prefix_tables(q)
-    for k in descents:
-        a, b = tp[k - 1], tq[k - 1]
-        if any(x > y for x, y in zip(a, b)):
-            return False
-    return True
-
-
-# embed_tilde per window, kept: bruhat_leq_b compares each window with many
-_embedded = lru_cache(maxsize=262144)(embed_tilde)
-
-
-def bruhat_leq_b(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Bruhat comparison u <= v in B_n (windows)."""
-    if len(u) != len(v):
-        raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
-    return bruhat_leq_a(_embedded(tuple(u)), _embedded(tuple(v)))
+__all__ = ["bruhat_up_sets", "bruhat_covers"]
 
 
 def bruhat_up_sets(words: Sequence[Sequence[int]]) -> list:

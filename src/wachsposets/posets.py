@@ -14,14 +14,14 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import and_
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import SizeCapError
 from .qpoly import IntPolynomial
 
 __all__ = [
     "PosetError", "FinitePoset", "GradeResult", "LatticeReport",
-    "build_poset", "poset_from_up", "dominance_up_sets", "grade",
+    "poset_from_up", "dominance_up_sets", "grade",
     "mobius_rows", "characteristic_polynomial",
     "lattice_checks", "dual_check", "to_dot",
 ]
@@ -74,29 +74,6 @@ def _check_size(n: int) -> None:
         raise SizeCapError(f"{n} elements exceeds the validation cap {VALIDATION_CAP}")
 
 
-def build_poset(items: Iterable, leq: Callable, key: Callable = str) -> FinitePoset:
-    """Build and validate a poset from elements and a comparison oracle.
-
-    Items already in a linear extension keep their order.  Any other
-    order is sorted by down-set size, then key: x < y makes the down-set
-    of x a proper subset of that of y, so this is a linear extension of
-    any partial order.
-    """
-    items = list(items)
-    n = len(items)
-    _check_size(n)
-    keys = list(map(key, items))
-    rel = [[bool(leq(x, y)) for y in items] for x in items]
-    if any(rel[i][j] for i in range(n) for j in range(i)):
-        order = sorted(range(n),
-                       key=lambda j: (sum(row[j] for row in rel), keys[j]))
-        items = [items[i] for i in order]
-        keys = [keys[i] for i in order]
-        rel = [[rel[i][j] for j in order] for i in order]
-    up = [sum(1 << j for j, b in enumerate(row) if b) for row in rel]
-    return poset_from_up(items, up, keys)
-
-
 def dominance_up_sets(rows: Sequence[bytes]) -> list:
     """Up-sets of the entrywise order on equal-length byte rows, as
     bitmasks: bit j of up[i] is set iff rows[i][p] <= rows[j][p] for
@@ -129,7 +106,7 @@ def poset_from_up(items: Iterable, up: Sequence[int],
     the string keys of the items, in their order; str(item) by default.
 
     The items must come in a linear extension: no up-set may have a bit
-    below its own index.  `build_poset` sorts any other order.
+    below its own index.  `reference.build_poset` sorts any other order.
     """
     items = list(items)
     n = len(items)

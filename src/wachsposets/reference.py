@@ -1,0 +1,221 @@
+"""
+Pairwise references: the brute-force oracles, for one pair or one
+element at a time, that the tests check the sweeps and closed forms
+against: Bruhat order (`bruhat_leq_a`, `bruhat_leq_b`), Wachs codes,
+rank, order and covers (`star`, `f_map`, `rank_lw`, `wachs_leq`,
+`wachs_covers`), left-inversion sets and weak order (`tl_set_a`,
+`tl_set`, `weak_leq`), and posets from a comparison (`build_poset`).
+
+No report cell calls them and no other module of the package imports
+this one (a test reads the imports), so a closed form cannot call back
+into its oracle.  They may read the codes and signatures of `wachs`.
+"""
+
+from __future__ import annotations
+
+import functools
+from bisect import insort
+from typing import Callable, Iterable, Optional, Sequence
+
+from . import wachs     # by attribute: a test patching wachs.encode reaches it
+from .perms import embed_tilde, inverse, length_b
+from .posets import FinitePoset, _check_size, poset_from_up
+
+__all__ = ["bruhat_leq_a", "bruhat_leq_b", "star", "f_map", "rank_lw",
+           "wachs_leq", "wachs_covers", "tl_set_a", "tl_set", "weak_leq",
+           "build_poset"]
+
+
+@functools.lru_cache(maxsize=262144)
+def _prefix_tables(word: tuple) -> tuple:
+    """(sorted prefixes indexed by k-1, descent positions)."""
+    prefixes = []
+    cur: list[int] = []
+    for v in word:
+        insort(cur, v)
+        prefixes.append(tuple(cur))
+    descents = tuple(k for k in range(1, len(word)) if word[k - 1] > word[k])
+    return tuple(prefixes), descents
+
+
+def bruhat_leq_a(p: Sequence[int], q: Sequence[int]) -> bool:
+    """Bruhat comparison p <= q in S_n, by the tableau criterion on the
+    descents of p: for every k in D(p), the increasing rearrangement of
+    p(1..k) is componentwise <= that of q(1..k)."""
+    p, q = tuple(p), tuple(q)
+    if len(p) != len(q):
+        raise ValueError(f"rank mismatch: {len(p)} vs {len(q)}")
+    if p == q:
+        return True
+    tp, descents = _prefix_tables(p)
+    tq, _ = _prefix_tables(q)
+    for k in descents:
+        a, b = tp[k - 1], tq[k - 1]
+        if any(x > y for x, y in zip(a, b)):
+            return False
+    return True
+
+
+# embed_tilde per window, kept: bruhat_leq_b compares each window with many
+_embedded = functools.lru_cache(maxsize=262144)(embed_tilde)
+
+
+def bruhat_leq_b(u: Sequence[int], v: Sequence[int]) -> bool:
+    """Bruhat comparison u <= v in B_n (windows), on their images in
+    S_2n (`perms.embed_tilde`)."""
+    if len(u) != len(v):
+        raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
+    return bruhat_leq_a(_embedded(tuple(u)), _embedded(tuple(v)))
+
+
+def star(i: int, n: int) -> int:
+    """The partner of i: i-1 for even i, i+1 for odd i < n, else n."""
+    if i % 2 == 0:
+        return i - 1
+    return i + 1 if i + 1 <= n else n
+
+
+def f_map(v: Sequence[int]) -> tuple:
+    """The quotient element tau of the code of v."""
+    return wachs.encode(v)[-2]
+
+
+def rank_lw(v: Sequence[int]) -> int:
+    """Length of v above the minimal element of its coset: l(v) - l(tau)."""
+    return length_b(v) - length_b(f_map(v))
+
+
+@functools.lru_cache(maxsize=None)
+def _signatures(tau) -> tuple:
+    """The `wachs._signature` of tau at each cell 1..m."""
+    p = embed_tilde(tau)
+    return tuple(wachs._signature(p, c) for c in range(1, len(tau) + 1))
+
+
+def _frozen_cells(sigma, tau) -> frozenset:
+    """Cells fixed by every element of the Bruhat interval [sigma, tau]
+    of G_m, for sigma <= tau.
+
+    Plain agreement of sigma and tau is not enough: a saturated chain
+    between them may pass through elements moving a cell on which the
+    endpoints agree, and such a detour can toggle the subset entry of
+    that cell.  Only cells frozen across the whole interval constrain
+    the subsets.
+
+    Every rho in the interval has r_sigma <= r_rho <= r_tau entrywise
+    (Bjorner-Brenti, GTM 231, Thm 2.1.5), and the four corners of r_rho
+    around (i, v) decide whether rho(i) = v.  Cell c sits at position
+    i = c + m of embed_tilde, so it is frozen when sigma and tau put the
+    same v there and their rank matrices agree at those corners: when
+    their signatures at c are equal.  That no other cell is frozen is
+    verified exhaustively in the tests.
+    """
+    pairs = zip(_signatures(sigma), _signatures(tau))
+    return frozenset(c for c, (s, t) in enumerate(pairs, 1) if s == t)
+
+
+def _keep(hu: tuple, hv: tuple) -> Optional[frozenset]:
+    """The cells on which the subset of u must lie inside that of v for
+    u <= v, given the heads hu = code(u)[:-1] and hv = code(v)[:-1]; None
+    when the heads alone forbid u <= v.
+
+    The heads forbid it when the slot of v exceeds the slot of u or sigma
+    is not below tau in G_m.  Otherwise the kept cells are those frozen on
+    [sigma, tau], cut at odd rank to the slot window.
+    """
+    slot_u, sigma = hu[:-1], hu[-1]
+    slot_v, tau = hv[:-1], hv[-1]
+    if slot_v > slot_u or not bruhat_leq_b(sigma, tau):
+        return None
+    keep = _frozen_cells(sigma, tau)
+    return keep & wachs._slot_window(slot_u, slot_v, len(sigma))
+
+
+def wachs_leq(u: Sequence[int], v: Sequence[int]) -> bool:
+    """Bruhat comparison of (signed) Wachs permutations, via codes only."""
+    if len(u) != len(v):
+        raise ValueError("rank mismatch")
+    cu, cv = wachs.encode(u), wachs.encode(v)
+    keep = _keep(cu[:-1], cv[:-1])
+    return keep is not None and cu[-1] & keep <= cv[-1]
+
+
+def wachs_covers(v: Sequence[int]) -> set:
+    """Elements covered by v inside the (signed) Wachs permutations."""
+    code = wachs.encode(v)
+    covered = wachs._cover_codes(code, wachs._moves(code[-2]))
+    return {wachs.decode(c, len(v)) for c in covered}
+
+
+def tl_set_a(w: Sequence[int]) -> frozenset:
+    """T_L(w) for a permutation: pairs (a,b), a<b, with b left of a (the
+    reflection (a,b) keyed by its values).
+
+    >>> sorted(tl_set_a((2, 1)))
+    [(1, 2)]
+    """
+    pos = {v: k for k, v in enumerate(w, 1)}
+    n = len(w)
+    return frozenset((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                     if pos[b] < pos[a])
+
+
+def tl_set(w: Sequence[int]) -> frozenset:
+    """T_L(w) for a signed permutation, by the positional rules:
+    (a,b)(-a,-b) is a left inversion iff b > 0 sits left of a, or b < 0
+    sits right of a, in the complete notation; (a,-a) iff a sits left
+    of -a.  On S_n, a parabolic subgroup of B_n, they are the rules of
+    S_n; `tl_set_a`, a different algorithm, checks them there.
+
+    >>> sorted(tl_set((-1, 2)))
+    [(1, -1)]
+    """
+    n = len(w)
+    pos = {}
+    for k, v in enumerate(w, 1):
+        pos[v] = k
+        pos[-v] = -k
+    out = set()
+    for a in range(1, n + 1):
+        if pos[a] < pos[-a]:
+            out.add((a, -a))
+        for bb in range(a + 1, n + 1):
+            for b in (bb, -bb):
+                if (b > 0 and pos[b] < pos[a]) or (b < 0 and pos[b] > pos[a]):
+                    out.add((a, b))
+    return frozenset(out)
+
+
+def weak_leq(u: Sequence[int], v: Sequence[int], side: str) -> bool:
+    """Weak order comparison in S_n or B_n: right order is T_L
+    containment, the left order compares inverses in the right order."""
+    if len(u) != len(v):
+        raise ValueError("rank mismatch")
+    if side == "L":
+        return weak_leq(inverse(u), inverse(v), "R")
+    if side != "R":
+        raise ValueError(f"unknown side {side!r}")
+    return tl_set(u) <= tl_set(v)
+
+
+def build_poset(items: Iterable, leq: Callable, key: Callable = str) -> FinitePoset:
+    """Build and validate a poset from elements and a comparison oracle.
+
+    Items already in a linear extension keep their order.  Any other
+    order is sorted by down-set size, then key: x < y makes the down-set
+    of x a proper subset of that of y, so this is a linear extension of
+    any partial order.
+    """
+    items = list(items)
+    n = len(items)
+    _check_size(n)
+    keys = list(map(key, items))
+    rel = [[bool(leq(x, y)) for y in items] for x in items]
+    if any(rel[i][j] for i in range(n) for j in range(i)):
+        order = sorted(range(n),
+                       key=lambda j: (sum(row[j] for row in rel), keys[j]))
+        items = [items[i] for i in order]
+        keys = [keys[i] for i in order]
+        rel = [[rel[i][j] for j in order] for i in order]
+    up = [sum(1 << j for j, b in enumerate(row) if b) for row in rel]
+    return poset_from_up(items, up, keys)

@@ -17,7 +17,9 @@ of B_m, so the Bruhat order, covers, length and lower intervals of B_m
 restricted to S_m are those of S_m: the order, covers and ranks run the
 signed rules, and read the type from the code.  A `Kind` record holds
 what the enumeration and the output need by type: the group G_m (S_m or
-B_m), its ambient image, length, text form and caps.
+B_m), its ambient image, length, text form and caps.  The pairwise
+references of the sweeps here (`wachs_leq`, `wachs_covers`, `rank_lw`)
+are in `reference`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import qpoly
-from .bruhat import bruhat_covers, bruhat_leq_b, bruhat_up_sets
+from .bruhat import bruhat_covers, bruhat_up_sets
 from .perms import (
     MAX_N_A, MAX_N_B, SizeCapError, all_perms, all_windows, compose,
     embed_tilde, format_perm, format_window, full_position, full_value,
@@ -37,9 +39,8 @@ from .perms import (
 
 __all__ = [
     "Kind", "KINDS", "kind_record", "longest_element",
-    "star", "is_wachs", "enumerate_wachs", "ElementTable", "element_table",
-    "encode", "decode", "chi_map", "f_map", "rank_lw",
-    "wachs_leq", "wachs_up_sets", "wachs_covers", "wachs_cover_masks",
+    "is_wachs", "enumerate_wachs", "ElementTable", "element_table",
+    "encode", "decode", "chi_map", "wachs_up_sets", "wachs_cover_masks",
     "involution", "coatom_c", "mobius_closed",
     "ClosedForms", "closed_polys",
     "stats_distribution_check", "stabilizer_gi",
@@ -83,13 +84,6 @@ def kind_record(kind: str) -> Kind:
 def longest_element(kind: str, n: int) -> tuple:
     """w_0: the reversal n,...,1 for kind 'A', the window -1,...,-n for 'B'."""
     return kind_record(kind).w0(n)
-
-
-def star(i: int, n: int) -> int:
-    """The partner of i: i-1 for even i, i+1 for odd i < n, else n."""
-    if i % 2 == 0:
-        return i - 1
-    return i + 1 if i + 1 <= n else n
 
 
 def is_wachs(w: Sequence[int]) -> bool:
@@ -194,8 +188,8 @@ def encode(v: Sequence[int]) -> tuple:
     return _encode(tuple(v))
 
 
-# Callers that compare pairs one at a time, such as wachs_leq, encode
-# each element many times; the code is immutable and is kept.
+# Callers that compare pairs one at a time, such as reference.wachs_leq,
+# encode each element many times; the code is immutable and is kept.
 @functools.lru_cache(maxsize=65536)
 def _encode(v: tuple) -> tuple:
     n = len(v)
@@ -240,19 +234,6 @@ def decode(code, n: int) -> tuple:
     return tuple(out)
 
 
-def f_map(v: Sequence[int]) -> tuple:
-    """The quotient element tau of the code of v."""
-    return encode(v)[-2]
-
-
-# ---------------------------------------------------------------- rank
-
-
-def rank_lw(v: Sequence[int]) -> int:
-    """Length of v above the minimal element of its coset: l(v) - l(tau)."""
-    return length_b(v) - length_b(f_map(v))
-
-
 # ---------------------------------------------------------------- order
 
 
@@ -271,30 +252,6 @@ def _signature(p: Sequence[int], c: int) -> tuple:
     return v, sum(x > v for x in p[:i - 1])
 
 
-@functools.lru_cache(maxsize=65536)
-def _frozen_cells(sigma, tau) -> frozenset:
-    """Cells fixed by every element of the Bruhat interval [sigma, tau]
-    of G_m, for sigma <= tau.
-
-    Plain agreement of sigma and tau is not enough: a saturated chain
-    between them may pass through elements moving a cell on which the
-    endpoints agree, and such a detour can toggle the subset entry of
-    that cell.  Only cells frozen across the whole interval constrain
-    the subsets.
-
-    Every rho in the interval has r_sigma <= r_rho <= r_tau entrywise
-    (Bjorner-Brenti, GTM 231, Thm 2.1.5), and the four corners of r_rho
-    around (i, v) decide whether rho(i) = v.  Cell c sits at position
-    i = c + m of embed_tilde, so it is frozen when sigma and tau put the
-    same v there and their rank matrices agree at those corners: when
-    their signatures at c are equal.  That no other cell is frozen is
-    verified exhaustively in the tests.
-    """
-    p, q = embed_tilde(sigma), embed_tilde(tau)
-    return frozenset(c for c in range(1, len(sigma) + 1)
-                     if _signature(p, c) == _signature(q, c))
-
-
 def _slot_window(slot_u: tuple, slot_v: tuple, m: int) -> frozenset:
     """The cells the extremal value leaves undisturbed while it moves
     from the slot of u to the slot of v (the slots are () at even rank,
@@ -311,40 +268,17 @@ def _slot_window(slot_u: tuple, slot_v: tuple, m: int) -> frozenset:
     return frozenset(window)
 
 
-def _keep(hu: tuple, hv: tuple) -> Optional[frozenset]:
-    """The cells on which the subset of u must lie inside that of v for
-    u <= v, given the heads hu = code(u)[:-1] and hv = code(v)[:-1]; None
-    when the heads alone forbid u <= v.
-
-    The heads forbid it when the slot of v exceeds the slot of u or sigma
-    is not below tau in G_m.  Otherwise the kept cells are those frozen on
-    [sigma, tau], cut at odd rank to the slot window.
-    """
-    slot_u, sigma = hu[:-1], hu[-1]
-    slot_v, tau = hv[:-1], hv[-1]
-    if slot_v > slot_u or not bruhat_leq_b(sigma, tau):
-        return None
-    keep = _frozen_cells(sigma, tau)
-    return keep & _slot_window(slot_u, slot_v, len(sigma))
-
-
-def wachs_leq(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Bruhat comparison of (signed) Wachs permutations, via codes only."""
-    if len(u) != len(v):
-        raise ValueError("rank mismatch")
-    cu, cv = encode(u), encode(v)
-    keep = _keep(cu[:-1], cv[:-1])
-    return keep is not None and cu[-1] & keep <= cv[-1]
-
-
 def wachs_up_sets(codes: Sequence[tuple]) -> list:
-    """Up-sets of `wachs_leq` on the codes of a list of Wachs elements of
-    one rank, as bitmasks: bit b of up[a] is set iff the element of
-    codes[a] lies below that of codes[b].
+    """Up-sets of the Bruhat order on the codes of a list of Wachs
+    elements of one rank, as bitmasks: bit b of up[a] is set iff the
+    element of codes[a] lies below that of codes[b].
 
-    The rule of `_keep` as an AND of element masks, read from one pass
-    over the codes and one `bruhat_up_sets` call on the distinct tau.
-    For the head (slot, sigma) of a and the cells c of its subset T_a,
+    u <= v iff the slot of v is at most that of u, sigma <= tau in G_m,
+    and T_u & K <= T_v for the cells K frozen on [sigma, tau] and kept by
+    `_slot_window` (`reference.wachs_leq` is this rule for one pair).
+    Here it is an AND of element masks, read from one pass over the
+    codes and one `bruhat_up_sets` call on the distinct tau.  For the
+    head (slot, sigma) of a and the cells c of its subset T_a,
 
         base = above[sigma] & below[slot]
         free[c] = base & (~(signed[c, sig_c(sigma)] & window[slot][c])
@@ -435,15 +369,8 @@ def _cover_codes(code, moves: tuple) -> list:
     return out
 
 
-def wachs_covers(v: Sequence[int]) -> set:
-    """Elements covered by v inside the (signed) Wachs permutations."""
-    code = encode(v)
-    covered = _cover_codes(code, _moves(code[-2]))
-    return {decode(c, len(v)) for c in covered}
-
-
 def wachs_cover_masks(codes: Sequence[tuple]) -> list:
-    """Lower covers of `wachs_covers` on the codes of a list of Wachs
+    """Lower covers by `_cover_codes` on the codes of a list of Wachs
     elements of one rank, as bitmasks: bit b of masks[a] is set iff the
     element of codes[b] is covered by that of codes[a]; a covered
     element missing from the list sets bit len(codes).
@@ -477,29 +404,6 @@ def involution(code, i: int, j: int) -> tuple:
     *slot, tau, t = code
     refl = signed_reflection(i, j, len(tau))
     return (*slot, compose(tau, refl), t ^ {i, abs(j)})
-
-
-def involution_wa(v: Sequence[int], i: int, j: int) -> tuple:
-    """`involution` on a Wachs permutation word, for a transposition
-    1 <= i < j <= m of S_m.
-
-    >>> involution_wa((4, 3, 1, 2, 7, 6, 5), 2, 3)
-    (4, 3, 6, 5, 7, 1, 2)
-    """
-    if not 1 <= i < j <= len(v) // 2:
-        raise ValueError(f"need 1 <= i < j <= {len(v) // 2}")
-    return decode(involution(encode(v), i, j), len(v))
-
-
-def involution_wb(code, i: int, j: int) -> tuple:
-    """`involution` on the code (tau, T) of an even-rank signed Wachs element.
-
-    >>> involution_wb(((-2, 1, 4, 3), frozenset({1, 4})), 3, -3)
-    ((-2, 1, -4, 3), frozenset({1, 3, 4}))
-    """
-    if len(code) != 2:
-        raise ValueError("need the code (tau, T) of an even rank")
-    return involution(code, i, j)
 
 
 def coatom_c(v: Sequence[int]) -> tuple:

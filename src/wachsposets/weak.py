@@ -1,10 +1,8 @@
 """
-Right and left weak orders, left-inversion sets, and the product-structure
-isomorphisms of the weak order on (signed) Wachs permutations.
-
-Reflections are keyed canonically: pairs (a, b) of values with a < b for
-S_n; for B_n pairs (a, b) with 1 <= a < |b| standing for (a,b)(-a,-b),
-plus (a, -a) for the sign changes.
+Right and left weak orders by inversion rows, and the product-structure
+isomorphisms of the weak order on (signed) Wachs permutations.  The
+left-inversion sets and the pairwise `weak_leq` that the rows are
+tested against are in `reference`.
 """
 
 from __future__ import annotations
@@ -17,63 +15,7 @@ from .perms import inverse
 from .posets import FinitePoset, dominance_up_sets
 from .wachs import kind_record
 
-__all__ = ["tl_set_a", "tl_set_b", "tl_set", "weak_leq", "inversion_row",
-           "WeakIsoResult", "weak_product_iso"]
-
-
-def tl_set_a(w: Sequence[int]) -> frozenset:
-    """T_L(w) for a permutation: pairs (a,b), a<b, with b left of a.
-
-    >>> sorted(tl_set_a((2, 1)))
-    [(1, 2)]
-    """
-    pos = {v: k for k, v in enumerate(w, 1)}
-    n = len(w)
-    return frozenset((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-                     if pos[b] < pos[a])
-
-
-def tl_set_b(w: Sequence[int]) -> frozenset:
-    """T_L(w) for a signed permutation, by the positional rules:
-    (a,b)(-a,-b) is a left inversion iff b > 0 sits left of a, or b < 0
-    sits right of a, in the complete notation; (a,-a) iff a sits left
-    of -a.
-
-    >>> sorted(tl_set_b((-1, 2)))
-    [(1, -1)]
-    """
-    n = len(w)
-    pos = {}
-    for k, v in enumerate(w, 1):
-        pos[v] = k
-        pos[-v] = -k
-    out = set()
-    for a in range(1, n + 1):
-        if pos[a] < pos[-a]:
-            out.add((a, -a))
-        for bb in range(a + 1, n + 1):
-            for b in (bb, -bb):
-                if (b > 0 and pos[b] < pos[a]) or (b < 0 and pos[b] > pos[a]):
-                    out.add((a, b))
-    return frozenset(out)
-
-
-# T_L(w) in S_n or B_n: S_n is a parabolic subgroup of B_n, and the signed
-# rules read on a permutation are those of S_n.  tl_set_a, a different
-# algorithm, stays as the tests' type-A reference.
-tl_set = tl_set_b
-
-
-def weak_leq(u: Sequence[int], v: Sequence[int], side: str) -> bool:
-    """Weak order comparison in S_n or B_n: right order is T_L
-    containment, the left order compares inverses in the right order."""
-    if len(u) != len(v):
-        raise ValueError("rank mismatch")
-    if side == "L":
-        return weak_leq(inverse(u), inverse(v), "R")
-    if side != "R":
-        raise ValueError(f"unknown side {side!r}")
-    return tl_set(u) <= tl_set(v)
+__all__ = ["inversion_row", "WeakIsoResult", "weak_product_iso"]
 
 
 def inversion_row(w: Sequence[int], kind: str) -> bytes:

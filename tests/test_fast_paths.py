@@ -6,22 +6,29 @@ element and of the Bruhat poset, every Moebius row against the
 one-element-at-a-time recursion, and enumeration by decoding against a
 membership filter of the whole group, on every rank up to the default
 caps; the element table against `encode`, `rank_lw` and the keys of
-each element through A9 and B7.  Also: the report's order and cover
-sweeps call no pairwise oracle, no pipeline cell encodes an element or
-calls `rank_lw`, a corrupted table rank fails the graded check at that
-element, and planted faults of the slot window, the signature and the
-cover rule fail the order and cover checks with a witness naming the
-pair (and the side that relates it) or the element."""
+each element through A9 and B7.  Also: no pipeline cell encodes an
+element, a corrupted table rank fails the graded check at that element,
+planted faults of the slot window, the signature and the cover rule
+fail the order and cover checks with a witness naming the pair (and the
+side that relates it) or the element, and planted faults of the closed
+polynomials, the longest element, the weak-order factor map and the
+stabilizer fail exactly the cells of their checks, with their
+witnesses."""
 
 import re
 
 import pytest
 
-from wachsposets import checks, wachs
-from wachsposets.bruhat import bruhat_leq_a, bruhat_leq_b, bruhat_up_sets
-from wachsposets.perms import all_perms, all_windows, embed_tilde, inverse
-from wachsposets.posets import build_poset, mobius_rows
-from wachsposets.weak import tl_set
+from wachsposets import checks, reference, wachs, weak
+from wachsposets.bruhat import bruhat_up_sets
+from wachsposets.perms import (
+    all_perms, all_windows, embed_tilde, identity, inverse,
+)
+from wachsposets.posets import mobius_rows
+from wachsposets.qpoly import X
+from wachsposets.reference import (
+    bruhat_leq_a, bruhat_leq_b, build_poset, tl_set,
+)
 from mobius_oracle import mobius_row_by_recursion, nonzero
 
 CELLS = [(kind, n) for kind, top in (("A", 8), ("B", 6))
@@ -78,7 +85,7 @@ def test_wachs_up_sets_match_pairwise_wachs_leq(kind, n):
     table = wachs.element_table(kind, n)
     elems = table.items
     assert wachs.wachs_up_sets(table.codes) == [
-        sum(1 << j for j, v in enumerate(elems) if wachs.wachs_leq(u, v))
+        sum(1 << j for j, v in enumerate(elems) if reference.wachs_leq(u, v))
         for u in elems]
 
 
@@ -88,7 +95,7 @@ def test_cover_masks_match_wachs_covers_and_the_poset(kind, n):
     masks = wachs.wachs_cover_masks(list(map(wachs.encode, p.items)))
     for v, mask in zip(p.items, masks):
         assert {u for b, u in enumerate(p.items)
-                if mask >> b & 1} == wachs.wachs_covers(v)
+                if mask >> b & 1} == reference.wachs_covers(v)
     below = [0] * len(p)
     for i, j in p.covers:
         below[j] |= 1 << i
@@ -102,21 +109,7 @@ def test_cover_masks_flag_a_covered_element_missing_from_the_list(kind, n):
         rest = elems[:drop] + elems[drop + 1:]
         codes = list(map(wachs.encode, rest))
         for v, mask in zip(rest, wachs.wachs_cover_masks(codes)):
-            assert mask >> len(rest) == (gone in wachs.wachs_covers(v))
-
-
-@pytest.mark.parametrize("kind,n", [("A", 6), ("A", 7), ("B", 4), ("B", 5)])
-def test_order_and_cover_sweeps_call_no_oracle(kind, n, monkeypatch):
-    def oracle(*args):
-        raise AssertionError("oracle called")
-
-    for name in ("bruhat_leq_b", "_frozen_cells"):
-        monkeypatch.setattr(wachs, name, oracle)
-    v = wachs.element_table(kind, n).items[0]
-    with pytest.raises(AssertionError, match="oracle called"):
-        wachs.wachs_leq(v, v)                 # the guard reaches the oracle
-    assert checks._check_order(kind, n) == (True, None)
-    assert checks._check_covers(kind, n) == (True, None)
+            assert mask >> len(rest) == (gone in reference.wachs_covers(v))
 
 
 _signature, _cover_codes = wachs._signature, wachs._cover_codes
@@ -172,6 +165,80 @@ def test_order_witness_of_the_window_mutant(monkeypatch):
         False, "213 <= 312 in the Bruhat order only")
 
 
+_closed_polys, _factor_map = wachs.closed_polys, weak._factor_map
+_stabilizer_gi = wachs.stabilizer_gi
+
+
+def _forms(kind, n, rank_gen=1, char=1):
+    """The closed forms of a rank, their polynomials times the factors."""
+    f = _closed_polys(kind, n)
+    return f._replace(rank_gen=f.rank_gen * rank_gen, char=f.char * char)
+
+
+def _mismatch(field, kind, n, factor):
+    """The witness of a check that reads the closed polynomial `field`
+    times `factor`: the true polynomial, then the planted one."""
+    got = getattr(_closed_polys(kind, n), field)
+    return f"{got} != {got * factor}"
+
+
+def _last_cell_swapped(n):
+    """The identity of rank n with the two values of cell n // 2 swapped."""
+    w, k = list(identity(n)), n // 2 * 2
+    w[k - 2], w[k - 1] = w[k - 1], w[k - 2]
+    return tuple(w)
+
+
+# planted faults of what the checks read, each patched at the module
+# attribute `checks` reaches it by: (module, name, replacement, the checks
+# run at their default caps, the witness of each failing cell)
+CHECK_MUTANTS = {
+    "odd-rank B rank_gen times (1 + x)": (
+        wachs, "closed_polys", lambda kind, n: _forms(
+            kind, n, rank_gen=1 + X if kind == "B" and n % 2 else 1),
+        ["rankpoly-A", "rankpoly-B"],
+        {("rankpoly-B", "B", n): _mismatch("rank_gen", "B", n, 1 + X)
+         for n in (1, 3, 5)}),
+    "char times x at n = 7": (
+        wachs, "closed_polys", lambda kind, n: _forms(
+            kind, n, char=X if (kind, n) == ("A", 7) else 1),
+        ["charpoly-A", "charpoly-B"],
+        {("charpoly-A", "A", 7): _mismatch("char", "A", 7, X)}),
+    # the self-dual map becomes v -> v, which reverses no relation
+    "longest element is the identity": (
+        wachs, "longest_element", lambda kind, n: identity(n),
+        ["selfdual-A"],
+        {("selfdual-A", "A", n): "v -> v w_0 is not an antiautomorphism"
+         for n in range(2, 9)}),
+    # e lies below every element, but its image (e, [m]) lies below no
+    # image of a smaller set: first among them, by key, the element of
+    # length 1 that swaps the last cell
+    "weakiso codes with T complemented": (
+        weak, "_factor_map", lambda code: (
+            _factor_map(code)[0],
+            frozenset(range(1, len(code[-2]) + 1)) - _factor_map(code)[1]),
+        ["weakiso-A", "weakiso-B"],
+        {(f"weakiso-{kind}", kind, n):
+         f"map mismatch: {(identity(n), _last_cell_swapped(n))}"
+         for kind, top in (("A", 8), ("B", 6)) for n in range(2, top + 1)}),
+    "stabilizer drops one word": (
+        wachs, "stabilizer_gi", lambda n: _stabilizer_gi(n)[1:],
+        ["gi-stabilizer"],
+        {("gi-stabilizer", "A", n): "stabilizer differs"
+         for n in (2, 4, 6, 8)}),
+}
+
+
+@pytest.mark.parametrize("mutant", CHECK_MUTANTS)
+def test_checks_fail_on_a_planted_mutant(mutant, monkeypatch):
+    module, name, fake, ids, failing = CHECK_MUTANTS[mutant]
+    monkeypatch.setattr(module, name, fake)
+    cells = [cell for check_id in ids for cell in checks.check_cells(check_id)]
+    got = {(r.id, r.kind, r.n): r.witness
+           for r in checks.run_cells(cells) if not r.ok}
+    assert got == failing
+
+
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind, top in
                                     (("A", 9), ("B", 7))
                                     for n in range(1, top + 1)])
@@ -182,7 +249,7 @@ def test_element_table_matches_the_per_element_functions(kind, n):
                                        key=lambda v: (k.length(v), k.key(v)))
     assert list(table.codes) == [wachs.encode(v) for v in table.items]
     assert list(table.keys) == [k.key(v) for v in table.items]
-    assert list(table.ranks) == [wachs.rank_lw(v) for v in table.items]
+    assert list(table.ranks) == [reference.rank_lw(v) for v in table.items]
 
 
 @pytest.mark.parametrize("kind,n", [("A", 7), ("B", 5)])
@@ -190,11 +257,11 @@ def test_pipeline_cells_neither_encode_nor_call_rank_lw(kind, n, monkeypatch):
     def per_element(*args):
         raise AssertionError("per-element function called")
 
-    for name in ("encode", "rank_lw"):
-        monkeypatch.setattr(wachs, name, per_element)
+    # rank_lw is in reference, which no pipeline module imports
+    monkeypatch.setattr(wachs, "encode", per_element)
     v = tuple(range(1, n + 1))
     with pytest.raises(AssertionError, match="per-element function called"):
-        wachs.wachs_covers(v)                 # the patch reaches encode
+        reference.wachs_covers(v)             # the patch reaches encode
     for cache in (wachs.element_table, checks.bruhat_poset, checks.weak_poset):
         cache.cache_clear()
     ids = ["graded", "rankpoly", "order", "covers", "mobius", "weakiso"]

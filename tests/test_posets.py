@@ -10,11 +10,11 @@ from hypothesis import given, strategies as st
 
 from wachsposets import checks
 from wachsposets.posets import (
-    LatticeReport, PosetError, build_poset, characteristic_polynomial,
-    dominance_up_sets, dual_check, grade, lattice_checks, mobius_rows,
-    poset_from_up, to_dot,
+    LatticeReport, PosetError, characteristic_polynomial, dominance_up_sets,
+    dual_check, grade, lattice_checks, mobius_rows, poset_from_up, to_dot,
 )
 from wachsposets.qpoly import IntPolynomial
+from wachsposets.reference import build_poset
 from mobius_oracle import mobius_row_by_recursion, nonzero
 
 

@@ -1,0 +1,54 @@
+"""The pairwise references stand apart from the pipeline: no other module
+of the package imports `reference`, every public name of a module is
+defined there, and the references resolve from the package and from
+`reference` alike."""
+
+import ast
+import importlib
+import pathlib
+
+import wachsposets
+from wachsposets import reference
+
+PACKAGE = pathlib.Path(wachsposets.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+REFERENCES = ["bruhat_leq_a", "bruhat_leq_b", "star", "f_map", "rank_lw",
+              "wachs_leq", "wachs_covers", "tl_set_a", "tl_set", "weak_leq",
+              "build_poset"]
+
+
+def imported_names(source):
+    """The parts of every dotted name the import statements of `source`
+    mention: the modules, and the names taken from them."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names
+
+
+def test_no_pipeline_module_imports_reference():
+    for form in ("from . import reference", "from .reference import star",
+                 "import wachsposets.reference",
+                 "from wachsposets.reference import tl_set"):
+        assert "reference" in imported_names(form), form
+    assert len(MODULES) > 1 and "reference" in MODULES
+    for module in MODULES:
+        if module != "reference":
+            names = imported_names((PACKAGE / f"{module}.py").read_text())
+            assert "reference" not in names, module
+            # the order sweep compares tau by up-sets, never pair by pair
+            assert "bruhat_leq_b" not in names, module
+
+
+def test_public_names_and_references_resolve():
+    for module in MODULES:
+        mod = importlib.import_module(f"wachsposets.{module}")
+        for name in getattr(mod, "__all__", []):
+            assert hasattr(mod, name), (module, name)
+    assert reference.__all__ == REFERENCES
+    for name in REFERENCES:
+        assert getattr(wachsposets, name) is getattr(reference, name), name

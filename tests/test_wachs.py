@@ -8,19 +8,20 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from wachsposets.bruhat import (
-    bruhat_covers, bruhat_leq_a, bruhat_leq_b, bruhat_up_sets,
-)
+from wachsposets.bruhat import bruhat_covers, bruhat_up_sets
 from wachsposets.perms import (
     all_perms, all_windows, compose, full_position, identity, inverse,
     length_a, signed_reflection,
 )
 from wachsposets.qpoly import IntPolynomial, X
+from wachsposets.reference import (
+    _frozen_cells, bruhat_leq_a, bruhat_leq_b, f_map, rank_lw, star,
+    wachs_covers, wachs_leq,
+)
 from wachsposets.wachs import (
-    _frozen_cells, chi_map, closed_polys, coatom_c, decode, element_table,
-    encode, enumerate_wachs, f_map, involution, is_wachs, longest_element,
-    mobius_closed, rank_lw, stabilizer_gi,
-    star, stats_distribution_check, wachs_covers, wachs_leq, wachs_up_sets,
+    chi_map, closed_polys, coatom_c, decode, element_table, encode,
+    enumerate_wachs, involution, is_wachs, longest_element, mobius_closed,
+    stabilizer_gi, stats_distribution_check, wachs_up_sets,
 )
 
 
@@ -240,11 +241,9 @@ def test_frozen_cells_match_interval_scan():
         assert len(want) == pairs
 
 
-@pytest.mark.slow
 def test_frozen_cells_match_interval_scan_on_s6():
     # the same scan on the 720 elements of S_6, ordered by one
-    # bruhat_up_sets call: 98,407 comparable pairs, about 3 s with
-    # the calls to _frozen_cells
+    # bruhat_up_sets call: 98,407 comparable pairs
     els = list(all_perms(6))
     want = _frozen_by_interval_scan(els, bruhat_up_sets(els))
     assert len(want) == 98407
