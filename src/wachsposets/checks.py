@@ -15,7 +15,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from . import wachs
 from .bruhat import bruhat_up_sets
 from .perms import compose, format_perm, inverse
-from .posets import (FinitePoset, characteristic_polynomial,
+from .posets import (FinitePoset, PosetError, characteristic_polynomial,
                      dominance_up_sets, dual_check, grade, lattice_checks,
                      mobius_rows, poset_from_up)
 from .qpoly import IntPolynomial
@@ -286,7 +286,10 @@ def check_cells(check_id: str, max_n: Optional[int] = None) -> list:
 def run_cell(cell: tuple) -> CheckResult:
     check_id, kind, n = cell
     start = time.perf_counter()
-    ok, witness = _spec(check_id).fn(kind, n)
+    try:
+        ok, witness = _spec(check_id).fn(kind, n)
+    except PosetError as exc:   # the engine found the property broken
+        ok, witness = False, str(exc)
     millis = int((time.perf_counter() - start) * 1000)
     return CheckResult(check_id, kind, n, "pass" if ok else "fail",
                        witness, millis)

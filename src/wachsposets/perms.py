@@ -21,8 +21,7 @@ from operator import add, gt
 from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
-    "MAX_N_A", "MAX_N_B", "SizeCapError",
-    "PermWord", "Window", "StatRecord",
+    "SizeCapError", "StatRecord",
     "identity", "compose", "inverse",
     "length_a", "descent_set_a", "stats_a", "length_b",
     "full_value", "full_position", "embed_tilde",
@@ -30,19 +29,12 @@ __all__ = [
     "all_perms", "all_windows", "format_perm", "format_window",
 ]
 
-PermWord = tuple  # tuple[int, ...], one-line notation, values 1..n
-Window = tuple    # tuple[int, ...], window notation, signed values
-
-# hard size caps; exact enumeration beyond these is out of scope
-MAX_N_A = 16
-MAX_N_B = 12
-
 
 class SizeCapError(ValueError):
     """Raised when a requested rank exceeds the supported size caps."""
 
 
-def identity(n: int) -> PermWord:
+def identity(n: int) -> tuple:
     return tuple(range(1, n + 1))
 
 
@@ -136,7 +128,7 @@ def full_position(window: Sequence[int], value: int) -> int:
     raise ValueError(f"value {value} not in window")
 
 
-def embed_tilde(window: Sequence[int]) -> PermWord:
+def embed_tilde(window: Sequence[int]) -> tuple:
     """
     The permutation of [2n] obtained from the full map of a signed
     permutation on [+-n] by the order-preserving relabeling that sends
@@ -150,7 +142,7 @@ def embed_tilde(window: Sequence[int]) -> PermWord:
     return tuple(out)
 
 
-def signed_reflection(i: int, j: int, n: int) -> Window:
+def signed_reflection(i: int, j: int, n: int) -> tuple:
     """
     Window of the reflection (i,j)_B with 1 <= i <= n and j in [+-n]:
     the involution exchanging i with j (and -i with -j).
@@ -174,12 +166,12 @@ def signed_reflection(i: int, j: int, n: int) -> Window:
     return tuple(out)
 
 
-def all_perms(n: int) -> Iterator[PermWord]:
+def all_perms(n: int) -> Iterator[tuple]:
     """All of S_n in lexicographic order."""
     return itertools.permutations(range(1, n + 1))
 
 
-def all_windows(n: int) -> Iterator[Window]:
+def all_windows(n: int) -> Iterator[tuple]:
     """All of B_n (as windows), lazily."""
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):

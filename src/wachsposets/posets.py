@@ -12,7 +12,7 @@ holds its nonzero values only.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 VALIDATION_CAP = 25000   # A11 has 23040 elements
-_GE = [b"0" * x + b"1" * (256 - x) for x in range(256)]  # b"1" iff byte >= x
 
 
 class PosetError(ValueError):
@@ -91,12 +90,18 @@ def dominance_up_sets(rows: Sequence[bytes]) -> list:
     # reversed, so that the last row is the leading digit of each mask
     flat = b"".join(reversed(rows))
     cols = list(dict.fromkeys(flat[p::width] for p in range(width)))
-    tables = [[int(col.translate(_GE[x]), 2) for x in range(max(col) + 1)]
+    tables = [[int(col.translate(_ge(x)), 2) for x in range(max(col) + 1)]
               for col in cols]
     if len(cols) < width:
         rows = list(zip(*cols))[::-1]
     full, take = (1 << len(rows)) - 1, list.__getitem__
     return [reduce(and_, map(take, tables, row), full) for row in rows]
+
+
+@lru_cache(maxsize=None)
+def _ge(x: int) -> bytes:
+    """The table translating a byte to b"1" iff it is >= x, else b"0"."""
+    return b"0" * x + b"1" * (256 - x)
 
 
 def poset_from_up(items: Iterable, up: Sequence[int],
@@ -354,10 +359,8 @@ def dual_check(poset: FinitePoset, mapping: dict) -> bool:
     closure of the covers, so f reverses it both ways.
     """
     n = len(poset)
-    if len(mapping) != n or set(mapping) != set(poset.elements):
-        raise PosetError("mapping is not a bijection on the elements")
-    img = [poset.index[mapping[k]] for k in poset.elements]
-    if len(set(img)) != n:
+    img = [poset.index.get(mapping.get(k)) for k in poset.elements]
+    if len(mapping) != n or None in img or len(set(img)) != n:
         raise PosetError("mapping is not a bijection on the elements")
     covers = set(poset.covers)
     return all((img[j], img[i]) in covers for i, j in poset.covers)

@@ -32,9 +32,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from . import qpoly
 from .bruhat import bruhat_covers, bruhat_up_sets
 from .perms import (
-    MAX_N_A, MAX_N_B, SizeCapError, all_perms, all_windows, compose,
-    embed_tilde, format_perm, format_window, full_position, full_value,
-    identity, inverse, length_a, length_b, signed_reflection, stats_a,
+    SizeCapError, all_perms, all_windows, compose, embed_tilde, format_perm,
+    format_window, full_position, full_value, identity, inverse, length_a,
+    length_b, signed_reflection, stats_a,
 )
 
 __all__ = [
@@ -65,11 +65,11 @@ KINDS = {
     "A": Kind(elements=all_perms, ambient=tuple,
               length=length_a, key=format_perm,
               w0=lambda n: tuple(range(n, 0, -1)),
-              default_cap=8, max_n=MAX_N_A),
+              default_cap=8, max_n=16),
     "B": Kind(elements=all_windows, ambient=embed_tilde,
               length=length_b, key=format_window,
               w0=lambda n: tuple(range(-1, -n - 1, -1)),
-              default_cap=6, max_n=MAX_N_B),
+              default_cap=6, max_n=12),
 }
 
 

@@ -167,6 +167,57 @@ def test_validation_cap_exits_3_after_printing_finished_cells(capsys,
     assert err == "error: 192 elements exceeds the validation cap 100\n"
 
 
+def _grade_a8_as_ungraded(monkeypatch):
+    """Make the grading report A8 ungraded, at its first cover; return
+    that cover's keys."""
+    real, a8 = posets.grade, checks.bruhat_poset("A", 8)
+    gap = tuple(a8.elements[k] for k in a8.covers[0])
+
+    def grade(p):
+        g = real(p)
+        return g if p is not a8 else g._replace(graded=False, rank=None,
+                                                witness=gap)
+
+    monkeypatch.setattr(posets, "grade", grade)
+    monkeypatch.setattr(checks, "grade", grade)
+    return gap
+
+
+def test_a_property_the_poset_engine_rejects_fails_the_cell(tmp_path, capsys,
+                                                            monkeypatch):
+    gap = _grade_a8_as_ungraded(monkeypatch)
+    # characteristic_polynomial raises PosetError on an ungraded poset
+    code, out, err = run(capsys, "check", "theorem", "charpoly-A")
+    assert (code, err) == (1, "")
+    assert [line.split(" [")[0] for line in out.splitlines()] == [
+        f"charpoly-A A n={n} PASS" for n in range(1, 8)] + [
+        "charpoly-A A n=8 FAIL (poset is not graded)"]
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "report", "--json", str(path))
+    assert code == 1
+    assert out.endswith(": 134 checks, 2 failing\n")
+    failing = {(c["id"], c["kind"], c["n"]): c["witness"]
+               for c in json.loads(path.read_text())["checks"]
+               if c["status"] != "pass"}
+    assert failing == {("charpoly-A", "A", 8): "poset is not graded",
+                       ("graded-A", "A", 8): f"cover gap at {gap}"}
+
+
+def test_report_past_the_validation_cap_exits_3_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    # the cap error is not a property failure: it still stops the run
+    monkeypatch.setattr(posets, "VALIDATION_CAP", 100)
+    checks.bruhat_poset.cache_clear()
+    checks.weak_poset.cache_clear()
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "report", "--json", str(path))
+    checks.bruhat_poset.cache_clear()
+    checks.weak_poset.cache_clear()
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.endswith("validation cap 100\n")
+    assert not path.exists()
+
+
 def test_importing_the_cli_skips_the_dataclasses_chain():
     # a fresh interpreter, so that nothing the tests loaded is counted
     probe = ("import sys; before = set(sys.modules); "
@@ -178,4 +229,4 @@ def test_importing_the_cli_skips_the_dataclasses_chain():
                               "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
     added = set(out.split())
     assert "wachsposets.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "wachsposets.reference"}

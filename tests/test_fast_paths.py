@@ -11,9 +11,9 @@ element, a corrupted table rank fails the graded check at that element,
 planted faults of the slot window, the signature and the cover rule
 fail the order and cover checks with a witness naming the pair (and the
 side that relates it) or the element, and planted faults of the closed
-polynomials, the longest element, the weak-order factor map and the
-stabilizer fail exactly the cells of their checks, with their
-witnesses."""
+forms, the table ranks, the longest element, the weak-order factor map,
+the stabilizer, the grading and the lattice test fail exactly the cells
+of their checks, with their witnesses."""
 
 import re
 
@@ -24,7 +24,7 @@ from wachsposets.bruhat import bruhat_up_sets
 from wachsposets.perms import (
     all_perms, all_windows, embed_tilde, identity, inverse,
 )
-from wachsposets.posets import mobius_rows
+from wachsposets.posets import LatticeReport, grade, mobius_rows
 from wachsposets.qpoly import X
 from wachsposets.reference import (
     bruhat_leq_a, bruhat_leq_b, build_poset, tl_set,
@@ -166,7 +166,7 @@ def test_order_witness_of_the_window_mutant(monkeypatch):
 
 
 _closed_polys, _factor_map = wachs.closed_polys, weak._factor_map
-_stabilizer_gi = wachs.stabilizer_gi
+_stabilizer_gi, _element_table = wachs.stabilizer_gi, wachs.element_table
 
 
 def _forms(kind, n, rank_gen=1, char=1):
@@ -182,6 +182,29 @@ def _mismatch(field, kind, n, factor):
     return f"{got} != {got * factor}"
 
 
+def _bottom_raised(kind, n):
+    """The element table of a rank, its bottom one rank higher."""
+    table = _element_table(kind, n)
+    return table._replace(ranks=(table.ranks[0] + 1,) + table.ranks[1:])
+
+
+def _ends(kind, n):
+    """The keys of the bottom and the top element of a rank."""
+    key = wachs.kind_record(kind).key
+    return key(identity(n)), key(wachs.longest_element(kind, n))
+
+
+def _gap_at_the_ends(p):
+    """The grading of p, but with a cover gap from bottom to top."""
+    return grade(p) if len(p) == 1 else grade(p)._replace(
+        graded=False, rank=None, witness=(p.elements[0], p.elements[-1]))
+
+
+def _graded(p):
+    """The grading of p, but graded whatever its covers."""
+    return grade(p)._replace(graded=True)
+
+
 def _last_cell_swapped(n):
     """The identity of rank n with the two values of cell n // 2 swapped."""
     w, k = list(identity(n)), n // 2 * 2
@@ -190,49 +213,102 @@ def _last_cell_swapped(n):
 
 
 # planted faults of what the checks read, each patched at the module
-# attribute `checks` reaches it by: (module, name, replacement, the checks
-# run at their default caps, the witness of each failing cell)
+# attribute `checks` reaches it by: (the patches, each (module, name,
+# replacement), the checks run at their default caps, the witness of each
+# failing cell)
 CHECK_MUTANTS = {
+    "grade finds a gap from bottom to top": (
+        [(checks, "grade", _gap_at_the_ends)],
+        ["graded-A", "graded-B"],
+        {(f"graded-{kind}", kind, n): f"cover gap at {_ends(kind, n)}"
+         for kind, lo, top in (("A", 2, 8), ("B", 1, 6))
+         for n in range(lo, top + 1)}),
+    "closed rank one too high at n = 5": (
+        [(wachs, "closed_polys", lambda kind, n: (
+            f := _closed_polys(kind, n))._replace(rank=f.rank + (n == 5)))],
+        ["graded-A", "graded-B"],
+        {(f"graded-{kind}", kind, 5): f"rank {rank} != {rank + 1}"
+         for kind, rank in (("A", 9), ("B", 21))}),
     "odd-rank B rank_gen times (1 + x)": (
-        wachs, "closed_polys", lambda kind, n: _forms(
-            kind, n, rank_gen=1 + X if kind == "B" and n % 2 else 1),
+        [(wachs, "closed_polys", lambda kind, n: _forms(
+            kind, n, rank_gen=1 + X if kind == "B" and n % 2 else 1))],
         ["rankpoly-A", "rankpoly-B"],
         {("rankpoly-B", "B", n): _mismatch("rank_gen", "B", n, 1 + X)
          for n in (1, 3, 5)}),
+    # the table's rank polynomial is then not reciprocal, and neither is
+    # the closed form planted to match it
+    "bottom raised in the table and the closed form": (
+        [(wachs, "element_table", _bottom_raised),
+         (wachs, "closed_polys", lambda kind, n: (
+             f := _closed_polys(kind, n))._replace(
+                 rank_gen=f.rank_gen + X - 1))],
+        ["rankpoly-A", "rankpoly-B"],
+        {(f"rankpoly-{kind}", kind, n): "rank polynomial is not reciprocal"
+         for kind, top in (("A", 8), ("B", 6)) for n in range(1, top + 1)}),
     "char times x at n = 7": (
-        wachs, "closed_polys", lambda kind, n: _forms(
-            kind, n, char=X if (kind, n) == ("A", 7) else 1),
+        [(wachs, "closed_polys", lambda kind, n: _forms(
+            kind, n, char=X if (kind, n) == ("A", 7) else 1))],
         ["charpoly-A", "charpoly-B"],
         {("charpoly-A", "A", 7): _mismatch("char", "A", 7, X)}),
     # the self-dual map becomes v -> v, which reverses no relation
     "longest element is the identity": (
-        wachs, "longest_element", lambda kind, n: identity(n),
+        [(wachs, "longest_element", lambda kind, n: identity(n))],
         ["selfdual-A"],
         {("selfdual-A", "A", n): "v -> v w_0 is not an antiautomorphism"
          for n in range(2, 9)}),
+    # v -> v w_0 still reverses the order, but with e one rank higher
+    # r(e w_0) = top is no longer top - r(e)
+    "selfdual table with the bottom raised": (
+        [(wachs, "element_table", _bottom_raised)],
+        ["selfdual-A"],
+        {("selfdual-A", "A", n):
+         f"rank antisymmetry fails at {_ends('A', n)[0]}" for n in range(1, 9)}),
     # e lies below every element, but its image (e, [m]) lies below no
     # image of a smaller set: first among them, by key, the element of
     # length 1 that swaps the last cell
     "weakiso codes with T complemented": (
-        weak, "_factor_map", lambda code: (
+        [(weak, "_factor_map", lambda code: (
             _factor_map(code)[0],
-            frozenset(range(1, len(code[-2]) + 1)) - _factor_map(code)[1]),
+            frozenset(range(1, len(code[-2]) + 1)) - _factor_map(code)[1]))],
         ["weakiso-A", "weakiso-B"],
         {(f"weakiso-{kind}", kind, n):
          f"map mismatch: {(identity(n), _last_cell_swapped(n))}"
          for kind, top in (("A", 8), ("B", 6)) for n in range(2, top + 1)}),
+    "weakiso lattice has no complement of the bottom": (
+        [(checks, "lattice_checks", lambda p: LatticeReport(
+            True, False, ("complement", p.elements[0], None)))],
+        ["weakiso-A", "weakiso-B"],
+        {(f"weakiso-{kind}", kind, n):
+         f"lattice failure: {('complement', _ends(kind, n)[0], None)}"
+         for kind, top in (("A", 8), ("B", 6)) for n in range(1, top + 1)}),
     "stabilizer drops one word": (
-        wachs, "stabilizer_gi", lambda n: _stabilizer_gi(n)[1:],
+        [(wachs, "stabilizer_gi", lambda n: _stabilizer_gi(n)[1:])],
         ["gi-stabilizer"],
         {("gi-stabilizer", "A", n): "stabilizer differs"
          for n in (2, 4, 6, 8)}),
+    "grade finds the interval graded": (
+        [(checks, "grade", _graded)],
+        ["nongraded-remark"],
+        {("nongraded-remark", "A", 6): "interval is graded"}),
+    "grade finds the weak L orders graded": (
+        [(checks, "grade", _graded)],
+        ["nongraded-weakL"],
+        {("nongraded-weakL", "A", 5): "poset is graded",
+         ("nongraded-weakL", "B", 3): "poset is graded"}),
+    "lattice_checks finds no join of bottom and top": (
+        [(checks, "lattice_checks", lambda p: LatticeReport(
+            False, False, ("join", p.elements[0], p.elements[-1])))],
+        ["latticeAodd"],
+        {("latticeAodd", "A", n): "no join for {}, {}".format(*_ends("A", n))
+         for n in (1, 3, 5, 7, 9)}),
 }
 
 
 @pytest.mark.parametrize("mutant", CHECK_MUTANTS)
 def test_checks_fail_on_a_planted_mutant(mutant, monkeypatch):
-    module, name, fake, ids, failing = CHECK_MUTANTS[mutant]
-    monkeypatch.setattr(module, name, fake)
+    patches, ids, failing = CHECK_MUTANTS[mutant]
+    for module, name, fake in patches:
+        monkeypatch.setattr(module, name, fake)
     cells = [cell for check_id in ids for cell in checks.check_cells(check_id)]
     got = {(r.id, r.kind, r.n): r.witness
            for r in checks.run_cells(cells) if not r.ok}

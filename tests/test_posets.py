@@ -461,8 +461,14 @@ def test_dual_check_on_a_chain():
     assert dual_check(p, flip)
     ident = {str(i): str(i) for i in range(4)}
     assert not dual_check(p, ident)
-    with pytest.raises(PosetError):
+    bijection = "mapping is not a bijection on the elements"
+    with pytest.raises(PosetError, match=bijection):
         dual_check(p, {str(i): "0" for i in range(4)})
+    # an image that leaves the poset, and a key that is not in it
+    with pytest.raises(PosetError, match=bijection):
+        dual_check(p, {**flip, "3": "4"})
+    with pytest.raises(PosetError, match=bijection):
+        dual_check(p, {**{str(i): str(3 - i) for i in range(3)}, "4": "0"})
 
 
 def test_dot_export():
