@@ -13,9 +13,9 @@ standard parabolic subgroup of B_n, are the covers in S_n.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from typing import Sequence
 
+from .columns import columns, greater, lanes
 from .perms import compose, length_b, signed_reflection
 from .posets import dominance_up_sets
 
@@ -23,22 +23,33 @@ __all__ = ["bruhat_up_sets", "bruhat_covers"]
 
 
 def bruhat_up_sets(words: Sequence[Sequence[int]]) -> list:
-    """Up-sets of the Bruhat order on a list of permutations of [n], as
-    bitmasks: bit j of up[i] is set iff words[i] <= words[j].
+    """Up-sets of the Bruhat order on a list of permutations of [n],
+    n < 128, as bitmasks: bit j of up[i] is set iff words[i] <= words[j].
 
     u <= v iff the increasing rearrangement of u(1..k) is entrywise <=
     that of v(1..k) for every k < n (the tableau criterion,
-    Bjorner-Brenti, GTM 231, section 2.6), so the row of w is its sorted
-    prefixes laid end to end, ordered by `dominance_up_sets`.
+    Bjorner-Brenti, GTM 231, section 2.6).  Entry r of the rearrangement
+    of w(1..k) is 1 + #{j : #{a <= k : w(a) <= j} < r}, so these entries
+    are counted on the byte columns of the words, in every lane at
+    once, and ordered by `dominance_up_sets`.
 
     >>> bruhat_up_sets([(1, 2, 3), (2, 1, 3), (3, 2, 1)])
     [7, 6, 4]
     """
-    n = len(words[0]) if words else 0
-    prefixes = [slice(k) for k in range(1, n)]
-    return dominance_up_sets(
-        [bytes(chain.from_iterable(map(sorted, map(w.__getitem__, prefixes))))
-         for w in words])
+    size = len(words)
+    ones = lanes(size)
+    cols = [int.from_bytes(col, "big") for col in columns(words)]
+    n = len(cols)
+    below = [0] * n         # below[j]: #{a <= k : w(a) <= j}, j < n
+    entries = []
+    for k, col in enumerate(cols[:-1], 1):
+        for j in range(1, n):
+            below[j] += greater((j + 1) * ones, col, size)
+        for r in range(1, k + 1):
+            entry = ones + sum(greater(r * ones, below[j], size)
+                               for j in range(1, n))
+            entries.append(entry.to_bytes(size, "big"))
+    return dominance_up_sets(entries, size)
 
 
 @lru_cache(maxsize=None)

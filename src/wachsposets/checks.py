@@ -9,8 +9,9 @@ the posets a cell builds are cached for the cells that follow it.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from . import wachs
 from .bruhat import bruhat_up_sets
@@ -19,7 +20,7 @@ from .posets import (FinitePoset, PosetError, characteristic_polynomial,
                      dominance_up_sets, dual_check, grade, lattice_checks,
                      mobius_rows, poset_from_up)
 from .qpoly import IntPolynomial
-from .weak import inversion_row, weak_product_iso
+from .weak import inversion_columns, weak_product_iso
 
 __all__ = ["CheckResult", "THEOREM_IDS", "CONJECTURE_IDS",
            "LATTICE_DEFAULT_MAX_N", "default_max_n", "check_cells",
@@ -28,13 +29,11 @@ __all__ = ["CheckResult", "THEOREM_IDS", "CONJECTURE_IDS",
 LATTICE_DEFAULT_MAX_N = 9  # (W(S_n), <=_L) lattice sweep: odd n, m <= 4
 
 
-class CheckResult(NamedTuple):
-    id: str
-    kind: str
-    n: int
-    status: str                 # "pass" | "fail"
-    witness: Optional[str]
-    millis: int
+class CheckResult(namedtuple("CheckResult", [
+        "id", "kind", "n",
+        "status",       # "pass" | "fail"
+        "witness", "millis"])):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -54,10 +53,10 @@ def bruhat_poset(kind: str, n: int) -> FinitePoset:
 @lru_cache(maxsize=None)
 def weak_poset(kind: str, n: int, side: str) -> FinitePoset:
     """Right (left) weak order on the Wachs elements: the left weak order
-    on their inverses (on the elements), by inversion rows."""
+    on their inverses (on the elements), by inversion columns."""
     table = wachs.element_table(kind, n)
     xs = table.items if side == "L" else map(inverse, table.items)
-    up = dominance_up_sets([inversion_row(x, kind) for x in xs])
+    up = dominance_up_sets(inversion_columns(xs, kind), len(table.items))
     return poset_from_up(table.items, up, table.keys)
 
 
@@ -208,10 +207,11 @@ def _check_conj_lattice(kind, n):
     return True, None
 
 
-class _Spec(NamedTuple):
-    kind: str                       # "A", "B" or "AB"
-    fn: Callable
-    ns: Callable                    # (kind, max_n) -> list of n
+_Spec = namedtuple("_Spec", [
+    "kind",         # "A", "B" or "AB"
+    "fn",
+    "ns",           # (kind, max_n) -> list of n
+])
 
 
 def _all_n(lo=1, step=1):

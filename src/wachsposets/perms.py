@@ -16,9 +16,10 @@ from w(-k) = -w(k).
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from itertools import combinations, starmap
 from operator import add, gt
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "SizeCapError", "StatRecord",
@@ -69,13 +70,14 @@ def descent_set_a(word: Sequence[int]) -> frozenset:
     return frozenset(i for i in range(1, len(word)) if word[i - 1] > word[i])
 
 
-class StatRecord(NamedTuple):
-    """Descent-based statistics of a permutation."""
-    des: int   # |D(w)|
-    maj: int   # sum of D(w)
-    odes: int  # number of odd descents
-    emaj: int  # sum of i/2 over even descents i
-    pos: int   # position of the value n
+StatRecord = namedtuple("StatRecord", [
+    "des",      # |D(w)|
+    "maj",      # sum of D(w)
+    "odes",     # number of odd descents
+    "emaj",     # sum of i/2 over even descents i
+    "pos",      # position of the value n
+])
+StatRecord.__doc__ = """Descent-based statistics of a permutation."""
 
 
 def stats_a(word: Sequence[int]) -> StatRecord:

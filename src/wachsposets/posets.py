@@ -12,10 +12,12 @@ holds its nonzero values only.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from collections import namedtuple
+from functools import reduce
 from operator import and_
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
+from .columns import at_least, lanes
 from .perms import SizeCapError
 from .qpoly import IntPolynomial
 
@@ -73,35 +75,56 @@ def _check_size(n: int) -> None:
         raise SizeCapError(f"{n} elements exceeds the validation cap {VALIDATION_CAP}")
 
 
-def dominance_up_sets(rows: Sequence[bytes]) -> list:
-    """Up-sets of the entrywise order on equal-length byte rows, as
-    bitmasks: bit j of up[i] is set iff rows[i][p] <= rows[j][p] for
-    every p.  Each distinct column, a strided slice of the joined rows,
-    is translated into the masks of the rows reaching each threshold;
-    up[i] is the AND of the masks of its own entries.
+def dominance_up_sets(cols: Sequence[bytes], size: int) -> list:
+    """Up-sets of the entrywise order on `size` words given by their
+    byte columns (see `columns`), as bitmasks: bit j of up[i] is set iff
+    w_i(p) <= w_j(p) for every p.  Each distinct column is translated
+    into the masks of the words reaching each threshold above its least
+    entry, which every word reaches; up[i] is the AND of the masks of
+    its own entries, read from the columns word by word.  Columns are
+    packed into bytes first, as many as fit by mixed radix, so that one
+    entry of a packed column stands for several: its mask, the AND of
+    theirs, is found once per value that occurs, not once per word.
 
-    >>> dominance_up_sets([bytes([0, 0]), bytes([1, 0]), bytes([0, 1]),
-    ...                    bytes([1, 1])])
+    >>> dominance_up_sets([bytes([1, 0, 1, 0]), bytes([1, 1, 0, 0])], 4)
     [15, 10, 12, 8]
     """
-    if len(set(map(len, rows))) > 1:
-        raise ValueError("rows of unequal length")
-    width = len(rows[0]) if rows else 0
-    # reversed, so that the last row is the leading digit of each mask
-    flat = b"".join(reversed(rows))
-    cols = list(dict.fromkeys(flat[p::width] for p in range(width)))
-    tables = [[int(col.translate(_ge(x)), 2) for x in range(max(col) + 1)]
-              for col in cols]
-    if len(cols) < width:
-        rows = list(zip(*cols))[::-1]
-    full, take = (1 << len(rows)) - 1, list.__getitem__
-    return [reduce(and_, map(take, tables, row), full) for row in rows]
-
-
-@lru_cache(maxsize=None)
-def _ge(x: int) -> bytes:
-    """The table translating a byte to b"1" iff it is >= x, else b"0"."""
-    return b"0" * x + b"1" * (256 - x)
+    if any(len(col) != size for col in cols):
+        raise ValueError(f"columns of a length other than {size}")
+    full = (1 << size) - 1
+    cols = list(dict.fromkeys(cols))
+    if not cols or not size:
+        return [full] * size
+    # packs of [(digits entry - least entry of a column, the masks of
+    # its entries from the least up, the place value of its digit)]
+    ones = lanes(size)
+    packs: list = []
+    for col in cols:
+        low, high = min(col), max(col)
+        masks = [full] + [int(col.translate(at_least(x)), 2)
+                          for x in range(low + 1, high + 1)]
+        if not packs or scale * len(masks) > 256:
+            packs.append([])
+            scale = 1
+        packs[-1].append((int.from_bytes(col, "big") - low * ones, masks,
+                          scale))
+        scale *= len(masks)
+    cols, tables = [], []
+    for pack in packs:
+        col = sum(digits * scale
+                  for digits, _, scale in pack).to_bytes(size, "big")
+        table = [full] * 256
+        for x in set(col):
+            table[x] = reduce(and_, [masks[x // scale % len(masks)]
+                                     for _, masks, scale in pack])
+        cols.append(col)
+        tables.append(table)
+    take = list.__getitem__
+    # zip(*cols) runs from the last word to the first
+    up = [reduce(and_, map(take, tables, entries), full)
+          for entries in zip(*cols)]
+    up.reverse()
+    return up
 
 
 def poset_from_up(items: Iterable, up: Sequence[int],
@@ -179,11 +202,12 @@ def _order_error(up: list, keys: list) -> PosetError:
                       f"but {keys[j]} comes first")
 
 
-class GradeResult(NamedTuple):
-    graded: bool
-    ranks: Optional[tuple]       # longest-path ranks from the bottom
-    rank: Optional[int]          # rank of the top element when graded
-    witness: Optional[tuple]     # cover edge (u_key, v_key) with gap >= 2
+GradeResult = namedtuple("GradeResult", [
+    "graded",
+    "ranks",        # longest-path ranks from the bottom
+    "rank",         # rank of the top element when graded
+    "witness",      # cover edge (u_key, v_key) with gap >= 2
+])
 
 
 def grade(poset: FinitePoset) -> GradeResult:
@@ -282,10 +306,11 @@ def characteristic_polynomial(poset: FinitePoset):
     return IntPolynomial(out)
 
 
-class LatticeReport(NamedTuple):
-    is_lattice: bool
-    is_complemented: bool
-    witness: Optional[tuple]  # (kind, u_key, v_key) for the first failure
+LatticeReport = namedtuple("LatticeReport", [
+    "is_lattice",
+    "is_complemented",
+    "witness",      # (kind, u_key, v_key) for the first failure
+])
 
 
 def lattice_checks(poset: FinitePoset) -> LatticeReport:

@@ -27,10 +27,11 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 from . import qpoly
 from .bruhat import bruhat_covers, bruhat_up_sets
+from .columns import cells, lengths, not_wachs, signed_words, tile_subsets
 from .perms import (
     SizeCapError, all_perms, all_windows, compose, embed_tilde, format_perm,
     format_window, full_position, full_value, identity, inverse, length_a,
@@ -50,15 +51,16 @@ __all__ = [
 # ---------------------------------------------------------------- types
 
 
-class Kind(NamedTuple):
-    """What type A (G_m = S_m) and type B (G_m = B_m) differ in."""
-    elements: Callable[[int], Iterator[tuple]]   # all of G_m, lazily
-    ambient: Callable[[tuple], tuple]            # Bruhat embedding in S_m/S_2m
-    length: Callable[[Sequence[int]], int]
-    key: Callable[[Sequence[int]], str]          # text form of an element
-    w0: Callable[[int], tuple]                   # longest element of G_m
-    default_cap: int                             # largest n run by default
-    max_n: int                                   # largest n enumerated
+Kind = namedtuple("Kind", [
+    "elements",     # all of G_m, lazily: int -> iterator of tuples
+    "ambient",      # Bruhat embedding in S_m/S_2m: tuple -> tuple
+    "length",       # word -> int
+    "key",          # text form of an element: word -> str
+    "w0",           # longest element of G_m: int -> tuple
+    "default_cap",  # largest n run by default
+    "max_n",        # largest n enumerated
+])
+Kind.__doc__ = """What type A (G_m = S_m) and type B (G_m = B_m) differ in."""
 
 
 KINDS = {
@@ -104,13 +106,19 @@ def is_wachs(w: Sequence[int]) -> bool:
         abs(pos[c] - pos[c + 1]) == 1 for c in range(1, len(w), 2))
 
 
-def _decoded_codes(kind: str, n: int) -> Iterator[tuple]:
-    """Every code of rank n >= 1 with its element, checked by `is_wachs`.
+def _rank_columns(kind: str, n: int) -> tuple:
+    """The heads of the codes of rank n >= 1 and the byte columns of
+    their words, entries w(p) + n (see `columns`), every word checked by
+    `columns.not_wachs`: word i has the code heads[i % H] + (T,), H =
+    len(heads), T = cells(i // H).
 
     The codes are (tau, T) in G_m x P([m]), m = n // 2.  For odd n the
     slot i of the extremal value is added: inserting the value m + 1
     with the sign of i at place |i| of tau is a bijection from the pairs
-    (i, tau) onto G_{m+1}, so the pairs are read off G_{m+1}.
+    (i, tau) onto G_{m+1}, so i runs over the places 1..m+1 with the
+    signs of G_1.  Each head is decoded once, with T empty, and
+    `columns.tile_subsets`, the column decoder, swaps the cells of each
+    T in bulk.
     """
     k = kind_record(kind)
     if n < 1:
@@ -118,27 +126,23 @@ def _decoded_codes(kind: str, n: int) -> Iterator[tuple]:
     if n > k.max_n:
         raise SizeCapError(f"n={n} exceeds the cap {k.max_n}")
     m = n // 2
-    subsets = [frozenset(c) for r in range(m + 1)
-               for c in itertools.combinations(range(1, m + 1), r)]
-    if n % 2 == 0:
-        heads = [(tau,) for tau in k.elements(m)]
-    else:
-        heads = []
-        for rho in k.elements(m + 1):
-            slot = next(a for a, x in enumerate(rho, 1) if abs(x) == m + 1)
-            tau = tuple(x for x in rho if abs(x) != m + 1)
-            heads.append((slot if rho[slot - 1] > 0 else -slot, tau))
-    for code in (head + (t,) for head in heads for t in subsets):
-        w = decode(code, n)
-        if not is_wachs(w):
-            raise ValueError(f"code {code} decodes to {w}, "
-                             f"which is not a Wachs permutation")
-        yield code, w
+    slots = [(place * sign,) for place in range(1, m + 2)
+             for sign, in k.elements(1)] if n % 2 else [()]
+    heads = [slot + (tau,) for slot in slots for tau in k.elements(m)]
+    cols = tile_subsets([decode(head + (frozenset(),), n) for head in heads],
+                        n)
+    bad = not_wachs(cols, n)
+    if bad:
+        i = (bad & -bad).bit_length() - 1
+        code = heads[i % len(heads)] + (cells(i // len(heads)),)
+        raise ValueError(f"code {code} decodes to {signed_words(cols, n)[i]}"
+                         f", which is not a Wachs permutation")
+    return heads, cols
 
 
 def enumerate_wachs(kind: str, n: int) -> list:
     """All Wachs elements of rank n >= 1, lexicographically sorted."""
-    return sorted(w for _, w in _decoded_codes(kind, n))
+    return sorted(signed_words(_rank_columns(kind, n)[1], n))
 
 
 # the Wachs elements of one rank with their codes, keys and l(v) - l(tau)
@@ -147,21 +151,26 @@ ElementTable = namedtuple("ElementTable", "items codes keys ranks")
 
 @functools.lru_cache(maxsize=None)
 def element_table(kind: str, n: int) -> ElementTable:
-    """The Wachs elements of rank n sorted by length, then key, from one
-    pass over the decoded codes, l(tau) found once per distinct tau.
+    """The Wachs elements of rank n sorted by length, then key, from the
+    checked columns of the rank: lengths are counted in every lane at
+    once, and the ranks l(v) - l(tau) take l(tau) once per head.
     Length order is a linear extension of the Bruhat order and of both
     weak orders, which strictly raise length (|T_L(v)| = |T_L(v^-1)| =
     l(v)), so the posets built on the items keep this order."""
     k = kind_record(kind)
-    tau_length = functools.cache(k.length)
-    rows = []
-    for code, w in _decoded_codes(kind, n):
-        length = k.length(w)
-        rank = length - tau_length(code[-2])
-        rows.append((length, k.key(w), w, code, rank))
-    rows.sort()                 # the keys are distinct: ties end there
-    _, keys, items, codes, ranks = zip(*rows)
-    return ElementTable(items, codes, keys, ranks)
+    heads, cols = _rank_columns(kind, n)
+    tiles = 1 << n // 2
+    length = lengths(cols, n).to_bytes(len(cols[0]), "little")
+    tau_length = bytes(k.length(head[-1]) for head in heads) * tiles
+    ranks = list(map(int.__sub__, length, tau_length))
+    words = signed_words(cols, n)
+    keys = list(map(k.key, words))
+    codes = [head + (t,) for t in map(cells, range(tiles)) for head in heads]
+    # chr(l(v)) + key sorts by length, then key
+    order = sorted(range(len(keys)), key=list(
+        map(str.__add__, map(chr, length), keys)).__getitem__)
+    return ElementTable(*(tuple(map(seq.__getitem__, order))
+                          for seq in (words, codes, keys, ranks)))
 
 
 # ---------------------------------------------------------------- codes
@@ -203,19 +212,11 @@ def _encode(v: tuple) -> tuple:
         assert j % 2 == 1, "the extremal value of a Wachs permutation sits at an odd slot"
         slot = ((j + 1) // 2 if j > 0 else (j - 1) // 2,)
         v = chi_map(v)
-    tau = []
-    t = set()
-    for c in range(1, n // 2 + 1):
-        a = v[2 * c - 2]
-        if a > 0:
-            tau.append((a + 1) // 2)
-            if a % 2 == 0:
-                t.add(c)
-        else:
-            tau.append(a // 2)  # floor: -5 -> -3, -6 -> -3
-            if a % 2 == 1:
-                t.add(c)
-    return slot + (tuple(tau), frozenset(t))
+    # the first value a of cell c is 2s - 1 or 2s (s > 0), 2s or 2s + 1
+    # (s < 0), for tau(c) = s; a + (a > 0) is 2s, or 2s + 1 if c is in T
+    firsts = [a + (a > 0) for a in v[::2]]
+    return slot + (tuple(x // 2 for x in firsts),
+                   frozenset(c for c, x in enumerate(firsts, 1) if x % 2))
 
 
 def decode(code, n: int) -> tuple:
@@ -449,10 +450,7 @@ def mobius_closed(code, n: int) -> int:
 # ---------------------------------------------------------------- polynomials
 
 
-class ClosedForms(NamedTuple):
-    rank_gen: qpoly.IntPolynomial
-    char: qpoly.IntPolynomial
-    rank: int
+ClosedForms = namedtuple("ClosedForms", "rank_gen char rank")
 
 
 def closed_polys(kind: str, n: int) -> ClosedForms:

@@ -1,29 +1,40 @@
 """
-Right and left weak orders by inversion rows, and the product-structure
-isomorphisms of the weak order on (signed) Wachs permutations.  The
-left-inversion sets and the pairwise `weak_leq` that the rows are
-tested against are in `reference`.
+Right and left weak orders by inversion columns, and the
+product-structure isomorphisms of the weak order on (signed) Wachs
+permutations.  The left-inversion sets and the pairwise `weak_leq` that
+the columns are tested against are in `reference`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, starmap
-from operator import gt
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from itertools import combinations
+from typing import Iterable, Sequence
 
+from .columns import columns, greater
 from .perms import inverse
 from .posets import FinitePoset, dominance_up_sets
 from .wachs import kind_record
 
-__all__ = ["inversion_row", "WeakIsoResult", "weak_product_iso"]
+__all__ = ["inversion_columns", "WeakIsoResult", "weak_product_iso"]
 
 
-def inversion_row(w: Sequence[int], kind: str) -> bytes:
-    """The inversions of the ambient image of w, one byte per pair of
-    positions.  Entrywise order of these rows is the left weak order, in
-    B_n too: it is the weak order of S_2n restricted to the `embed_tilde`
-    images (Bjorner-Brenti, GTM 231, section 8.1)."""
-    return bytes(starmap(gt, combinations(kind_record(kind).ambient(w), 2)))
+def inversion_columns(words: Iterable[Sequence[int]], kind: str) -> list:
+    """The inversions of the ambient images of the words, one byte
+    column (see `columns`) per pair of positions p < q, 1 where the
+    image has w(p) > w(q): one lane comparison per pair.  Entrywise
+    order of these columns is the left weak order, in B_n too: it is
+    the weak order of S_2n restricted to the `embed_tilde` images
+    (Bjorner-Brenti, GTM 231, section 8.1).
+
+    >>> inversion_columns([(1, 2), (2, 1)], "A")
+    [b'\\x01\\x00']
+    """
+    images = list(map(kind_record(kind).ambient, words))
+    size = len(images)
+    xs = [int.from_bytes(col, "big") for col in columns(images)]
+    return [greater(x, y, size).to_bytes(size, "big")
+            for x, y in combinations(xs, 2)]
 
 
 # ------------------------------------------------------- product structure
@@ -45,9 +56,10 @@ def _factor_map(code):
     return tau, frozenset(abs(small[k - 1]) for k in t)
 
 
-class WeakIsoResult(NamedTuple):
-    holds: bool
-    witness: Optional[tuple]        # first mismatching pair, if any
+WeakIsoResult = namedtuple("WeakIsoResult", [
+    "holds",
+    "witness",      # first mismatching pair, if any
+])
 
 
 def weak_product_iso(poset: FinitePoset, codes: Sequence[tuple],
@@ -58,11 +70,17 @@ def weak_product_iso(poset: FinitePoset, codes: Sequence[tuple],
     images = [_factor_map(code) for code in codes]
     if len(set(images)) != len(images):
         return WeakIsoResult(False, ("not injective",))
-    # the product order is entrywise: group row, then the subset's indicator
-    rows = {g: inversion_row(inverse(g), kind) for g in {g for g, _ in images}}
-    cells = range(1, len(codes[0][-2]) + 1) if codes else ()
-    up = dominance_up_sets([rows[g] + bytes(c in s for c in cells)
-                            for g, s in images])
+    # the product order is entrywise: the group's inversion columns, then
+    # the subset's indicator, each column gathered last image first from
+    # the columns of the distinct group elements
+    groups = list(dict.fromkeys(g for g, _ in images))
+    where = {g: len(groups) - 1 - i for i, g in enumerate(groups)}
+    picks = [where[g] for g, _ in reversed(images)]
+    cols = [bytes(map(col.__getitem__, picks))
+            for col in inversion_columns(map(inverse, groups), kind)]
+    for c in range(1, len(codes[0][-2]) + 1) if codes else ():
+        cols.append(bytes(c in s for _, s in reversed(images)))
+    up = dominance_up_sets(cols, len(images))
     for a, v in enumerate(poset.items):
         diff = poset.up[a] ^ up[a]
         if diff:

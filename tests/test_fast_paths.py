@@ -6,7 +6,11 @@ element and of the Bruhat poset, every Moebius row against the
 one-element-at-a-time recursion, and enumeration by decoding against a
 membership filter of the whole group, on every rank up to the default
 caps; the element table against `encode`, `rank_lw` and the keys of
-each element through A9 and B7.  Also: no pipeline cell encodes an
+each element through A9 and B7; the column Wachs check and the column
+lengths against `is_wachs` and `Kind.length` on all of S_n, n <= 8,
+and B_n, n <= 6, on malformed words and on extremal words at the caps,
+and a planted fault of the column decoder, which enumeration must
+reject naming the first bad code and word.  Also: no pipeline cell encodes an
 element, a corrupted table rank fails the graded check at that element,
 planted faults of the slot window, the signature and the cover rule
 fail the order and cover checks with a witness naming the pair (and the
@@ -18,13 +22,17 @@ of their checks, with their witnesses."""
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wachsposets import checks, reference, wachs, weak
 from wachsposets.bruhat import bruhat_up_sets
+from wachsposets.columns import columns, lengths, not_wachs
 from wachsposets.perms import (
     all_perms, all_windows, embed_tilde, identity, inverse,
 )
-from wachsposets.posets import LatticeReport, grade, mobius_rows
+from wachsposets.posets import (
+    LatticeReport, dominance_up_sets, grade, mobius_rows,
+)
 from wachsposets.qpoly import X
 from wachsposets.reference import (
     bruhat_leq_a, bruhat_leq_b, build_poset, tl_set,
@@ -62,7 +70,7 @@ def test_bruhat_up_sets_on_whole_groups():
         assert bruhat_up_sets(words) == [
             sum(1 << j for j, v in enumerate(words) if bruhat_leq_a(u, v))
             for u in words]
-    for n in range(1, 4):
+    for n in range(1, 5):
         windows = list(all_windows(n))
         assert bruhat_up_sets([embed_tilde(w) for w in windows]) == [
             sum(1 << j for j, v in enumerate(windows) if bruhat_leq_b(u, v))
@@ -372,6 +380,91 @@ def test_decoded_enumeration_matches_filter(kind, n):
 
 
 def test_enumeration_rejects_a_bad_decoding(monkeypatch):
-    monkeypatch.setattr(wachs, "decode", lambda code, n: (1, 3, 2, 4))
-    with pytest.raises(ValueError, match="not a Wachs permutation"):
+    # a planted fault of the column decoder: word 5 of A4, code
+    # ((2, 1), {2}), trades the entries at positions 2 and 3, so that
+    # 3421 becomes 3241; the words before it stay Wachs elements
+    tile_subsets = wachs.tile_subsets
+
+    def faulty(words, n):
+        cols = list(map(bytearray, tile_subsets(words, n)))
+        lane = len(cols[0]) - 1 - 5
+        cols[1][lane], cols[2][lane] = cols[2][lane], cols[1][lane]
+        return list(map(bytes, cols))
+
+    monkeypatch.setattr(wachs, "tile_subsets", faulty)
+    message = (r"code \(\(2, 1\), frozenset\(\{2\}\)\) decodes to "
+               r"\(3, 2, 4, 1\), which is not a Wachs permutation")
+    with pytest.raises(ValueError, match=message):
         wachs.enumerate_wachs("A", 4)
+    with pytest.raises(ValueError, match=message):
+        wachs.element_table.__wrapped__("A", 4)
+
+
+def _offset_columns(words, n):
+    """The byte columns of the words, with entries w(p) + n."""
+    return columns([[v + n for v in w] for w in words])
+
+
+def _column_verdicts(words, n):
+    """Per word: rejected by the column check, and its column length."""
+    size = len(words)
+    cols = _offset_columns(words, n)
+    rejected = not_wachs(cols, n)
+    got = lengths(cols, n).to_bytes(size, "little")
+    return [rejected >> i & 1 for i in range(size)], list(got)
+
+
+@pytest.mark.parametrize("kind,top", [("A", 8), ("B", 6)])
+def test_column_check_and_lengths_match_the_per_word_functions(kind, top):
+    # on all of S_n, n <= 8, and B_n, n <= 6
+    length = wachs.kind_record(kind).length
+    for n in range(1, top + 1):
+        words = list(GROUPS[kind](n))
+        rejected, column_lengths = _column_verdicts(words, n)
+        assert rejected == [not wachs.is_wachs(w) for w in words]
+        assert column_lengths == list(map(length, words))
+
+
+MALFORMED = [(1, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 5), (2, 1, 4, 4),
+             (1, 2, 0, 0), (5, 6, 7, 8), (1, -1, 3, 4), (-4, -3, -2, -1),
+             (2, 3, 1, 4), (-1, 2, 3, 4), (-2, -1, 4, 3), (4, 3, 2, 1)]
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(-n, 2 * n), min_size=n,
+                                  max_size=n).map(tuple),
+                         min_size=1, max_size=12))))
+def test_column_check_rejects_malformed_words(case):
+    # duplicates, 0 and |v| > n, among Wachs elements of the rank; an
+    # entry below -n has no byte
+    n, words = case
+    words = words + list(wachs.element_table("B", n).items[::7])
+    if n == 4:
+        words += MALFORMED
+    rejected, _ = _column_verdicts(words, n)
+    assert rejected == [not wachs.is_wachs(w) for w in words]
+
+
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_the_byte_arithmetic_holds_at_the_caps(kind):
+    # A16 and B12: entries up to 2n, lengths up to l(w_0) = 120 and 144,
+    # the Bruhat kernel on S_16 and S_24, the inversion columns on them
+    k = wachs.kind_record(kind)
+    n, m = k.max_n, k.max_n // 2
+    w0 = k.w0(n)
+    words = [identity(n), w0, tuple(reversed(w0)), tuple(map(abs, w0)),
+             wachs.decode((k.w0(m), frozenset(range(1, m + 1))), n),
+             wachs.decode((identity(m), frozenset({1, m})), n),
+             (n,) * n, (1,) * n]
+    rejected, column_lengths = _column_verdicts(words, n)
+    assert rejected == [not wachs.is_wachs(w) for w in words]
+    assert rejected == [0, 0, 0, 0, 0, 0, 1, 1]
+    assert column_lengths[:6] == list(map(k.length, words[:6]))
+    assert column_lengths[1] == {"A": 120, "B": 144}[kind]
+    group = words[:6]
+    assert bruhat_up_sets(list(map(k.ambient, group))) == [
+        sum(1 << j for j, v in enumerate(group) if LEQ[kind](u, v))
+        for u in group]
+    assert dominance_up_sets(weak.inversion_columns(group, kind), 6) == [
+        sum(1 << j for j, v in enumerate(group)
+            if tl_set(inverse(u)) <= tl_set(inverse(v))) for u in group]

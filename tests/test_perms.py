@@ -1,7 +1,6 @@
 """Group arithmetic, lengths, statistics and text forms for (signed)
 permutations."""
 
-import doctest
 import itertools
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import wachsposets.bruhat
 import wachsposets.checks
+import wachsposets.columns
 import wachsposets.perms
 import wachsposets.posets
 import wachsposets.qpoly
@@ -26,12 +26,8 @@ from wachsposets.wachs import longest_element
 MODULES = [
     wachsposets.perms, wachsposets.bruhat, wachsposets.qpoly,
     wachsposets.posets, wachsposets.wachs, wachsposets.weak,
+    wachsposets.columns,
 ]
-
-
-@pytest.mark.parametrize("mod", MODULES)
-def test_module_doctests(mod):
-    assert doctest.testmod(mod).failed == 0
 
 
 @pytest.mark.parametrize("mod", MODULES + [wachsposets.checks])

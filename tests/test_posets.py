@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wachsposets import checks
+from wachsposets.columns import columns
 from wachsposets.posets import (
     LatticeReport, PosetError, characteristic_polynomial, dominance_up_sets,
     dual_check, grade, lattice_checks, mobius_rows, poset_from_up, to_dot,
@@ -204,14 +205,14 @@ def test_dominance_up_sets_match_the_pairwise_definition(rows, repeats):
     rows = rows + rows[:repeats]        # duplicate rows are equal, both ways
     want = [sum(1 << j for j, y in enumerate(rows)
                 if all(a <= b for a, b in zip(x, y))) for x in rows]
-    assert dominance_up_sets(rows) == want
+    assert dominance_up_sets(columns(rows), len(rows)) == want
 
 
 def test_dominance_up_sets_edge_cases():
-    assert dominance_up_sets([]) == []
-    assert dominance_up_sets([b"", b""]) == [3, 3]
-    with pytest.raises(ValueError, match="unequal"):
-        dominance_up_sets([b"\0", b"\0\0"])
+    assert dominance_up_sets([], 0) == []
+    assert dominance_up_sets([], 2) == [3, 3]       # two words of width 0
+    with pytest.raises(ValueError, match="length other than 2"):
+        dominance_up_sets([b"\0", b"\0\0"], 2)
 
 
 def test_elements_form_a_linear_extension():
