@@ -96,8 +96,7 @@ def _check_covers(kind, n):
     below = [0] * len(p)
     for i, j in p.covers:
         below[j] |= 1 << i
-    codes = wachs.element_table(kind, n).codes
-    for j, mask in enumerate(wachs.wachs_cover_masks(codes)):
+    for j, mask in enumerate(wachs.wachs_cover_masks(kind, n)):
         if mask != below[j]:
             return False, f"covers of {p.elements[j]}"
     return True, None

@@ -15,11 +15,12 @@ import sys
 from . import checks
 from .perms import SizeCapError
 from .posets import to_dot
-from .wachs import enumerate_wachs, kind_record
+from .wachs import enumerate_texts, kind_record
 
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+BLOCK = 1 << 16      # lines per write of `enumerate`
 
 
 def _guard_cap(kind: str, n: int, unsafe: bool) -> None:
@@ -32,9 +33,9 @@ def _guard_cap(kind: str, n: int, unsafe: bool) -> None:
 
 def cmd_enumerate(args) -> int:
     _guard_cap(args.kind, args.n, args.unsafe_large)
-    key = kind_record(args.kind).key
-    for v in enumerate_wachs(args.kind, args.n):
-        print(key(v))
+    lines = enumerate_texts(args.kind, args.n)
+    for start in range(0, len(lines), BLOCK):
+        sys.stdout.write("\n".join(lines[start:start + BLOCK]) + "\n")
     return 0
 
 

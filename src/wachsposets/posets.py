@@ -100,7 +100,8 @@ def dominance_up_sets(cols: Sequence[bytes], size: int) -> list:
     ones = lanes(size)
     packs: list = []
     for col in cols:
-        low, high = min(col), max(col)
+        values = set(col)   # min and max of a few values, not of every byte
+        low, high = min(values), max(values)
         masks = [full] + [int(col.translate(at_least(x)), 2)
                           for x in range(low + 1, high + 1)]
         if not packs or scale * len(masks) > 256:

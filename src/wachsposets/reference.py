@@ -140,10 +140,30 @@ def wachs_leq(u: Sequence[int], v: Sequence[int]) -> bool:
     return keep is not None and cu[-1] & keep <= cv[-1]
 
 
+def _cover_codes(code, moves: tuple) -> list:
+    """Codes of the elements covered by the element with this code, given
+    the `_moves` of its tau."""
+    *slot, tau, t = code
+    out = [(*slot, tau, t - {x}) for x in t]
+    if slot:
+        # slide the extremal value one slot further from the front
+        j, = slot
+        m = len(tau)
+        x = j if j > 0 else -j - 1
+        if j == -1:
+            out.append((1, tau, t))
+        elif j != m + 1 and 1 <= x <= m and x not in t:
+            out.append((j + 1, tau, t | {x}))
+    for sigma, cells in moves:
+        if t.isdisjoint(cells):
+            out.append((*slot, sigma, t | cells))
+    return out
+
+
 def wachs_covers(v: Sequence[int]) -> set:
     """Elements covered by v inside the (signed) Wachs permutations."""
     code = wachs.encode(v)
-    covered = wachs._cover_codes(code, wachs._moves(code[-2]))
+    covered = _cover_codes(code, wachs._moves(code[-2]))
     return {wachs.decode(c, len(v)) for c in covered}
 
 

@@ -27,11 +27,15 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
+from operator import or_
 from typing import Sequence
 
 from . import qpoly
 from .bruhat import bruhat_covers, bruhat_up_sets
-from .columns import cells, lengths, not_wachs, signed_words, tile_subsets
+from .columns import (
+    cells, lengths, not_wachs, signed_words, sorted_columns, texts,
+    tile_subsets,
+)
 from .perms import (
     SizeCapError, all_perms, all_windows, compose, embed_tilde, format_perm,
     format_window, full_position, full_value, identity, inverse, length_a,
@@ -40,7 +44,8 @@ from .perms import (
 
 __all__ = [
     "Kind", "KINDS", "kind_record", "longest_element",
-    "is_wachs", "enumerate_wachs", "ElementTable", "element_table",
+    "is_wachs", "enumerate_wachs", "enumerate_texts",
+    "ElementTable", "element_table",
     "encode", "decode", "chi_map", "wachs_up_sets", "wachs_cover_masks",
     "involution", "coatom_c", "mobius_closed",
     "ClosedForms", "closed_polys",
@@ -142,35 +147,42 @@ def _rank_columns(kind: str, n: int) -> tuple:
 
 def enumerate_wachs(kind: str, n: int) -> list:
     """All Wachs elements of rank n >= 1, lexicographically sorted."""
-    return sorted(signed_words(_rank_columns(kind, n)[1], n))
+    return signed_words(sorted_columns(_rank_columns(kind, n)[1]), n)
 
 
-# the Wachs elements of one rank with their codes, keys and l(v) - l(tau)
-ElementTable = namedtuple("ElementTable", "items codes keys ranks")
+def enumerate_texts(kind: str, n: int) -> list:
+    """The text forms (`Kind.key`) of `enumerate_wachs`, in its order."""
+    return texts(sorted_columns(_rank_columns(kind, n)[1]), n, kind)
+
+
+# the Wachs elements of one rank with their codes, keys, l(v) - l(tau)
+# and tile indices, and the heads of the rank
+ElementTable = namedtuple("ElementTable", "items codes keys ranks tiles heads")
 
 
 @functools.lru_cache(maxsize=None)
 def element_table(kind: str, n: int) -> ElementTable:
     """The Wachs elements of rank n sorted by length, then key, from the
-    checked columns of the rank: lengths are counted in every lane at
-    once, and the ranks l(v) - l(tau) take l(tau) once per head.
+    checked columns of the rank: lengths and keys are read from every
+    lane at once, and the ranks l(v) - l(tau) take l(tau) once per head.
     Length order is a linear extension of the Bruhat order and of both
     weak orders, which strictly raise length (|T_L(v)| = |T_L(v^-1)| =
     l(v)), so the posets built on the items keep this order."""
     k = kind_record(kind)
     heads, cols = _rank_columns(kind, n)
-    tiles = 1 << n // 2
+    span = 1 << n // 2
     length = lengths(cols, n).to_bytes(len(cols[0]), "little")
-    tau_length = bytes(k.length(head[-1]) for head in heads) * tiles
+    tau_length = bytes(k.length(head[-1]) for head in heads) * span
     ranks = list(map(int.__sub__, length, tau_length))
     words = signed_words(cols, n)
-    keys = list(map(k.key, words))
-    codes = [head + (t,) for t in map(cells, range(tiles)) for head in heads]
+    keys = texts(cols, n, kind)
+    codes = [head + (t,) for t in map(cells, range(span)) for head in heads]
     # chr(l(v)) + key sorts by length, then key
     order = sorted(range(len(keys)), key=list(
         map(str.__add__, map(chr, length), keys)).__getitem__)
     return ElementTable(*(tuple(map(seq.__getitem__, order))
-                          for seq in (words, codes, keys, ranks)))
+                          for seq in (words, codes, keys, ranks)),
+                        tuple(order), tuple(heads))
 
 
 # ---------------------------------------------------------------- codes
@@ -269,6 +281,14 @@ def _slot_window(slot_u: tuple, slot_v: tuple, m: int) -> frozenset:
     return frozenset(window)
 
 
+def _mask(members: list, size: int) -> int:
+    """The mask of the bits b < size in members, in time linear in size."""
+    flags = bytearray(b"0") * size
+    for b in members:
+        flags[~b] = 49      # b"1"
+    return int(flags, 2)
+
+
 def wachs_up_sets(codes: Sequence[tuple]) -> list:
     """Up-sets of the Bruhat order on the codes of a list of Wachs
     elements of one rank, as bitmasks: bit b of up[a] is set iff the
@@ -300,12 +320,15 @@ def wachs_up_sets(codes: Sequence[tuple]) -> list:
     cells = range(1, len(codes[0][-2]) + 1)
     by_tau: dict = {}                   # tau -> the elements with it
     by_slot: dict = {}                  # slot -> the elements with it
-    holders = dict.fromkeys(cells, 0)   # cell -> the subsets holding it
+    holders = {c: [] for c in cells}    # cell -> the subsets holding it
     for b, code in enumerate(codes):
-        by_tau[code[-2]] = by_tau.get(code[-2], 0) | 1 << b
-        by_slot[code[:-2]] = by_slot.get(code[:-2], 0) | 1 << b
+        by_tau.setdefault(code[-2], []).append(b)
+        by_slot.setdefault(code[:-2], []).append(b)
         for c in code[-1]:
-            holders[c] |= 1 << b
+            holders[c].append(b)
+    for group in by_tau, by_slot, holders:
+        for key, members in group.items():
+            group[key] = _mask(members, len(codes))
     images = [embed_tilde(tau) for tau in by_tau]
     masks = list(by_tau.values())
     above, signs, signed = {}, {}, {}   # signs[tau]: its (c, signature)s
@@ -350,44 +373,58 @@ def _moves(tau) -> tuple:
     return tuple(out)
 
 
-def _cover_codes(code, moves: tuple) -> list:
-    """Codes of the elements covered by the element with this code, given
-    the `_moves` of its tau."""
-    *slot, tau, t = code
-    out = [(*slot, tau, t - {x}) for x in t]
+def _head_covers(head: tuple) -> list:
+    """The rules (head', cells): (*head, T) covers (*head', T | cells)
+    if T holds none of the cells.  Its other covers drop a cell of T."""
+    *slot, tau = head
+    rules = [((*slot, sigma), cells) for sigma, cells in _moves(tau)]
     if slot:
         # slide the extremal value one slot further from the front
-        j, = slot
-        m = len(tau)
+        (j,), m = slot, len(tau)
         x = j if j > 0 else -j - 1
         if j == -1:
-            out.append((1, tau, t))
-        elif j != m + 1 and 1 <= x <= m and x not in t:
-            out.append((j + 1, tau, t | {x}))
-    for sigma, cells in moves:
-        if t.isdisjoint(cells):
-            out.append((*slot, sigma, t | cells))
-    return out
+            rules.append(((1, tau), ()))
+        elif j != m + 1 and 1 <= x <= m:
+            rules.append(((j + 1, tau), (x,)))
+    return rules
 
 
-def wachs_cover_masks(codes: Sequence[tuple]) -> list:
-    """Lower covers by `_cover_codes` on the codes of a list of Wachs
-    elements of one rank, as bitmasks: bit b of masks[a] is set iff the
-    element of codes[b] is covered by that of codes[a]; a covered
-    element missing from the list sets bit len(codes).
+@functools.lru_cache(maxsize=None)
+def _missing(cells: int, span: int) -> tuple:
+    """The subsets t < span, as masks, holding none of the cells."""
+    return tuple(t for t in range(span) if not t & cells)
 
-    >>> wachs_cover_masks([encode((1, 2)), encode((2, 1))])
+
+def wachs_cover_masks(kind: str, n: int) -> list:
+    """Lower covers in the Bruhat order on the items of `element_table`
+    as bitmasks: bit b of masks[a] is set iff item b is covered by item
+    a.  Tile i = h + H t (see `_rank_columns`) covers the tiles i - H
+    2^(x-1), x in cells(t), and index[head'] + H (t | cells) for the
+    rules of `_head_covers` with cells outside t.
+
+    >>> wachs_cover_masks("A", 2)
     [0, 1]
     """
-    index = {code: b for b, code in enumerate(codes)}
-    missing = len(codes)
-    out = []
-    for code in codes:
-        mask = 0
-        for c in _cover_codes(code, _moves(code[-2])):
-            mask |= 1 << index.get(c, missing)
-        out.append(mask)
-    return out
+    table = element_table(kind, n)
+    heads, size = table.heads, len(table.heads)
+    span = len(table.tiles) // size
+    bit = [0] * len(table.tiles)
+    for b, i in enumerate(table.tiles):
+        bit[i] = 1 << b
+    masks = [0] * len(bit)
+    for t in range(span):
+        block = slice(size * t, size * t + size)
+        for x in cells(t):
+            lower = size * (t - (1 << x - 1))
+            masks[block] = map(or_, masks[block], bit[lower:lower + size])
+    index = {head: h for h, head in enumerate(heads)}
+    for h, head in enumerate(heads):
+        for target, moved in _head_covers(head):
+            add = sum(1 << x - 1 for x in moved)
+            g = index[target]
+            for t in _missing(add, span):
+                masks[h + size * t] |= bit[g + size * (t | add)]
+    return list(map(masks.__getitem__, table.tiles))
 
 
 # ---------------------------------------------------------------- involutions

@@ -35,6 +35,16 @@ def test_enumerate_respects_cap(capsys):
     assert len(out.splitlines()) == 1920
 
 
+def test_enumerate_prints_the_comma_form_in_word_order(capsys):
+    code, out, _ = run(capsys, "enumerate", "A", "10", "--unsafe-large")
+    assert code == 0
+    lines = out.splitlines()
+    words = [tuple(map(int, line.split(","))) for line in lines]
+    assert len(lines) == 3840 and len(set(lines)) == 3840
+    assert words == sorted(words) and all(len(w) == 10 for w in words)
+    assert lines[0] == "1,2,3,4,5,6,7,8,9,10"
+
+
 def test_unknown_ids_are_usage_errors(capsys):
     code, _, err = run(capsys, "check", "theorem", "no-such-id")
     assert code == 2

@@ -5,19 +5,21 @@ predicate, the closed-form cover masks against the covers of each
 element and of the Bruhat poset, every Moebius row against the
 one-element-at-a-time recursion, and enumeration by decoding against a
 membership filter of the whole group, on every rank up to the default
-caps; the element table against `encode`, `rank_lw` and the keys of
-each element through A9 and B7; the column Wachs check and the column
-lengths against `is_wachs` and `Kind.length` on all of S_n, n <= 8,
-and B_n, n <= 6, on malformed words and on extremal words at the caps,
-and a planted fault of the column decoder, which enumeration must
-reject naming the first bad code and word.  Also: no pipeline cell encodes an
-element, a corrupted table rank fails the graded check at that element,
-planted faults of the slot window, the signature and the cover rule
-fail the order and cover checks with a witness naming the pair (and the
-side that relates it) or the element, and planted faults of the closed
-forms, the table ranks, the longest element, the weak-order factor map,
-the stabilizer, the grading and the lattice test fail exactly the cells
-of their checks, with their witnesses."""
+caps; the element table against `encode`, `rank_lw`, the keys and the
+tile order of each element, and the cover masks against `wachs_covers`,
+through A9 and B7; the column texts against `Kind.key` through A12 and
+B10; the column Wachs check and the column lengths against `is_wachs`
+and `Kind.length` on all of S_n, n <= 8, and B_n, n <= 6, on malformed
+words and on extremal words at the caps, and a planted fault of the
+column decoder, which enumeration must reject naming the first bad code
+and word.  Also: no pipeline cell encodes an element, a corrupted table
+rank fails the graded check at that element, planted faults of the slot
+window, the signature and the cover rules (the slot slide, the cells T
+must miss) fail the order and cover checks with a witness naming the
+pair (and the side that relates it) or the element, and planted faults
+of the closed forms, the table ranks, the longest element, the
+weak-order factor map, the stabilizer, the grading and the lattice test
+fail exactly the cells of their checks, with their witnesses."""
 
 import re
 
@@ -26,7 +28,9 @@ from hypothesis import given, strategies as st
 
 from wachsposets import checks, reference, wachs, weak
 from wachsposets.bruhat import bruhat_up_sets
-from wachsposets.columns import columns, lengths, not_wachs
+from wachsposets.columns import (
+    cells, columns, lengths, not_wachs, signed_words, texts,
+)
 from wachsposets.perms import (
     all_perms, all_windows, embed_tilde, identity, inverse,
 )
@@ -100,7 +104,7 @@ def test_wachs_up_sets_match_pairwise_wachs_leq(kind, n):
 @pytest.mark.parametrize("kind,n", CELLS)
 def test_cover_masks_match_wachs_covers_and_the_poset(kind, n):
     p = checks.bruhat_poset(kind, n)
-    masks = wachs.wachs_cover_masks(list(map(wachs.encode, p.items)))
+    masks = wachs.wachs_cover_masks(kind, n)
     for v, mask in zip(p.items, masks):
         assert {u for b, u in enumerate(p.items)
                 if mask >> b & 1} == reference.wachs_covers(v)
@@ -110,20 +114,22 @@ def test_cover_masks_match_wachs_covers_and_the_poset(kind, n):
     assert masks == below
 
 
-@pytest.mark.parametrize("kind,n", [("A", 5), ("A", 6), ("B", 3), ("B", 4)])
-def test_cover_masks_flag_a_covered_element_missing_from_the_list(kind, n):
-    elems = list(wachs.element_table(kind, n).items)
-    for drop, gone in enumerate(elems):
-        rest = elems[:drop] + elems[drop + 1:]
-        codes = list(map(wachs.encode, rest))
-        for v, mask in zip(rest, wachs.wachs_cover_masks(codes)):
-            assert mask >> len(rest) == (gone in reference.wachs_covers(v))
+@pytest.mark.parametrize("kind,n", [("A", n) for n in range(1, 10)] +
+                         [("B", n) for n in range(1, 8)])
+def test_cover_masks_stay_in_the_rank_and_match_wachs_covers(kind, n):
+    items = wachs.element_table(kind, n).items
+    masks = wachs.wachs_cover_masks(kind, n)
+    assert len(masks) == len(items)
+    assert not any(mask >> len(items) for mask in masks)
+    for v, mask in zip(items, masks):
+        assert {u for b, u in enumerate(items)
+                if mask >> b & 1} == reference.wachs_covers(v)
 
 
-_signature, _cover_codes = wachs._signature, wachs._cover_codes
+_signature, _head_covers = wachs._signature, wachs._head_covers
 # planted faults of the closed forms, each the fault of one function:
 # (name, replacement, the check it breaks, the ranks it fails among A1-A6
-# and B1-B4)
+# and B1-B4, or None for at least one of them)
 MUTANTS = {
     "window keeps every cell": (
         "_slot_window", lambda slot_u, slot_v, m: frozenset(range(1, m + 1)),
@@ -136,9 +142,11 @@ MUTANTS = {
         "_signature", lambda p, c: _signature(p, c)[:1],
         "_check_order", {("A", 6), ("B", 4)}),
     "covers drop the slot slide": (
-        "_cover_codes", lambda code, moves: [
-            c for c in _cover_codes(code, moves) if c[:-2] == code[:-2]],
+        "_head_covers", lambda head: [
+            rule for rule in _head_covers(head) if rule[0][:-1] == head[:-1]],
         "_check_covers", {("A", 3), ("A", 5), ("B", 1), ("B", 3)}),
+    "covers ignore the cells T holds": (
+        "_missing", lambda cells, span: range(span), "_check_covers", None),
 }
 
 
@@ -146,13 +154,16 @@ MUTANTS = {
 def test_order_and_cover_checks_fail_on_a_planted_mutant(mutant, monkeypatch):
     name, fake, check, failing = MUTANTS[mutant]
     monkeypatch.setattr(wachs, name, fake)
+    failed = set()
     for kind, n in [("A", n) for n in range(1, 7)] + \
             [("B", n) for n in range(1, 5)]:
         ok, witness = getattr(checks, check)(kind, n)
-        assert ok == ((kind, n) not in failing), (kind, n, witness)
+        if failing is not None:
+            assert ok == ((kind, n) not in failing), (kind, n, witness)
         if ok:
             assert witness is None
             continue
+        failed.add((kind, n))
         p = checks.bruhat_poset(kind, n)
         if check == "_check_covers":
             assert witness.startswith("covers of ")
@@ -164,6 +175,7 @@ def test_order_and_cover_checks_fail_on_a_planted_mutant(mutant, monkeypatch):
             witness).groups()
         in_bruhat = p.up[p.index[u]] >> p.index[v] & 1
         assert in_bruhat == (side == "Bruhat order"), witness
+    assert failed
 
 
 def test_order_witness_of_the_window_mutant(monkeypatch):
@@ -334,6 +346,11 @@ def test_element_table_matches_the_per_element_functions(kind, n):
     assert list(table.codes) == [wachs.encode(v) for v in table.items]
     assert list(table.keys) == [k.key(v) for v in table.items]
     assert list(table.ranks) == [reference.rank_lw(v) for v in table.items]
+    # tile i holds the head heads[i % H] and the subset cells(i // H)
+    size = len(table.heads)
+    assert sorted(table.tiles) == list(range(len(table.items)))
+    assert list(table.codes) == [table.heads[i % size] + (cells(i // size),)
+                                 for i in table.tiles]
 
 
 @pytest.mark.parametrize("kind,n", [("A", 7), ("B", 5)])
@@ -425,6 +442,15 @@ def test_column_check_and_lengths_match_the_per_word_functions(kind, top):
         assert column_lengths == list(map(length, words))
 
 
+@pytest.mark.parametrize("kind,top", [("A", 12), ("B", 10)])
+def test_column_texts_match_the_keys(kind, top):
+    # two-digit entries from rank 10, and the comma form of A10-A12
+    key = wachs.kind_record(kind).key
+    for n in range(1, top + 1):
+        cols = wachs._rank_columns(kind, n)[1]
+        assert texts(cols, n, kind) == list(map(key, signed_words(cols, n)))
+
+
 MALFORMED = [(1, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 5), (2, 1, 4, 4),
              (1, 2, 0, 0), (5, 6, 7, 8), (1, -1, 3, 4), (-4, -3, -2, -1),
              (2, 3, 1, 4), (-1, 2, 3, 4), (-2, -1, 4, 3), (4, 3, 2, 1)]
@@ -462,6 +488,7 @@ def test_the_byte_arithmetic_holds_at_the_caps(kind):
     assert column_lengths[:6] == list(map(k.length, words[:6]))
     assert column_lengths[1] == {"A": 120, "B": 144}[kind]
     group = words[:6]
+    assert texts(_offset_columns(group, n), n, kind) == list(map(k.key, group))
     assert bruhat_up_sets(list(map(k.ambient, group))) == [
         sum(1 << j for j, v in enumerate(group) if LEQ[kind](u, v))
         for u in group]
