@@ -117,7 +117,7 @@ def signed_words(cols: Sequence[bytes], n: int) -> list:
 def sorted_columns(cols: Sequence[bytes]) -> list:
     """The byte columns, entries below 255, of the same words in
     lexicographic order: the words, rows of one buffer ended by 255, are
-    sorted, last first, and sliced back apart.
+    sorted and sliced back into columns.
 
     >>> sorted_columns(columns([(3, 0), (1, 1), (2, 0)]))
     [b'\\x03\\x02\\x01', b'\\x00\\x00\\x01']
