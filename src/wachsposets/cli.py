@@ -15,7 +15,7 @@ import sys
 from . import checks
 from .perms import SizeCapError
 from .posets import to_dot
-from .wachs import enumerate_texts, kind_record
+from .wachs import enumerate_wachs, kind_record
 
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -33,7 +33,7 @@ def _guard_cap(kind: str, n: int, unsafe: bool) -> None:
 
 def cmd_enumerate(args) -> int:
     _guard_cap(args.kind, args.n, args.unsafe_large)
-    lines = enumerate_texts(args.kind, args.n)
+    lines = enumerate_wachs(args.kind, args.n, text=True)
     for start in range(0, len(lines), BLOCK):
         sys.stdout.write("\n".join(lines[start:start + BLOCK]) + "\n")
     return 0

@@ -115,9 +115,8 @@ def signed_words(cols: Sequence[bytes], n: int) -> list:
 
 
 def sorted_columns(cols: Sequence[bytes]) -> list:
-    """The byte columns, entries below 255, of the same words in
-    lexicographic order: the words, rows of one buffer ended by 255, are
-    sorted and sliced back into columns.
+    """The byte columns, entries below 255, of the same words sorted:
+    the words, rows of one buffer ended by 255, are sorted as strings.
 
     >>> sorted_columns(columns([(3, 0), (1, 1), (2, 0)]))
     [b'\\x03\\x02\\x01', b'\\x00\\x00\\x01']
@@ -126,8 +125,7 @@ def sorted_columns(cols: Sequence[bytes]) -> list:
     buf = bytearray(b"\xff") * ((n + 1) * len(cols[0]))
     for p, col in enumerate(cols):
         buf[p::n + 1] = col
-    # rows of str, which sort like the bytes: bytes.join would hold an
-    # 80-byte buffer view per row
+    # latin-1 str rows sort like bytes rows, and join without a buffer each
     rows = buf.decode("latin-1").split("\xff")
     del buf
     rows.sort(reverse=True)
@@ -137,32 +135,31 @@ def sorted_columns(cols: Sequence[bytes]) -> list:
 
 def texts(cols: Sequence[bytes], n: int, kind: str) -> list:
     """`perms.format_window` (kind "B") or `format_perm` ("A") of each
-    word of byte columns with entries w(p) + n, first word first.  A
-    strided slice assignment fills one slot ("[", a sign, digit or
-    separator, a newline) of every word of one buffer; empty slots keep
-    a 0 byte, which one translate deletes.
+    word of byte columns with entries w(p) + n, first word first.  One
+    strided slice assignment fills a slot ("[", a sign, digit or comma
+    of an entry, "]", a newline) of every word; unused slots keep a 0
+    byte, which one translate deletes.
 
     >>> texts(columns([(3, 4), (0, 3)]), 2, "B")
     ['[1,2]', '[-2,1]']
     """
     size, width = len(cols[0]), 4 * n + 2
-    buf = bytearray(width * size)
-    if kind == "B":
-        buf[::width] = b"[" * size
-        buf[width - 2::width] = b"]" * size
-    # the digits of |v| at the byte v + n; 0 for a tens digit 0
+    ends = b"[]" if kind == "B" else b"\0\0"
+    comma = b"," if kind == "B" or n > 9 else b"\0"
+    # the sign and digits of v at the byte v + n, 0 for none
+    sign = (b"-" * n if kind == "B" else b"").ljust(256, b"\0")
     tens = bytes(48 + abs(v) // 10 if abs(v) > 9 else 0
                  for v in range(-n, n + 1)).ljust(256, b"\0")
     units = bytes(48 + abs(v) % 10 for v in range(-n, n + 1)).ljust(256, b"\0")
+    buf = bytearray(width * size)
+    buf[::width] = ends[:1] * size
     for p, col in enumerate(cols):
         col, at = col[::-1], 4 * p + 1
-        if kind == "B":
-            buf[at::width] = col.translate(b"-" * n + bytes(256 - n))
-        if n > 9:
-            buf[at + 1::width] = col.translate(tens)
+        buf[at::width] = col.translate(sign)
+        buf[at + 1::width] = col.translate(tens)
         buf[at + 2::width] = col.translate(units)
-        if p < n - 1 and (kind == "B" or n > 9):
-            buf[at + 3::width] = b"," * size
+        buf[at + 3::width] = comma * size
+    buf[width - 2::width] = ends[1:] * size     # over the last comma
     buf[width - 1::width] = b"\n" * size
     del buf[-1]
     text = buf.translate(None, b"\0").decode("ascii")

@@ -27,15 +27,12 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
-from operator import or_
 from typing import Sequence
 
 from . import qpoly
 from .bruhat import bruhat_covers, bruhat_up_sets
-from .columns import (
-    cells, lengths, not_wachs, signed_words, sorted_columns, texts,
-    tile_subsets,
-)
+from .columns import (cells, lengths, not_wachs, signed_words, sorted_columns,
+                      texts, tile_subsets)
 from .perms import (
     SizeCapError, all_perms, all_windows, compose, embed_tilde, format_perm,
     format_window, full_position, full_value, identity, inverse, length_a,
@@ -44,8 +41,7 @@ from .perms import (
 
 __all__ = [
     "Kind", "KINDS", "kind_record", "longest_element",
-    "is_wachs", "enumerate_wachs", "enumerate_texts",
-    "ElementTable", "element_table",
+    "is_wachs", "enumerate_wachs", "ElementTable", "element_table",
     "encode", "decode", "chi_map", "wachs_up_sets", "wachs_cover_masks",
     "involution", "coatom_c", "mobius_closed",
     "ClosedForms", "closed_polys",
@@ -145,19 +141,25 @@ def _rank_columns(kind: str, n: int) -> tuple:
     return heads, cols
 
 
-def enumerate_wachs(kind: str, n: int) -> list:
-    """All Wachs elements of rank n >= 1, lexicographically sorted."""
-    return signed_words(sorted_columns(_rank_columns(kind, n)[1]), n)
+def enumerate_wachs(kind: str, n: int, text: bool = False) -> list:
+    """All Wachs elements of rank n >= 1, lexicographically sorted, or
+    with text their `Kind.key` texts in that order."""
+    cols = sorted_columns(_rank_columns(kind, n)[1])
+    return texts(cols, n, kind) if text else signed_words(cols, n)
 
 
-def enumerate_texts(kind: str, n: int) -> list:
-    """The text forms (`Kind.key`) of `enumerate_wachs`, in its order."""
-    return texts(sorted_columns(_rank_columns(kind, n)[1]), n, kind)
+class ElementTable(namedtuple("ElementTable", "items keys ranks tiles heads")):
+    """The Wachs elements of one rank with their keys and l(v) - l(tau):
+    item b is word i = tiles[b] of `_rank_columns`, whose code `codes`
+    builds as heads[i % H] + (cells(i // H),), H = len(heads)."""
+    __slots__ = ()
 
-
-# the Wachs elements of one rank with their codes, keys, l(v) - l(tau)
-# and tile indices, and the heads of the rank
-ElementTable = namedtuple("ElementTable", "items codes keys ranks tiles heads")
+    @property
+    def codes(self) -> tuple:
+        size = len(self.heads)
+        subsets = list(map(cells, range(len(self.tiles) // size)))
+        return tuple([self.heads[i % size] + (subsets[i // size],)
+                      for i in self.tiles])
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,18 +172,17 @@ def element_table(kind: str, n: int) -> ElementTable:
     l(v)), so the posets built on the items keep this order."""
     k = kind_record(kind)
     heads, cols = _rank_columns(kind, n)
-    span = 1 << n // 2
+    tiles = 1 << n // 2
     length = lengths(cols, n).to_bytes(len(cols[0]), "little")
-    tau_length = bytes(k.length(head[-1]) for head in heads) * span
+    tau_length = bytes(k.length(head[-1]) for head in heads) * tiles
     ranks = list(map(int.__sub__, length, tau_length))
     words = signed_words(cols, n)
     keys = texts(cols, n, kind)
-    codes = [head + (t,) for t in map(cells, range(span)) for head in heads]
     # chr(l(v)) + key sorts by length, then key
     order = sorted(range(len(keys)), key=list(
         map(str.__add__, map(chr, length), keys)).__getitem__)
     return ElementTable(*(tuple(map(seq.__getitem__, order))
-                          for seq in (words, codes, keys, ranks)),
+                          for seq in (words, keys, ranks)),
                         tuple(order), tuple(heads))
 
 
@@ -281,14 +282,6 @@ def _slot_window(slot_u: tuple, slot_v: tuple, m: int) -> frozenset:
     return frozenset(window)
 
 
-def _mask(members: list, size: int) -> int:
-    """The mask of the bits b < size in members, in time linear in size."""
-    flags = bytearray(b"0") * size
-    for b in members:
-        flags[~b] = 49      # b"1"
-    return int(flags, 2)
-
-
 def wachs_up_sets(codes: Sequence[tuple]) -> list:
     """Up-sets of the Bruhat order on the codes of a list of Wachs
     elements of one rank, as bitmasks: bit b of up[a] is set iff the
@@ -320,15 +313,12 @@ def wachs_up_sets(codes: Sequence[tuple]) -> list:
     cells = range(1, len(codes[0][-2]) + 1)
     by_tau: dict = {}                   # tau -> the elements with it
     by_slot: dict = {}                  # slot -> the elements with it
-    holders = {c: [] for c in cells}    # cell -> the subsets holding it
+    holders = dict.fromkeys(cells, 0)   # cell -> the subsets holding it
     for b, code in enumerate(codes):
-        by_tau.setdefault(code[-2], []).append(b)
-        by_slot.setdefault(code[:-2], []).append(b)
+        by_tau[code[-2]] = by_tau.get(code[-2], 0) | 1 << b
+        by_slot[code[:-2]] = by_slot.get(code[:-2], 0) | 1 << b
         for c in code[-1]:
-            holders[c].append(b)
-    for group in by_tau, by_slot, holders:
-        for key, members in group.items():
-            group[key] = _mask(members, len(codes))
+            holders[c] |= 1 << b
     images = [embed_tilde(tau) for tau in by_tau]
     masks = list(by_tau.values())
     above, signs, signed = {}, {}, {}   # signs[tau]: its (c, signature)s
@@ -398,25 +388,24 @@ def _missing(cells: int, span: int) -> tuple:
 def wachs_cover_masks(kind: str, n: int) -> list:
     """Lower covers in the Bruhat order on the items of `element_table`
     as bitmasks: bit b of masks[a] is set iff item b is covered by item
-    a.  Tile i = h + H t (see `_rank_columns`) covers the tiles i - H
-    2^(x-1), x in cells(t), and index[head'] + H (t | cells) for the
-    rules of `_head_covers` with cells outside t.
+    a.  Word i = h + H t of `_rank_columns` covers the words i - H 2^(x-1)
+    for x in cells(t), and h' + H (t | cells) for the rules (head h',
+    cells) of `_head_covers` with cells outside t.
 
     >>> wachs_cover_masks("A", 2)
     [0, 1]
     """
-    table = element_table(kind, n)
+    table, span = element_table(kind, n), 1 << n // 2
     heads, size = table.heads, len(table.heads)
-    span = len(table.tiles) // size
-    bit = [0] * len(table.tiles)
+    bit = [0] * len(table.tiles)        # word i of the rank -> its item's bit
     for b, i in enumerate(table.tiles):
         bit[i] = 1 << b
     masks = [0] * len(bit)
     for t in range(span):
         block = slice(size * t, size * t + size)
         for x in cells(t):
-            lower = size * (t - (1 << x - 1))
-            masks[block] = map(or_, masks[block], bit[lower:lower + size])
+            low = size * (t - (1 << x - 1))
+            masks[block] = map(int.__or__, masks[block], bit[low:low + size])
     index = {head: h for h, head in enumerate(heads)}
     for h, head in enumerate(heads):
         for target, moved in _head_covers(head):
