@@ -29,7 +29,7 @@ from hypothesis import given, strategies as st
 from wachsposets import checks, reference, wachs, weak
 from wachsposets.bruhat import bruhat_up_sets
 from wachsposets.columns import (
-    cells, columns, lengths, not_wachs, signed_words, texts,
+    columns, lengths, not_wachs, signed_words, texts,
 )
 from wachsposets.perms import (
     all_perms, all_windows, embed_tilde, identity, inverse,
@@ -346,12 +346,11 @@ def test_element_table_matches_the_per_element_functions(kind, n):
     assert list(table.codes) == [wachs.encode(v) for v in table.items]
     assert list(table.keys) == [k.key(v) for v in table.items]
     assert list(table.ranks) == [reference.rank_lw(v) for v in table.items]
-    # tile i holds the head heads[i % H] and the subset cells(i // H)
-    heads = wachs._rank_columns(kind, n)[0]
-    size = len(heads)
-    assert sorted(table.tiles) == list(range(len(table.items)))
-    assert list(table.codes) == [heads[i % size] + (cells(i // size),)
-                                 for i in table.tiles]
+    # item b is word tiles[b] of the rank's columns, which give the codes
+    heads, cols = wachs._rank_columns(kind, n)
+    assert table.heads == tuple(heads)
+    words = signed_words(cols, n)
+    assert [words[i] for i in table.tiles] == list(table.items)
 
 
 @pytest.mark.parametrize("kind,n", [("A", 7), ("B", 5)])
