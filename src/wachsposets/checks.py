@@ -148,9 +148,10 @@ def _check_selfdual(kind, n):
     if not dual_check(p, mapping):
         return False, "v -> v w_0 is not an antiautomorphism"
     ranks = wachs.element_table("A", n).ranks
-    top = ranks[p.index[format_perm(w0)]]
+    index = {key: i for i, key in enumerate(p.elements)}
+    top = ranks[index[format_perm(w0)]]
     for i, key in enumerate(p.elements):
-        if ranks[p.index[mapping[key]]] != top - ranks[i]:
+        if ranks[index[mapping[key]]] != top - ranks[i]:
             return False, f"rank antisymmetry fails at {key}"
     return True, None
 

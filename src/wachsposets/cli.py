@@ -23,16 +23,16 @@ EXIT_CAP = 3
 BLOCK = 1 << 16      # lines per write of `enumerate`
 
 
-def _guard_cap(kind: str, n: int, unsafe: bool) -> None:
-    cap = kind_record(kind).default_cap
+def _guard_cap(what: str, n: int, cap: int, unsafe: bool) -> None:
+    """Refuse an n past its default cap unless --unsafe-large is given."""
     if n > cap and not unsafe:
-        raise SizeCapError(
-            f"n={n} exceeds the default cap {cap} for kind {kind}; "
-            f"pass --unsafe-large to override")
+        raise SizeCapError(f"{what} {n} exceeds the default cap {cap}; "
+                           f"pass --unsafe-large to override")
 
 
 def cmd_enumerate(args) -> int:
-    _guard_cap(args.kind, args.n, args.unsafe_large)
+    _guard_cap(f"kind {args.kind} rank", args.n,
+               kind_record(args.kind).default_cap, args.unsafe_large)
     lines = enumerate_wachs(args.kind, args.n, text=True)
     for start in range(0, len(lines), BLOCK):
         sys.stdout.write("\n".join(lines[start:start + BLOCK]) + "\n")
@@ -40,7 +40,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    _guard_cap(args.kind, args.n, args.unsafe_large)
+    _guard_cap(f"kind {args.kind} rank", args.n,
+               kind_record(args.kind).default_cap, args.unsafe_large)
     if args.order == "bruhat":
         poset = checks.bruhat_poset(args.kind, args.n)
     else:
@@ -73,12 +74,9 @@ def cmd_check(args) -> int:
         print(f"unknown {args.category} id {args.id!r}; choose from: "
               + ", ".join(ids), file=sys.stderr)
         return EXIT_USAGE
-    default = checks.default_max_n(args.id)
-    if (args.max_n is not None and args.max_n > default
-            and not args.unsafe_large):
-        print(f"--max-n {args.max_n} exceeds the default cap {default}; "
-              f"pass --unsafe-large to override", file=sys.stderr)
-        return EXIT_CAP
+    if args.max_n is not None:
+        _guard_cap("--max-n", args.max_n, checks.default_max_n(args.id),
+                   args.unsafe_large)
     cells = checks.check_cells(args.id, args.max_n)
     if not cells:
         print(f"--max-n {args.max_n} leaves no cells to check for {args.id}",

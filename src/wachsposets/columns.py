@@ -169,7 +169,7 @@ def texts(cols: Sequence[bytes], n: int, kind: str) -> list:
 
 def not_wachs(cols: Sequence[bytes], n: int) -> int:
     """The mask of the words of byte columns with entries w(p) + n that
-    are not Wachs elements, `wachs.is_wachs` in every lane at once.
+    are not Wachs elements, `reference.is_wachs` in every lane at once.
 
     A word is a (signed) permutation of 1..n iff each |a| <= n occurs in
     it exactly once.  In a signed permutation, 2c - 1 and 2c sit at

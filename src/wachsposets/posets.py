@@ -1,12 +1,13 @@
 """
 Finite posets over opaque string keys, with bitset internals.
 
-A FinitePoset keeps its elements in some linear extension; `up[i]` and
-`down[i]` are integer bitmasks of the (weak) up-set and down-set of element
-i.  All algorithms (grading, Moebius function, lattice tests, duality)
-work on these masks.  A poset holds no derived state: the Moebius
-function is computed one row at a time, by whoever needs it, and a row
-holds its nonzero values only.
+A FinitePoset keeps its elements in some linear extension, with `up[i]`,
+the integer bitmask of the (weak) up-set of element i, and the sorted
+covers.  All algorithms (grading, Moebius function, lattice tests,
+duality) work on these.  A poset holds no derived state: the down-sets
+are built by `lattice_checks`, their one reader, a key -> position map
+where it is read, and the Moebius function one row at a time, by
+whoever needs it, with the nonzero values of a row only.
 """
 
 from __future__ import annotations
@@ -43,16 +44,13 @@ def _bits(mask: int):
 
 
 class FinitePoset:
-    __slots__ = ("elements", "items", "up", "down", "covers", "index")
+    __slots__ = ("elements", "items", "up", "covers")
 
-    def __init__(self, elements: list, items: list, up: list, down: list,
-                 covers: list, index: Optional[dict] = None):
+    def __init__(self, elements: list, items: list, up: list, covers: list):
         self.elements = elements  # canonical string keys, in a linear extension
         self.items = items        # original objects, aligned with elements
         self.up = up              # up[i]: bitmask of {j : e_i <= e_j}, includes i
-        self.down = down          # down[i]: bitmask of {j : e_j <= e_i}
-        self.covers = covers      # pairs (i, j) with e_i covered by e_j
-        self.index = {} if index is None else index    # key -> position
+        self.covers = covers      # sorted pairs (i, j), e_i covered by e_j
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -67,7 +65,7 @@ class FinitePoset:
 
     def maximum(self) -> Optional[int]:
         n = len(self.elements)
-        return n - 1 if n and self.down[n - 1] == (1 << n) - 1 else None
+        return n - 1 if n and reduce(and_, self.up) == 1 << n - 1 else None
 
 
 def _check_size(n: int) -> None:
@@ -170,13 +168,7 @@ def poset_from_up(items: Iterable, up: Sequence[int],
         if strict >> i << i != strict or above & ~up[i]:
             raise _order_error(up, keys)
     covers.sort()
-    # the order is the reflexive transitive closure of the covers; in
-    # sorted order every cover (h, i) comes before every cover (i, j)
-    down = [1 << i for i in range(n)]
-    for i, j in covers:
-        down[j] |= down[i]
-    return FinitePoset(keys, items, up, down, covers,
-                       index={k: i for i, k in enumerate(keys)})
+    return FinitePoset(keys, items, up, covers)
 
 
 def _order_error(up: list, keys: list) -> PosetError:
@@ -343,9 +335,13 @@ def lattice_checks(poset: FinitePoset) -> LatticeReport:
     if bot is None or top is None:
         raise PosetError("lattice checks need a bounded poset")
     n = len(poset)
-    up, down = poset.up, poset.down
-    keys = poset.elements
+    up, keys = poset.up, poset.elements
     upc, dnc = _cover_lists(poset)
+    # the order is the reflexive transitive closure of the covers; in
+    # sorted order every cover (h, i) comes before every cover (i, j)
+    down = [1 << i for i in range(n)]
+    for i, j in poset.covers:
+        down[j] |= down[i]
     for above in upc:
         for a, b in itertools.combinations(above, 2):
             join = up[a] & up[b]
@@ -385,7 +381,8 @@ def dual_check(poset: FinitePoset, mapping: dict) -> bool:
     closure of the covers, so f reverses it both ways.
     """
     n = len(poset)
-    img = [poset.index.get(mapping.get(k)) for k in poset.elements]
+    index = {k: i for i, k in enumerate(poset.elements)}
+    img = [index.get(mapping.get(k)) for k in poset.elements]
     if len(mapping) != n or None in img or len(set(img)) != n:
         raise PosetError("mapping is not a bijection on the elements")
     covers = set(poset.covers)

@@ -1,10 +1,12 @@
 """
 Pairwise references: the brute-force oracles, for one pair or one
 element at a time, that the tests check the sweeps and closed forms
-against: Bruhat order (`bruhat_leq_a`, `bruhat_leq_b`), Wachs codes,
-rank, order and covers (`star`, `f_map`, `rank_lw`, `wachs_leq`,
-`wachs_covers`), left-inversion sets and weak order (`tl_set_a`,
-`tl_set`, `weak_leq`), and posets from a comparison (`build_poset`).
+against: Bruhat order (`bruhat_leq_a`, `bruhat_leq_b`), the one-element
+maps on Wachs permutations (`is_wachs`, `chi_map`, `encode`, `star`,
+`f_map`, `rank_lw`, `involution`, `coatom_c`), their order and covers
+(`wachs_leq`, `wachs_covers`), left-inversion sets and weak order
+(`tl_set_a`, `tl_set`, `weak_leq`), and posets from a comparison
+(`build_poset`).
 
 No report cell calls them and no other module of the package imports
 this one (a test reads the imports), so a closed form cannot call back
@@ -17,11 +19,13 @@ import functools
 from bisect import insort
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import wachs     # by attribute: a test patching wachs.encode reaches it
-from .perms import embed_tilde, inverse, length_b
+from . import wachs
+from .perms import (compose, embed_tilde, full_position, full_value, inverse,
+                    length_b, signed_reflection)
 from .posets import FinitePoset, _check_size, poset_from_up
 
-__all__ = ["bruhat_leq_a", "bruhat_leq_b", "star", "f_map", "rank_lw",
+__all__ = ["bruhat_leq_a", "bruhat_leq_b", "is_wachs", "chi_map", "encode",
+           "star", "f_map", "rank_lw", "involution", "coatom_c",
            "wachs_leq", "wachs_covers", "tl_set_a", "tl_set", "weak_leq",
            "build_poset"]
 
@@ -68,6 +72,67 @@ def bruhat_leq_b(u: Sequence[int], v: Sequence[int]) -> bool:
     return bruhat_leq_a(_embedded(tuple(u)), _embedded(tuple(v)))
 
 
+def is_wachs(w: Sequence[int]) -> bool:
+    """Membership test on one-line words and windows: w is a (signed)
+    permutation of 1..n, and 2c-1 and 2c sit at signed positions one
+    apart (-1 and 1 are two apart) for all c <= n/2."""
+    pos = [0] * (len(w) + 1)        # pos[|v|]: the signed position of +|v|
+    try:
+        for k, v in enumerate(w, 1):
+            if v > 0:
+                pos[v] = k
+            else:
+                pos[-v] = -k
+    except IndexError:              # |v| > n
+        return False
+    # a 0 left in pos[1:] is a value missing from w
+    return 0 not in pos[1:] and all(
+        abs(pos[c] - pos[c + 1]) == 1 for c in range(1, len(w), 2))
+
+
+def chi_map(v: Sequence[int]) -> tuple:
+    """Delete the value n (or -n) from a Wachs element of odd rank."""
+    n = len(v)
+    return tuple(x for x in v if abs(x) != n)
+
+
+def encode(v: Sequence[int]) -> tuple:
+    """Code of a (signed) Wachs permutation, a tuple: (tau, T), or
+    (i, tau, T) for odd rank, where the full position of the value n is
+    2i-1 (i > 0) or 2i+1 (i < 0).
+
+    >>> encode((4, 3, 1, 2, 7, 5, 6))
+    (3, (2, 1, 3), frozenset({1}))
+    >>> encode((-3, -4, 1, 2, 6, 5))
+    ((-2, 1, 3), frozenset({1, 3}))
+    >>> encode((-1, -2, 5, 6, -7, 3, 4))
+    (-3, (-1, 3, 2), frozenset({1}))
+    """
+    return _encode(tuple(v))
+
+
+# Callers that compare pairs one at a time, such as wachs_leq, encode
+# each element many times; the code is immutable and is kept.
+@functools.lru_cache(maxsize=65536)
+def _encode(v: tuple) -> tuple:
+    n = len(v)
+    if sorted(map(abs, v)) != list(range(1, n + 1)):
+        raise ValueError(f"{v} is not a (signed) permutation")
+    if not is_wachs(v):
+        raise ValueError(f"{v} is not a Wachs permutation")
+    slot = ()
+    if n % 2:
+        j = full_position(v, n)
+        assert j % 2 == 1, "the extremal value of a Wachs permutation sits at an odd slot"
+        slot = ((j + 1) // 2 if j > 0 else (j - 1) // 2,)
+        v = chi_map(v)
+    # the first value a of cell c is 2s - 1 or 2s (s > 0), 2s or 2s + 1
+    # (s < 0), for tau(c) = s; a + (a > 0) is 2s, or 2s + 1 if c is in T
+    firsts = [a + (a > 0) for a in v[::2]]
+    return slot + (tuple(x // 2 for x in firsts),
+                   frozenset(c for c, x in enumerate(firsts, 1) if x % 2))
+
+
 def star(i: int, n: int) -> int:
     """The partner of i: i-1 for even i, i+1 for odd i < n, else n."""
     if i % 2 == 0:
@@ -77,12 +142,54 @@ def star(i: int, n: int) -> int:
 
 def f_map(v: Sequence[int]) -> tuple:
     """The quotient element tau of the code of v."""
-    return wachs.encode(v)[-2]
+    return encode(v)[-2]
 
 
 def rank_lw(v: Sequence[int]) -> int:
     """Length of v above the minimal element of its coset: l(v) - l(tau)."""
     return length_b(v) - length_b(f_map(v))
+
+
+def involution(code, i: int, j: int) -> tuple:
+    """The fixed-point-free involution on [l(u), l(w_ij(u))] intervals,
+    on codes: tau -> tau (i,j)_B, T -> T symmetric-difference {i, |j|}.
+
+    >>> wachs.decode(involution(encode((4, 3, 1, 2, 7, 6, 5)), 2, 3), 7)
+    (4, 3, 6, 5, 7, 1, 2)
+    >>> involution(((-2, 1, 4, 3), frozenset({1, 4})), 3, -3)
+    ((-2, 1, -4, 3), frozenset({1, 3, 4}))
+    """
+    *slot, tau, t = code
+    refl = signed_reflection(i, j, len(tau))
+    return (*slot, compose(tau, refl), t ^ {i, abs(j)})
+
+
+def coatom_c(v: Sequence[int]) -> tuple:
+    """The canonical coatom map on signed Wachs permutations of odd rank
+    whose value n does not sit at position n."""
+    v = tuple(v)
+    n = len(v)
+    if n % 2 == 0:
+        raise ValueError("coatom map needs odd rank")
+    if not is_wachs(v):
+        raise ValueError(f"{v} is not a Wachs permutation")
+    j = full_position(v, n)
+    if j == n:
+        raise ValueError(f"{v} has the value n at position n, "
+                         f"where the coatom map is not defined")
+
+    def swap(p: int, q: int) -> tuple:
+        f = {k: full_value(v, k) for k in range(-n, n + 1) if k != 0}
+        f[p], f[q] = f[q], f[p]
+        if q != -p:
+            f[-p], f[-q] = f[-q], f[-p]
+        return tuple(f[k] for k in range(1, n + 1))
+
+    if j == -1:
+        return swap(-1, 1)
+    if full_value(v, j + 1) > full_value(v, j + 2):
+        return swap(j + 1, j + 2)
+    return swap(j, j + 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,7 +242,7 @@ def wachs_leq(u: Sequence[int], v: Sequence[int]) -> bool:
     """Bruhat comparison of (signed) Wachs permutations, via codes only."""
     if len(u) != len(v):
         raise ValueError("rank mismatch")
-    cu, cv = wachs.encode(u), wachs.encode(v)
+    cu, cv = encode(u), encode(v)
     keep = _keep(cu[:-1], cv[:-1])
     return keep is not None and cu[-1] & keep <= cv[-1]
 
@@ -162,7 +269,7 @@ def _cover_codes(code, moves: tuple) -> list:
 
 def wachs_covers(v: Sequence[int]) -> set:
     """Elements covered by v inside the (signed) Wachs permutations."""
-    code = wachs.encode(v)
+    code = encode(v)
     covered = _cover_codes(code, wachs._moves(code[-2]))
     return {wachs.decode(c, len(v)) for c in covered}
 

@@ -19,7 +19,8 @@ signed rules, and read the type from the code.  A `Kind` record holds
 what the enumeration and the output need by type: the group G_m (S_m or
 B_m), its ambient image, length, text form and caps.  The pairwise
 references of the sweeps here (`wachs_leq`, `wachs_covers`, `rank_lw`)
-are in `reference`.
+and the one-element maps (`is_wachs`, `encode`, `chi_map`, `involution`,
+`coatom_c`) are in `reference`.
 """
 
 from __future__ import annotations
@@ -35,15 +36,13 @@ from .columns import (cells, lengths, not_wachs, signed_words, sorted_columns,
                       texts, tile_subsets)
 from .perms import (
     SizeCapError, all_perms, all_windows, compose, embed_tilde, format_perm,
-    format_window, full_position, full_value, identity, inverse, length_a,
-    length_b, signed_reflection, stats_a,
+    format_window, identity, inverse, length_a, length_b, stats_a,
 )
 
 __all__ = [
     "Kind", "KINDS", "kind_record", "longest_element",
-    "is_wachs", "enumerate_wachs", "ElementTable", "element_table",
-    "encode", "decode", "chi_map", "wachs_up_sets", "wachs_cover_masks",
-    "involution", "coatom_c", "mobius_closed",
+    "enumerate_wachs", "ElementTable", "element_table",
+    "decode", "wachs_up_sets", "wachs_cover_masks", "mobius_closed",
     "ClosedForms", "closed_polys",
     "stats_distribution_check", "stabilizer_gi",
 ]
@@ -87,24 +86,6 @@ def kind_record(kind: str) -> Kind:
 def longest_element(kind: str, n: int) -> tuple:
     """w_0: the reversal n,...,1 for kind 'A', the window -1,...,-n for 'B'."""
     return kind_record(kind).w0(n)
-
-
-def is_wachs(w: Sequence[int]) -> bool:
-    """Membership test on one-line words and windows: w is a (signed)
-    permutation of 1..n, and 2c-1 and 2c sit at signed positions one
-    apart (-1 and 1 are two apart) for all c <= n/2."""
-    pos = [0] * (len(w) + 1)        # pos[|v|]: the signed position of +|v|
-    try:
-        for k, v in enumerate(w, 1):
-            if v > 0:
-                pos[v] = k
-            else:
-                pos[-v] = -k
-    except IndexError:              # |v| > n
-        return False
-    # a 0 left in pos[1:] is a value missing from w
-    return 0 not in pos[1:] and all(
-        abs(pos[c] - pos[c + 1]) == 1 for c in range(1, len(w), 2))
 
 
 def _rank_columns(kind: str, n: int) -> tuple:
@@ -189,51 +170,9 @@ def element_table(kind: str, n: int) -> ElementTable:
 # ---------------------------------------------------------------- codes
 
 
-def chi_map(v: Sequence[int]) -> tuple:
-    """Delete the value n (or -n) from a Wachs element of odd rank."""
-    n = len(v)
-    return tuple(x for x in v if abs(x) != n)
-
-
-def encode(v: Sequence[int]) -> tuple:
-    """Code of a (signed) Wachs permutation, a tuple: (tau, T), or
-    (i, tau, T) for odd rank, where the full position of the value n is
-    2i-1 (i > 0) or 2i+1 (i < 0).
-
-    >>> encode((4, 3, 1, 2, 7, 5, 6))
-    (3, (2, 1, 3), frozenset({1}))
-    >>> encode((-3, -4, 1, 2, 6, 5))
-    ((-2, 1, 3), frozenset({1, 3}))
-    >>> encode((-1, -2, 5, 6, -7, 3, 4))
-    (-3, (-1, 3, 2), frozenset({1}))
-    """
-    return _encode(tuple(v))
-
-
-# Callers that compare pairs one at a time, such as reference.wachs_leq,
-# encode each element many times; the code is immutable and is kept.
-@functools.lru_cache(maxsize=65536)
-def _encode(v: tuple) -> tuple:
-    n = len(v)
-    if sorted(map(abs, v)) != list(range(1, n + 1)):
-        raise ValueError(f"{v} is not a (signed) permutation")
-    if not is_wachs(v):
-        raise ValueError(f"{v} is not a Wachs permutation")
-    slot = ()
-    if n % 2:
-        j = full_position(v, n)
-        assert j % 2 == 1, "the extremal value of a Wachs permutation sits at an odd slot"
-        slot = ((j + 1) // 2 if j > 0 else (j - 1) // 2,)
-        v = chi_map(v)
-    # the first value a of cell c is 2s - 1 or 2s (s > 0), 2s or 2s + 1
-    # (s < 0), for tau(c) = s; a + (a > 0) is 2s, or 2s + 1 if c is in T
-    firsts = [a + (a > 0) for a in v[::2]]
-    return slot + (tuple(x // 2 for x in firsts),
-                   frozenset(c for c, x in enumerate(firsts, 1) if x % 2))
-
-
 def decode(code, n: int) -> tuple:
-    """Inverse of encode for rank n."""
+    """The element of rank n with this code (`reference.encode` is the
+    inverse)."""
     *slot, tau, t = code
     out = []
     for c, s in enumerate(tau, 1):
@@ -305,7 +244,7 @@ def wachs_up_sets(codes: Sequence[tuple]) -> list:
     at c agree), window[slot][c] those whose slot keeps c in
     `_slot_window`, and holders[c] those whose subset holds c.
 
-    >>> wachs_up_sets([encode((1, 2)), encode((2, 1))])
+    >>> wachs_up_sets([((1,), frozenset()), ((1,), frozenset({1}))])
     [3, 2]
     """
     if not codes:
@@ -414,51 +353,6 @@ def wachs_cover_masks(kind: str, n: int) -> list:
             for t in _missing(add, span):
                 masks[h + size * t] |= bit[g + size * (t | add)]
     return list(map(masks.__getitem__, table.tiles))
-
-
-# ---------------------------------------------------------------- involutions
-
-
-def involution(code, i: int, j: int) -> tuple:
-    """The fixed-point-free involution on [l(u), l(w_ij(u))] intervals,
-    on codes: tau -> tau (i,j)_B, T -> T symmetric-difference {i, |j|}.
-
-    >>> decode(involution(encode((4, 3, 1, 2, 7, 6, 5)), 2, 3), 7)
-    (4, 3, 6, 5, 7, 1, 2)
-    >>> involution(((-2, 1, 4, 3), frozenset({1, 4})), 3, -3)
-    ((-2, 1, -4, 3), frozenset({1, 3, 4}))
-    """
-    *slot, tau, t = code
-    refl = signed_reflection(i, j, len(tau))
-    return (*slot, compose(tau, refl), t ^ {i, abs(j)})
-
-
-def coatom_c(v: Sequence[int]) -> tuple:
-    """The canonical coatom map on signed Wachs permutations of odd rank
-    whose value n does not sit at position n."""
-    v = tuple(v)
-    n = len(v)
-    if n % 2 == 0:
-        raise ValueError("coatom map needs odd rank")
-    if not is_wachs(v):
-        raise ValueError(f"{v} is not a Wachs permutation")
-    j = full_position(v, n)
-    if j == n:
-        raise ValueError(f"{v} has the value n at position n, "
-                         f"where the coatom map is not defined")
-
-    def swap(p: int, q: int) -> tuple:
-        f = {k: full_value(v, k) for k in range(-n, n + 1) if k != 0}
-        f[p], f[q] = f[q], f[p]
-        if q != -p:
-            f[-p], f[-q] = f[-q], f[-p]
-        return tuple(f[k] for k in range(1, n + 1))
-
-    if j == -1:
-        return swap(-1, 1)
-    if full_value(v, j + 1) > full_value(v, j + 2):
-        return swap(j + 1, j + 2)
-    return swap(j, j + 2)
 
 
 # ---------------------------------------------------------------- Moebius

@@ -6,10 +6,24 @@ kept as one mask per nonzero value c of mu, so mu(u, v) is minus the sum
 over c of c * popcount(down[v] & mask_c), exact for any values.
 """
 
+import functools
+
+
+@functools.lru_cache(maxsize=1)     # the rows of one poset share them
+def down_sets(up: tuple) -> list:
+    """The down-sets, by transposing the up-sets: bit i of down[j] is
+    bit j of up[i]."""
+    down = [0] * len(up)
+    for i, mask in enumerate(up):
+        for j in range(len(up)):
+            if mask >> j & 1:
+                down[j] |= 1 << i
+    return down
+
 
 def mobius_row_by_recursion(poset, u):
     row = [0] * len(poset)
-    down = poset.down
+    down = down_sets(tuple(poset.up))
     by_value: dict = {}
     for v in range(len(poset)):
         if not poset.leq(u, v):

@@ -14,11 +14,9 @@ import acceptance_log
 from wachsposets import checks
 from wachsposets.qpoly import X
 from wachsposets.reference import (
-    bruhat_leq_b, rank_lw, wachs_covers, wachs_leq,
+    bruhat_leq_b, coatom_c, encode, rank_lw, wachs_covers, wachs_leq,
 )
-from wachsposets.wachs import (
-    closed_polys, coatom_c, decode, encode, enumerate_wachs,
-)
+from wachsposets.wachs import closed_polys, decode, enumerate_wachs
 
 
 @pytest.fixture(scope="module")

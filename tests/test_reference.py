@@ -1,6 +1,7 @@
 """The pairwise references stand apart from the pipeline: no other module
-of the package, its `__init__` included, imports `reference`, and every
-public name of a module is defined there."""
+of the package, its `__init__` included, imports `reference`, no module
+imports a name it never uses, and every public name of a module is
+defined there."""
 
 import ast
 import importlib
@@ -11,7 +12,8 @@ from wachsposets import reference
 
 PACKAGE = pathlib.Path(wachsposets.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
-REFERENCES = ["bruhat_leq_a", "bruhat_leq_b", "star", "f_map", "rank_lw",
+REFERENCES = ["bruhat_leq_a", "bruhat_leq_b", "is_wachs", "chi_map",
+              "encode", "star", "f_map", "rank_lw", "involution", "coatom_c",
               "wachs_leq", "wachs_covers", "tl_set_a", "tl_set", "weak_leq",
               "build_poset"]
 
@@ -27,6 +29,21 @@ def imported_names(source):
             for alias in node.names:
                 names.update(alias.name.split("."))
     return names
+
+
+def unused_imports(source):
+    """The names the import statements of `source` bind and its code
+    never reads (`from __future__` imports aside)."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
 
 
 def test_no_pipeline_module_imports_reference():
@@ -52,4 +69,15 @@ def test_public_names_and_references_resolve():
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), (module, name)
     assert reference.__all__ == REFERENCES
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    source = ("from __future__ import annotations\nimport os.path, sys\n"
+              "from . import wachs\nfrom .perms import inverse as inv, "
+              "compose\n\ndef f(x: Sequence) -> int:\n"
+              "    return wachs.f(inv(x), os.sep)\n")
+    assert unused_imports(source) == {"sys", "compose"}
+    for module in MODULES:
+        assert unused_imports((PACKAGE / f"{module}.py").read_text()) == \
+            set(), module
 

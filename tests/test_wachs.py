@@ -15,13 +15,12 @@ from wachsposets.perms import (
 )
 from wachsposets.qpoly import IntPolynomial, X
 from wachsposets.reference import (
-    _frozen_cells, bruhat_leq_a, bruhat_leq_b, f_map, rank_lw, star,
-    wachs_covers, wachs_leq,
+    _frozen_cells, bruhat_leq_a, bruhat_leq_b, chi_map, coatom_c, encode,
+    f_map, involution, is_wachs, rank_lw, star, wachs_covers, wachs_leq,
 )
 from wachsposets.wachs import (
-    chi_map, closed_polys, coatom_c, decode, element_table, encode,
-    enumerate_wachs, involution, is_wachs, longest_element, mobius_closed,
-    stabilizer_gi, stats_distribution_check, wachs_up_sets,
+    closed_polys, decode, element_table, enumerate_wachs, longest_element,
+    mobius_closed, stabilizer_gi, stats_distribution_check, wachs_up_sets,
 )
 
 
