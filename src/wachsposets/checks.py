@@ -194,7 +194,7 @@ def _check_conj_mobius(kind, n):
     for i, row in enumerate(mobius_rows(p, range(len(p)))):
         big = [j for j, value in row.items() if abs(value) > 1]
         if big:
-            j = min(big)        # the row's keys run by layer, not by index
+            j = big[0]          # the row's keys run by index
             return False, f"mu({p.elements[i]},{p.elements[j]}) = {row[j]}"
     return True, None
 

@@ -98,8 +98,9 @@ def dominance_up_sets(cols: Sequence[bytes], size: int) -> list:
     ones = lanes(size)
     packs: list = []
     for col in cols:
-        values = set(col)   # min and max of a few values, not of every byte
-        low, high = min(values), max(values)
+        # the least and greatest entry by memchr, not a set of every byte
+        low = next(x for x in range(256) if x in col)
+        high = next(x for x in range(255, low - 1, -1) if x in col)
         masks = [full] + [int(col.translate(at_least(x)), 2)
                           for x in range(low + 1, high + 1)]
         if not packs or scale * len(masks) > 256:
@@ -108,7 +109,9 @@ def dominance_up_sets(cols: Sequence[bytes], size: int) -> list:
         packs[-1].append((int.from_bytes(col, "big") - low * ones, masks,
                           scale))
         scale *= len(masks)
-    cols, tables = [], []
+    # each packed column's table, ANDed into the rows of the ones before
+    # in one lazy chain; the last word is the first byte of a column
+    up = itertools.repeat(full, size)
     for pack in packs:
         col = sum(digits * scale
                   for digits, _, scale in pack).to_bytes(size, "big")
@@ -116,14 +119,8 @@ def dominance_up_sets(cols: Sequence[bytes], size: int) -> list:
         for x in set(col):
             table[x] = reduce(and_, [masks[x // scale % len(masks)]
                                      for _, masks, scale in pack])
-        cols.append(col)
-        tables.append(table)
-    take = list.__getitem__
-    # zip(*cols) runs from the last word to the first
-    up = [reduce(and_, map(take, tables, entries), full)
-          for entries in zip(*cols)]
-    up.reverse()
-    return up
+        up = map(and_, up, map(table.__getitem__, reversed(col)))
+    return list(up)
 
 
 def poset_from_up(items: Iterable, up: Sequence[int],
@@ -150,14 +147,15 @@ def poset_from_up(items: Iterable, up: Sequence[int],
             raise PosetError(f"up-set of {keys[i]} names no element")
 
     up = list(up)
-    # Covers, from the top down.  Once every up-set above i is known to be
-    # closed and to lie above its element, the lowest element left in the
-    # strict up-set of i is minimal there, so it is a cover, and removing
-    # its up-set leaves the rest.  up[i] lies above i and is closed iff
-    # the up-sets of its covers stay inside it; a relation passing this
-    # for every i is antisymmetric and transitive.
+    # Covers, in sorted order.  If every up-set above i is closed and
+    # lies above its element, the lowest element left in the strict
+    # up-set of i is minimal there, so it is a cover, and removing its
+    # up-set leaves the rest.  up[i] lies above i and is closed iff the
+    # up-sets of its covers stay inside it; by induction from the top, a
+    # relation passing this for every i is antisymmetric and transitive.
+    # Each check reads only `up`, so they run in any order.
     covers = []
-    for i in range(n - 1, -1, -1):
+    for i in range(n):
         strict = up[i] & ~(1 << i)
         above, rest = 0, strict
         while rest:
@@ -167,7 +165,6 @@ def poset_from_up(items: Iterable, up: Sequence[int],
             rest &= ~up[j]
         if strict >> i << i != strict or above & ~up[i]:
             raise _order_error(up, keys)
-    covers.sort()
     return FinitePoset(keys, items, up, covers)
 
 
@@ -204,11 +201,15 @@ GradeResult = namedtuple("GradeResult", [
 
 
 def grade(poset: FinitePoset) -> GradeResult:
-    """Rank by longest path from the minimum; graded iff covers have gap 1."""
+    """Rank by longest path from the minimum; graded iff covers have gap 1.
+    Rank r(v) = 1 + max r over the elements v covers, read along the
+    sorted covers, whose lower ends come in the linear extension."""
     bot, top = poset.minimum(), poset.maximum()
     if bot is None or top is None:
         raise PosetError("grading needs a bounded poset")
-    ranks = _heights(poset)
+    ranks = [0] * len(poset)
+    for i, j in poset.covers:
+        ranks[j] = max(ranks[j], ranks[i] + 1)
     for i, j in poset.covers:
         if ranks[j] - ranks[i] != 1:
             return GradeResult(False, tuple(ranks), None,
@@ -216,75 +217,49 @@ def grade(poset: FinitePoset) -> GradeResult:
     return GradeResult(True, tuple(ranks), ranks[top], None)
 
 
-def _heights(poset: FinitePoset) -> list:
-    """h(v) = 1 + max h over the elements v covers, 0 at the minimal ones:
-    the longest chain from a minimal element up to v."""
-    height = [0] * len(poset)
-    for i, j in poset.covers:  # elements are in a linear extension
-        height[j] = max(height[j], height[i] + 1)
-    return height
-
-
 def mobius_rows(poset: FinitePoset, us: Iterable[int]) -> Iterator[dict]:
     """The rows mu(u, .) for each u in `us`, each a dict {v: mu(u, v)}
-    of the nonzero values only: mu(u, u) = 1 and mu(u, v) = -sum of
-    mu(u, z) over u <= z < v.  Exact for any integer values.
+    of the nonzero values only, keys in increasing index: mu(u, u) = 1
+    and mu(u, v) = -sum of mu(u, z) over u <= z < v.  Exact for any
+    integer values.
 
-    Elements are grouped into height layers, h(v) = 1 + max h over the
-    elements v covers.  z < v implies h(z) < h(v), so a layer is an
-    antichain and everything strictly below v sits in lower layers.  Row
-    u keeps the running sum C(v) = sum of mu(u, z) over the z done so far
-    with z <= v, as two bit-sliced unsigned counters P - N (lists of
-    planes, plane k holding bit k of every element's count).  Walking up
-    the layers above h(u), C(v) is complete for every v of the layer, and
-    mu(u, v) = -C(v).  Only the v with C(v) != 0 are visited, and they
-    are the entries of the row; each adds |mu| * up[v] to P or N, one
-    ripple-carry add per set bit of |mu|.
+    Row u keeps the running sum C(v) = sum of mu(u, z) over the z done
+    so far with z <= v, as value classes {c: mask of the v with
+    C(v) = c}, c != 0.  The lowest element of any class is the next v:
+    every z < v comes earlier in the linear extension, so it is done
+    or has C(z) = 0, and C(v) is complete; an element skipped with
+    C(v) = 0 has mu(u, v) = 0.  Then mu(u, v) = -C(v), and the elements
+    of up[v] move from class c to c + mu (v itself to 0, out), and from
+    no class to class mu.
     """
     up = poset.up
-    height = _heights(poset)
-    layers = [0] * (max(height, default=0) + 1)
-    for i, h in enumerate(height):
-        layers[h] |= 1 << i
     for u in us:
         row = {u: 1}
-        pos, neg = [up[u]], [0]     # C = P - N, with as many planes each
-        for level in layers[height[u] + 1:]:
-            live = 0
-            for p, q in zip(pos, neg):
-                live |= p ^ q
-            for v in _bits(level & live):
-                mu = _count(neg, v) - _count(pos, v)
-                row[v] = mu
-                _add(pos if mu > 0 else neg, pos, neg, abs(mu), up[v])
+        live = up[u] ^ 1 << u       # the v with C(v) != 0
+        classes = {1: live}
+        while live:
+            low = live & -live
+            for c, mask in classes.items():
+                if mask & low:
+                    break
+            v = low.bit_length() - 1
+            row[v] = mu = -c
+            upv = up[v]
+            free = upv & ~live
+            moved = {mu: free} if free else {}
+            live |= upv
+            for c, mask in classes.items():
+                hit = mask & upv
+                if hit:
+                    mask ^= hit
+                    if c == -mu:
+                        live ^= hit
+                    else:
+                        moved[c + mu] = moved.get(c + mu, 0) | hit
+                if mask:
+                    moved[c] = moved.get(c, 0) | mask
+            classes = moved
         yield row
-
-
-def _count(planes: list, v: int) -> int:
-    """Element v's value in a bit-sliced counter."""
-    value = 0
-    for k, p in enumerate(planes):
-        value |= (p >> v & 1) << k
-    return value
-
-
-def _add(planes: list, pos: list, neg: list, count: int, mask: int) -> None:
-    """Add count (>= 1) to the value of each element of `mask` in the
-    bit-sliced counter `planes`, one of pos and neg: a ripple-carry add
-    of the mask, from plane k on, for each set bit k of count.  A carry
-    out of the top plane grows pos and neg by one plane each."""
-    shift = 0
-    while count:
-        if count & 1:
-            k, carry = shift, mask
-            while carry:
-                if k == len(planes):
-                    pos.append(0)
-                    neg.append(0)
-                planes[k], carry = planes[k] ^ carry, planes[k] & carry
-                k += 1
-        count >>= 1
-        shift += 1
 
 
 def characteristic_polynomial(poset: FinitePoset):

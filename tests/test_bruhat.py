@@ -2,7 +2,9 @@
 
 import itertools
 
-from wachsposets.bruhat import bruhat_covers
+from hypothesis import given, strategies as st
+
+from wachsposets.bruhat import bruhat_covers, bruhat_up_sets
 from wachsposets.perms import (
     all_perms, all_windows, compose, embed_tilde, identity, inverse, length_a,
     length_b,
@@ -149,3 +151,43 @@ def test_parabolic_projection_is_monotone():
                 assert bruhat_leq_a(proj(u), proj(v))
             if bruhat_leq_a(v, u):
                 assert bruhat_leq_a(proj(v), proj(u))
+
+
+def _symmetric(data, n):
+    """A centrally symmetric permutation of [n], w(n + 1 - a) =
+    n + 1 - w(a): the image of a random signed window, with the middle
+    value fixed at odd n."""
+    m = n // 2
+    window = data.draw(st.permutations(range(1, m + 1)))
+    signs = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    w = embed_tilde([-v if s else v for v, s in zip(window, signs)])
+    if n % 2:
+        w = tuple(v + (v > m) for v in w)
+        w = w[:m] + (m + 1,) + w[m:]
+    return w
+
+
+def _is_symmetric(w):
+    return all(v + w[-a] == len(w) + 1 for a, v in enumerate(w, 1))
+
+
+@given(st.data())
+def test_up_sets_match_the_pairwise_oracle(data):
+    # the words read every prefix, only those up to n/2 when all are
+    # centrally symmetric, and every prefix again when one word is not
+    shape = data.draw(st.sampled_from(["any", "symmetric", "one breaks"]))
+    n = data.draw(st.integers(3 if shape == "one breaks" else 1, 8))
+    k = data.draw(st.integers(1, 8))
+    if shape == "any":
+        words = [tuple(data.draw(st.permutations(range(1, n + 1))))
+                 for _ in range(k)]
+    else:
+        words = [_symmetric(data, n) for _ in range(k)]
+        assert all(map(_is_symmetric, words))
+    if shape == "one breaks":
+        odd = data.draw(st.permutations(range(1, n + 1)).filter(
+            lambda w: not _is_symmetric(w)))
+        words.insert(data.draw(st.integers(0, k)), tuple(odd))
+    assert bruhat_up_sets(words) == [
+        sum(bruhat_leq_a(u, v) << j for j, v in enumerate(words))
+        for u in words]

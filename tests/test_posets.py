@@ -333,7 +333,8 @@ def test_mobius_rows_carry_and_shift_large_values():
 def tall_and_short():
     """Two copies of M_3 over one 0: y tops three 2-chains and x three
     atoms, so mu(0, y) = mu(0, x) = 2.  y comes first in the linear
-    extension but lies a layer above x."""
+    extension but has the longer chain from 0, so a walk up by height
+    would reach x first."""
     below = {"a'": "a", "b'": "b", "c'": "c", "y": "a b c a' b' c'",
              "x": "d e f"}
     items = "0 a b c a' b' c' y d e f x".split()
@@ -356,6 +357,15 @@ def test_mobius_conjecture_names_the_lowest_index_witness(poset, witness,
 def test_mobius_recursion_identity_on_random_bounded_posets(data):
     n, rel = _draw_bounded_order(data)
     assert_mobius_recursion(build_poset(range(n), lambda a, b: (a, b) in rel))
+
+
+@pytest.mark.parametrize("poset", [m3, two_levels, tall_and_short,
+                                   lambda: divisor_poset(60)],
+                         ids=["m3", "two_levels", "tall_and_short", "d60"])
+def test_mobius_rows_list_keys_in_index_order(poset):
+    p = poset()
+    for u, row in enumerate(mobius_rows(p, range(len(p)))):
+        assert list(row) == sorted(row), u
 
 
 # -------------------------------------------------------------- polynomials
