@@ -98,11 +98,11 @@ def dominance_up_sets(cols: Sequence[bytes], size: int) -> list:
     ones = lanes(size)
     packs: list = []
     for col in cols:
-        # the least and greatest entry by memchr, not a set of every byte
+        # the least entry by memchr, not by a set of every byte; the
+        # thresholds above it stop at the first empty mask
         low = next(x for x in range(256) if x in col)
-        high = next(x for x in range(255, low - 1, -1) if x in col)
-        masks = [full] + [int(col.translate(at_least(x)), 2)
-                          for x in range(low + 1, high + 1)]
+        masks = [full, *itertools.takewhile(bool, (
+            int(col.translate(at_least(x)), 2) for x in range(low + 1, 256)))]
         if not packs or scale * len(masks) > 256:
             packs.append([])
             scale = 1
