@@ -4,10 +4,10 @@ Finite posets over opaque string keys, with bitset internals.
 A FinitePoset keeps its elements in some linear extension, with `up[i]`,
 the integer bitmask of the (weak) up-set of element i, and the sorted
 covers.  All algorithms (grading, Moebius function, lattice tests,
-duality) work on these.  A poset holds no derived state: the down-sets
-are built by `lattice_checks`, their one reader, a key -> position map
-where it is read, and the Moebius function one row at a time, by
-whoever needs it, with the nonzero values of a row only.
+duality) work on these.  A poset holds no derived state: the coatoms'
+down-sets are built by `lattice_checks`, their one reader, a key ->
+position map where it is read, and the Moebius function one row at a
+time, by whoever needs it, with the nonzero values of a row only.
 """
 
 from __future__ import annotations
@@ -311,40 +311,31 @@ def lattice_checks(poset: FinitePoset) -> LatticeReport:
         raise PosetError("lattice checks need a bounded poset")
     n = len(poset)
     up, keys = poset.up, poset.elements
-    upc, dnc = _cover_lists(poset)
-    # the order is the reflexive transitive closure of the covers; in
-    # sorted order every cover (h, i) comes before every cover (i, j)
-    down = [1 << i for i in range(n)]
+    upc = [[] for _ in range(n)]
     for i, j in poset.covers:
-        down[j] |= down[i]
+        upc[i].append(j)
     for above in upc:
         for a, b in itertools.combinations(above, 2):
             join = up[a] & up[b]
             if up[(join & -join).bit_length() - 1] != join:
                 return LatticeReport(False, False, ("join", keys[a], keys[b]))
-    atoms, coatoms = upc[bot], dnc[top]
+    # a coatom's down-set is bit c of the up-sets
+    atoms = upc[bot]
+    coatoms = [i for i, j in poset.covers if j == top]
+    down = [int(bytes(u >> c & 1 for u in reversed(up)).translate(
+        at_least(1)), 2) for c in coatoms]
     full = (1 << n) - 1
     for x in range(n):
         meet = join = 0
         for a in atoms:
             if up[a] >> x & 1:
                 meet |= up[a]
-        for c in coatoms:
-            if down[c] >> x & 1:
-                join |= down[c]
+        for c, mask in zip(coatoms, down):
+            if up[x] >> c & 1:
+                join |= mask
         if not full & ~(meet | join):
             return LatticeReport(True, False, ("complement", keys[x], None))
     return LatticeReport(True, True, None)
-
-
-def _cover_lists(poset: FinitePoset):
-    n = len(poset)
-    upc = [[] for _ in range(n)]
-    dnc = [[] for _ in range(n)]
-    for i, j in poset.covers:
-        upc[i].append(j)
-        dnc[j].append(i)
-    return upc, dnc
 
 
 def dual_check(poset: FinitePoset, mapping: dict) -> bool:

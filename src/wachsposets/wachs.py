@@ -9,8 +9,8 @@ signed Wachs permutations.  Every such element is encoded by a code
     even rank 2m:   (tau, T)     tau in S_m or B_m, T subset of [m]
     odd rank 2m+1:  (i, tau, T)  plus the slot i of the extremal value
 
-read as (*slot, tau, T), with head code[:-1].  Comparison, covers, Moebius
-values and rank polynomials reduce to the code; subsets are frozensets.
+read as (*slot, tau, T), with head code[:-1].  The sweeps of a rank read
+each element as a tile of `element_table`: its head and T as a mask.
 
 Types A and B share one code path.  S_m is a standard parabolic subgroup
 of B_m, so the Bruhat order, covers, length and lower intervals of B_m
@@ -129,18 +129,10 @@ def enumerate_wachs(kind: str, n: int, text: bool = False) -> list:
     return texts(cols, n, kind) if text else signed_words(cols, n)
 
 
-class ElementTable(namedtuple("ElementTable", "items keys ranks tiles heads")):
-    """The Wachs elements of one rank with their keys and l(v) - l(tau):
-    item b is word i = tiles[b] of `_rank_columns`, whose code `codes`
-    builds as heads[i % H] + (cells(i // H),), H = len(heads)."""
-    __slots__ = ()
-
-    @property
-    def codes(self) -> tuple:
-        size = len(self.heads)
-        subsets = list(map(cells, range(len(self.tiles) // size)))
-        return tuple([self.heads[i % size] + (subsets[i // size],)
-                      for i in self.tiles])
+ElementTable = namedtuple("ElementTable", "items keys ranks tiles heads")
+ElementTable.__doc__ = """The Wachs elements of one rank with their keys and
+l(v) - l(tau): item b is word i = tiles[b] of `_rank_columns`, with
+head heads[i % H], H = len(heads), and subset cells(i // H)."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,43 +213,52 @@ def _slot_window(slot_u: tuple, slot_v: tuple, m: int) -> frozenset:
     return frozenset(window)
 
 
-def wachs_up_sets(codes: Sequence[tuple]) -> list:
-    """Up-sets of the Bruhat order on the codes of a list of Wachs
-    elements of one rank, as bitmasks: bit b of up[a] is set iff the
-    element of codes[a] lies below that of codes[b].
+def _item_bits(table: ElementTable) -> list:
+    """Word i of the rank -> the bit of its item in `table`."""
+    bit = [0] * len(table.tiles)
+    for b, i in enumerate(table.tiles):
+        bit[i] = 1 << b
+    return bit
+
+
+def wachs_up_sets(kind: str, n: int) -> list:
+    """Up-sets of the Bruhat order on the items of `element_table` as
+    bitmasks: bit b of up[a] is set iff item a lies below item b.
 
     u <= v iff the slot of v is at most that of u, sigma <= tau in G_m,
     and T_u & K <= T_v for the cells K frozen on [sigma, tau] and kept by
     `_slot_window` (`reference.wachs_leq` is this rule for one pair).
-    Here it is an AND of element masks, read from one pass over the
-    codes and one `bruhat_up_sets` call on the distinct tau.  For the
-    head (slot, sigma) of a and the cells c of its subset T_a,
+    Here it is an AND of masks built per head and per cell, with one
+    `bruhat_up_sets` call on the distinct tau.  For the head (slot,
+    sigma) of word h + H t of `_rank_columns` and the cells c of t,
 
         base = above[sigma] & below[slot]
         free[c] = base & (~(signed[c, sig_c(sigma)] & window[slot][c])
                           | holders[c])
-        up[a] = base & the AND of free[c] over c in T_a
+        up = base & the AND of free[c] over c in cells(t)
 
-    where above[sigma] holds the elements whose tau lies above sigma,
+    where above[sigma] holds the items whose tau lies above sigma,
     below[slot] those of a slot <= slot, signed[c, s] those whose tau
     has signature s at c (c is frozen on [sigma, tau] iff the signatures
     at c agree), window[slot][c] those whose slot keeps c in
     `_slot_window`, and holders[c] those whose subset holds c.
 
-    >>> wachs_up_sets([((1,), frozenset()), ((1,), frozenset({1}))])
+    >>> wachs_up_sets("A", 2)
     [3, 2]
     """
-    if not codes:
-        return []
-    cells = range(1, len(codes[0][-2]) + 1)
-    by_tau: dict = {}                   # tau -> the elements with it
-    by_slot: dict = {}                  # slot -> the elements with it
-    holders = dict.fromkeys(cells, 0)   # cell -> the subsets holding it
-    for b, code in enumerate(codes):
-        by_tau[code[-2]] = by_tau.get(code[-2], 0) | 1 << b
-        by_slot[code[:-2]] = by_slot.get(code[:-2], 0) | 1 << b
-        for c in code[-1]:
-            holders[c] |= 1 << b
+    table = element_table(kind, n)
+    heads, size = table.heads, len(table.heads)
+    bit = _item_bits(table)
+    span, cells = len(bit) // size, range(1, n // 2 + 1)
+    tile = [sum(bit[size * t:size * t + size]) for t in range(span)]
+    holders = {c: sum(tile[t] for t in range(span) if t >> c - 1 & 1)
+               for c in cells}
+    by_tau: dict = {}                   # tau -> the items with it
+    by_slot: dict = {}                  # slot -> the items with it
+    for h, head in enumerate(heads):
+        member = sum(bit[h::size])
+        by_tau[head[-1]] = by_tau.get(head[-1], 0) | member
+        by_slot[head[:-1]] = by_slot.get(head[:-1], 0) | member
     images = [embed_tilde(tau) for tau in by_tau]
     masks = list(by_tau.values())
     above, signs, signed = {}, {}, {}   # signs[tau]: its (c, signature)s
@@ -272,21 +273,20 @@ def wachs_up_sets(codes: Sequence[tuple]) -> list:
         window[slot] = {c: sum(by_slot[s] for s in by_slot
                                if c in _slot_window(slot, s, len(cells)))
                         for c in cells}
-    heads = {}              # head -> (base, free[c] for each cell c)
-    up = []
-    for code in codes:
-        head = code[:-1]
-        if head not in heads:
-            slot, tau = head[:-1], head[-1]
-            base = above[tau] & below[slot]
-            heads[head] = base, {
-                c: base & (~(signed[c, sig] & window[slot][c]) | holders[c])
-                for c, sig in signs[tau]}
-        mask, free = heads[head]
-        for c in code[-1]:
-            mask &= free[c]
-        up.append(mask)
-    return up
+    free = []               # per head: base, then free[c] for each cell c
+    for head in heads:
+        slot, tau = head[:-1], head[-1]
+        base = above[tau] & below[slot]
+        free.append([base] + [
+            base & (~(signed[c, sig] & window[slot][c]) | holders[c])
+            for c, sig in signs[tau]])
+    free = list(zip(*free))
+    rows = list(free[0])    # tile t: t less its top cell c, & free[c]
+    for t in range(1, span):
+        c = t.bit_length()
+        low = size * (t ^ 1 << c - 1)
+        rows += map(int.__and__, rows[low:low + size], free[c])
+    return list(map(rows.__getitem__, table.tiles))
 
 
 # shared by every element with this tau, in every rank and call
@@ -336,9 +336,7 @@ def wachs_cover_masks(kind: str, n: int) -> list:
     """
     table, span = element_table(kind, n), 1 << n // 2
     heads, size = table.heads, len(table.heads)
-    bit = [0] * len(table.tiles)        # word i of the rank -> its item's bit
-    for b, i in enumerate(table.tiles):
-        bit[i] = 1 << b
+    bit = _item_bits(table)
     masks = [0] * len(bit)
     for t in range(span):
         block = slice(size * t, size * t + size)
@@ -358,13 +356,17 @@ def wachs_cover_masks(kind: str, n: int) -> list:
 # ---------------------------------------------------------------- Moebius
 
 
-def mobius_closed(code, n: int) -> int:
-    """Closed form for mu(e, v) on (signed) Wachs permutations of rank n >= 2."""
-    m = n // 2
-    *slot, tau, t = code
-    if tau == identity(m) and slot in ([], [m + 1]):
-        return (-1) ** len(t)
-    return 0
+def mobius_closed(kind: str, n: int) -> dict:
+    """The closed row mu(e, .) of rank n (n >= 2 in type B) on the items
+    of `element_table`, as `posets.mobius_rows` gives rows: (-1)^|T| on
+    the items with tau = e and no slot or the slot m + 1."""
+    table = element_table(kind, n)
+    m, size = n // 2, len(table.heads)
+    e = identity(m)
+    signs = {h + size * t: (-1) ** len(cells(t))
+             for h, head in enumerate(table.heads)
+             if head in ((e,), (m + 1, e)) for t in range(1 << m)}
+    return {b: signs[i] for b, i in enumerate(table.tiles) if i in signs}
 
 
 # ---------------------------------------------------------------- polynomials

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 from .columns import columns, greater
 from .perms import inverse
 from .posets import FinitePoset, dominance_up_sets
-from .wachs import kind_record
+from .wachs import element_table, kind_record
 
 __all__ = ["inversion_columns", "WeakIsoResult", "weak_product_iso"]
 
@@ -48,12 +48,16 @@ def _bar(tau, i: int):
     return tau[:k - 1] + (v,) + tau[k - 1:]
 
 
-def _factor_map(code):
-    """Image of a code of rank n in G_ceil(n/2) x P([floor(n/2)])."""
-    *slot, small, t = code
-    tau = _bar(small, *slot) if slot else small
-    # t holds slots of the even part; the factor holds their values
-    return tau, frozenset(abs(small[k - 1]) for k in t)
+def _factor_map(head) -> list:
+    """The images in G_ceil(n/2) x P([floor(n/2)]) of the elements of
+    rank n with this head, by tile t: the group element, and the values
+    |tau(c)| of the cells c of t as a mask."""
+    *slot, tau = head
+    group = _bar(tau, *slot) if slot else tau
+    images = [(group, 0)]
+    for v in tau:       # cell c is bit c - 1 of t
+        images += [(group, s | 1 << abs(v) - 1) for _, s in images]
+    return images
 
 
 WeakIsoResult = namedtuple("WeakIsoResult", [
@@ -62,12 +66,13 @@ WeakIsoResult = namedtuple("WeakIsoResult", [
 ])
 
 
-def weak_product_iso(poset: FinitePoset, codes: Sequence[tuple],
-                     kind: str) -> WeakIsoResult:
-    """Check that `poset`, the right weak order on the Wachs elements of
-    one rank n, with their codes aligned to `poset.items`, is isomorphic
-    via the explicit code map to (G_ceil(n/2), <=_R) x P([floor(n/2)])."""
-    images = [_factor_map(code) for code in codes]
+def weak_product_iso(poset: FinitePoset, kind: str, n: int) -> WeakIsoResult:
+    """Check that `poset`, the right weak order on the items of
+    `element_table` of rank n, is isomorphic via the explicit head and
+    tile map to (G_ceil(n/2), <=_R) x P([floor(n/2)])."""
+    table = element_table(kind, n)
+    maps = list(map(_factor_map, table.heads))
+    images = [maps[i % len(maps)][i // len(maps)] for i in table.tiles]
     if len(set(images)) != len(images):
         return WeakIsoResult(False, ("not injective",))
     # the product order is entrywise: the group's inversion columns, then
@@ -78,8 +83,8 @@ def weak_product_iso(poset: FinitePoset, codes: Sequence[tuple],
     picks = [where[g] for g, _ in reversed(images)]
     cols = [bytes(map(col.__getitem__, picks))
             for col in inversion_columns(map(inverse, groups), kind)]
-    for c in range(1, len(codes[0][-2]) + 1) if codes else ():
-        cols.append(bytes(c in s for _, s in reversed(images)))
+    for v in range(n // 2):
+        cols.append(bytes(s >> v & 1 for _, s in reversed(images)))
     up = dominance_up_sets(cols, len(images))
     for a, v in enumerate(poset.items):
         diff = poset.up[a] ^ up[a]

@@ -71,7 +71,7 @@ def test_check_conjecture_pass(capsys):
 
 
 def test_failing_check_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(wachs, "mobius_closed", lambda code, n: 0)
+    monkeypatch.setattr(wachs, "mobius_closed", lambda kind, n: {})
     code, out, _ = run(capsys, "check", "theorem", "mobius-A", "--max-n", "3")
     assert code == 1
     lines = [line.split(" [")[0] for line in out.splitlines()]

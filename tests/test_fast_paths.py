@@ -17,9 +17,11 @@ rank fails the graded check at that element, planted faults of the slot
 window, the signature and the cover rules (the slot slide, the cells T
 must miss) fail the order and cover checks with a witness naming the
 pair (and the side that relates it) or the element, and planted faults
-of the closed forms, the table ranks, the longest element, the
-weak-order factor map, the stabilizer, the grading and the lattice test
-fail exactly the cells of their checks, with their witnesses."""
+of the closed forms, the table ranks, the longest element, the Moebius
+row, the weak-order factor map, the stabilizer, the grading and the
+lattice test fail exactly the cells of their checks, with their
+witnesses; a rank past the validation cap is refused before the N^2
+kernel runs."""
 
 import re
 
@@ -29,10 +31,10 @@ from hypothesis import given, strategies as st
 from wachsposets import checks, reference, wachs, weak
 from wachsposets.bruhat import bruhat_up_sets
 from wachsposets.columns import (
-    columns, lengths, not_wachs, signed_words, texts,
+    cells, columns, lengths, not_wachs, signed_words, texts,
 )
 from wachsposets.perms import (
-    all_perms, all_windows, embed_tilde, identity, inverse,
+    SizeCapError, all_perms, all_windows, embed_tilde, identity, inverse,
 )
 from wachsposets.posets import (
     LatticeReport, dominance_up_sets, grade, mobius_rows,
@@ -94,9 +96,8 @@ def test_weak_poset_matches_inversion_set_containment(kind, n, side):
 
 @pytest.mark.parametrize("kind,n", CELLS)
 def test_wachs_up_sets_match_pairwise_wachs_leq(kind, n):
-    table = wachs.element_table(kind, n)
-    elems = table.items
-    assert wachs.wachs_up_sets(table.codes) == [
+    elems = wachs.element_table(kind, n).items
+    assert wachs.wachs_up_sets(kind, n) == [
         sum(1 << j for j, v in enumerate(elems) if reference.wachs_leq(u, v))
         for u in elems]
 
@@ -187,6 +188,7 @@ def test_order_witness_of_the_window_mutant(monkeypatch):
 
 _closed_polys, _factor_map = wachs.closed_polys, weak._factor_map
 _stabilizer_gi, _element_table = wachs.stabilizer_gi, wachs.element_table
+_mobius_closed = wachs.mobius_closed
 
 
 def _forms(kind, n, rank_gen=1, char=1):
@@ -283,13 +285,21 @@ CHECK_MUTANTS = {
         ["selfdual-A"],
         {("selfdual-A", "A", n):
          f"rank antisymmetry fails at {_ends('A', n)[0]}" for n in range(1, 9)}),
+    # at odd rank e itself has the slot m + 1, so mu(e, e) goes first
+    "mobius drops the head of slot m + 1": (
+        [(wachs, "mobius_closed", lambda kind, n: _mobius_closed(
+            kind, n) if n % 2 == 0 else {})],
+        ["mobius-A", "mobius-B"],
+        {(f"mobius-{kind}", kind, n): f"mu(e, {_ends(kind, n)[0]})"
+         for kind, lo, top in (("A", 1, 8), ("B", 3, 6))
+         for n in range(lo, top + 1, 2)}),
     # e lies below every element, but its image (e, [m]) lies below no
     # image of a smaller set: first among them, by key, the element of
     # length 1 that swaps the last cell
     "weakiso codes with T complemented": (
-        [(weak, "_factor_map", lambda code: (
-            _factor_map(code)[0],
-            frozenset(range(1, len(code[-2]) + 1)) - _factor_map(code)[1]))],
+        [(weak, "_factor_map", lambda head: [
+            (group, (1 << len(head[-1])) - 1 ^ s)
+            for group, s in _factor_map(head)])],
         ["weakiso-A", "weakiso-B"],
         {(f"weakiso-{kind}", kind, n):
          f"map mismatch: {(identity(n), _last_cell_swapped(n))}"
@@ -343,12 +353,14 @@ def test_element_table_matches_the_per_element_functions(kind, n):
     table = wachs.element_table(kind, n)
     assert list(table.items) == sorted(wachs.enumerate_wachs(kind, n),
                                        key=lambda v: (k.length(v), k.key(v)))
-    assert list(table.codes) == [reference.encode(v) for v in table.items]
-    assert list(table.keys) == [k.key(v) for v in table.items]
-    assert list(table.ranks) == [reference.rank_lw(v) for v in table.items]
-    # item b is word tiles[b] of the rank's columns, which give the codes
+    # item b is word i = tiles[b] of the rank's columns, of the code
+    # heads[i % H] + (cells(i // H),)
     heads, cols = wachs._rank_columns(kind, n)
     assert table.heads == tuple(heads)
+    assert [heads[i % len(heads)] + (cells(i // len(heads)),)
+            for i in table.tiles] == [reference.encode(v) for v in table.items]
+    assert list(table.keys) == [k.key(v) for v in table.items]
+    assert list(table.ranks) == [reference.rank_lw(v) for v in table.items]
     words = signed_words(cols, n)
     assert [words[i] for i in table.tiles] == list(table.items)
 
@@ -363,6 +375,20 @@ def test_pipeline_cells_pass_from_cold_caches(kind, n):
     for check_id in ids + ["selfdual"] * (kind == "A"):
         result = checks.run_cell((f"{check_id}-{kind}", kind, n))
         assert result.ok, (check_id, result.witness)
+
+
+@pytest.mark.parametrize("build,args", [("bruhat_poset", ("A", 12)),
+                                        ("weak_poset", ("A", 12, "L"))])
+def test_a_rank_past_the_validation_cap_is_refused_before_the_kernel(
+        build, args, monkeypatch):
+    def kernel(*_):
+        raise AssertionError("the N^2 kernel ran")
+
+    for name in ("bruhat_up_sets", "inversion_columns", "dominance_up_sets"):
+        monkeypatch.setattr(checks, name, kernel)
+    with pytest.raises(SizeCapError, match="^46080 elements exceeds the "
+                       "validation cap 25000$"):
+        getattr(checks, build)(*args)
 
 
 @pytest.mark.parametrize("index", [0, 7, -1])

@@ -7,6 +7,7 @@ import operator
 
 import pytest
 
+from wachsposets import weak
 from wachsposets.checks import weak_poset
 from wachsposets.perms import (
     all_perms, all_windows, compose, inverse, length_a, length_b,
@@ -18,8 +19,10 @@ from wachsposets.posets import (
 from wachsposets.reference import (
     bruhat_leq_a, bruhat_leq_b, build_poset, tl_set, tl_set_a, weak_leq,
 )
-from wachsposets.wachs import element_table, enumerate_wachs
+from wachsposets.wachs import enumerate_wachs
 from wachsposets.weak import WeakIsoResult, inversion_columns, weak_product_iso
+
+_factor_map = weak._factor_map
 
 
 def test_tl_set_examples():
@@ -153,29 +156,27 @@ def test_left_weak_order_is_not_graded_on_wachs_elements():
 
 
 def test_product_structure():
-    res = weak_product_iso(weak_poset("A", 5, "R"),
-                           element_table("A", 5).codes, "A")
+    res = weak_product_iso(weak_poset("A", 5, "R"), "A", 5)
     assert res.holds and res.witness is None
-    res = weak_product_iso(weak_poset("B", 4, "R"),
-                           element_table("B", 4).codes, "B")
-    assert res.holds
-    res = weak_product_iso(weak_poset("B", 2, "R"),
-                           element_table("B", 2).codes, "B")
-    assert res.holds
+    assert weak_product_iso(weak_poset("B", 4, "R"), "B", 4).holds
+    assert weak_product_iso(weak_poset("B", 2, "R"), "B", 2).holds
     for kind, n in (("A", 5), ("B", 4)):
         rep = lattice_checks(weak_poset(kind, n, "R"))
         assert rep.is_lattice and rep.is_complemented
 
 
-def test_product_map_failures_name_a_witness():
-    poset, codes = weak_poset("A", 4, "R"), element_table("A", 4).codes
-    repeated = (codes[0],) + codes[:-1]
-    assert weak_product_iso(poset, repeated, "A") == WeakIsoResult(
+def test_product_map_failures_name_a_witness(monkeypatch):
+    poset = weak_poset("A", 4, "R")
+    # every tile of a head mapped to the empty subset
+    monkeypatch.setattr(weak, "_factor_map", lambda head: [
+        (group, 0) for group, _ in _factor_map(head)])
+    assert weak_product_iso(poset, "A", 4) == WeakIsoResult(
         holds=False, witness=("not injective",))
-    # complementing every subset T keeps the map a bijection, but not
+    # complementing every subset keeps the map a bijection, but not
     # order-preserving
-    flipped = [(*head, frozenset({1, 2}) - t) for *head, t in codes]
-    assert weak_product_iso(poset, flipped, "A") == WeakIsoResult(
+    monkeypatch.setattr(weak, "_factor_map", lambda head: [
+        (group, 3 ^ s) for group, s in _factor_map(head)])
+    assert weak_product_iso(poset, "A", 4) == WeakIsoResult(
         holds=False, witness=((1, 2, 3, 4), (1, 2, 4, 3)))
 
 
