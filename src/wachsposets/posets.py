@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .columns import at_least, lanes
 from .perms import SizeCapError
-from .qpoly import IntPolynomial
 
 __all__ = [
     "PosetError", "FinitePoset", "GradeResult", "LatticeReport",
@@ -263,7 +262,8 @@ def mobius_rows(poset: FinitePoset, us: Iterable[int]) -> Iterator[dict]:
 
 
 def characteristic_polynomial(poset: FinitePoset):
-    """Sum of mu(0, z) * x^(rank - rank(z)) over all z."""
+    """Sum of mu(0, z) * x^(rank - rank(z)) over all z, as its tuple of
+    coefficients, constant term first."""
     g = grade(poset)
     if not g.graded:
         raise PosetError("poset is not graded")
@@ -271,7 +271,7 @@ def characteristic_polynomial(poset: FinitePoset):
     row = next(mobius_rows(poset, [poset.minimum()]))
     for z, m in row.items():
         out[g.rank - g.ranks[z]] += m
-    return IntPolynomial(out)
+    return tuple(out)
 
 
 LatticeReport = namedtuple("LatticeReport", [
@@ -338,18 +338,15 @@ def lattice_checks(poset: FinitePoset) -> LatticeReport:
     return LatticeReport(True, True, None)
 
 
-def dual_check(poset: FinitePoset, mapping: dict) -> bool:
-    """True iff the key mapping is an antiautomorphism: u<=v iff f(v)<=f(u).
+def dual_check(poset: FinitePoset, img: Sequence[int]) -> bool:
+    """True iff i -> img[i] is an antiautomorphism: u<=v iff f(v)<=f(u).
 
     A bijection f is one iff (f(j), f(i)) is a cover for every cover
     (i, j).  That map on the finite set of covers is injective, so it is
     a bijection onto the covers; the order is the reflexive transitive
     closure of the covers, so f reverses it both ways.
     """
-    n = len(poset)
-    index = {k: i for i, k in enumerate(poset.elements)}
-    img = [index.get(mapping.get(k)) for k in poset.elements]
-    if len(mapping) != n or None in img or len(set(img)) != n:
+    if len(img) != len(poset) or set(img) != set(range(len(poset))):
         raise PosetError("mapping is not a bijection on the elements")
     covers = set(poset.covers)
     return all((img[j], img[i]) in covers for i, j in poset.covers)

@@ -15,9 +15,10 @@ each element as a tile of `element_table`: its head and T as a mask.
 Types A and B share one code path.  S_m is a standard parabolic subgroup
 of B_m, so the Bruhat order, covers, length and lower intervals of B_m
 restricted to S_m are those of S_m: the order, covers and ranks run the
-signed rules, and read the type from the code.  A `Kind` record holds
-what the enumeration and the output need by type: the group G_m (S_m or
-B_m), its ambient image, length, text form and caps.  The pairwise
+signed rules, and read the type from the code; `perms.length_b`
+counts the length of both.  A `Kind` record holds what the enumeration
+and the output need by type: the group G_m (S_m or B_m), its ambient
+image, longest element and caps.  The pairwise
 references of the sweeps here (`wachs_leq`, `wachs_covers`, `rank_lw`)
 and the one-element maps (`is_wachs`, `encode`, `chi_map`, `involution`,
 `coatom_c`) are in `reference`.
@@ -28,16 +29,14 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
+from math import comb
 from typing import Sequence
 
-from . import qpoly
 from .bruhat import bruhat_covers, bruhat_up_sets
 from .columns import (cells, lengths, not_wachs, signed_words, sorted_columns,
                       texts, tile_subsets)
-from .perms import (
-    SizeCapError, all_perms, all_windows, compose, embed_tilde, format_perm,
-    format_window, identity, inverse, length_a, length_b, stats_a,
-)
+from .perms import (SizeCapError, all_perms, all_windows, compose,
+                    embed_tilde, identity, inverse, length_b, stats_a)
 
 __all__ = [
     "Kind", "KINDS", "kind_record", "longest_element",
@@ -54,8 +53,6 @@ __all__ = [
 Kind = namedtuple("Kind", [
     "elements",     # all of G_m, lazily: int -> iterator of tuples
     "ambient",      # Bruhat embedding in S_m/S_2m: tuple -> tuple
-    "length",       # word -> int
-    "key",          # text form of an element: word -> str
     "w0",           # longest element of G_m: int -> tuple
     "default_cap",  # largest n run by default
     "max_n",        # largest n enumerated
@@ -65,11 +62,9 @@ Kind.__doc__ = """What type A (G_m = S_m) and type B (G_m = B_m) differ in."""
 
 KINDS = {
     "A": Kind(elements=all_perms, ambient=tuple,
-              length=length_a, key=format_perm,
               w0=lambda n: tuple(range(n, 0, -1)),
               default_cap=8, max_n=16),
     "B": Kind(elements=all_windows, ambient=embed_tilde,
-              length=length_b, key=format_window,
               w0=lambda n: tuple(range(-1, -n - 1, -1)),
               default_cap=6, max_n=12),
 }
@@ -124,7 +119,7 @@ def _rank_columns(kind: str, n: int) -> tuple:
 
 def enumerate_wachs(kind: str, n: int, text: bool = False) -> list:
     """All Wachs elements of rank n >= 1, lexicographically sorted, or
-    with text their `Kind.key` texts in that order."""
+    with text their texts (`columns.texts`) in that order."""
     cols = sorted_columns(_rank_columns(kind, n)[1])
     return texts(cols, n, kind) if text else signed_words(cols, n)
 
@@ -143,11 +138,10 @@ def element_table(kind: str, n: int) -> ElementTable:
     Length order is a linear extension of the Bruhat order and of both
     weak orders, which strictly raise length (|T_L(v)| = |T_L(v^-1)| =
     l(v)), so the posets built on the items keep this order."""
-    k = kind_record(kind)
     heads, cols = _rank_columns(kind, n)
     tiles = 1 << n // 2
     length = lengths(cols, n).to_bytes(len(cols[0]), "little")
-    tau_length = bytes(k.length(head[-1]) for head in heads) * tiles
+    tau_length = bytes(length_b(head[-1]) for head in heads) * tiles
     ranks = list(map(int.__sub__, length, tau_length))
     words = signed_words(cols, n)
     keys = texts(cols, n, kind)
@@ -373,26 +367,49 @@ def mobius_closed(kind: str, n: int) -> dict:
 
 
 ClosedForms = namedtuple("ClosedForms", "rank_gen char rank")
+ClosedForms.__doc__ = """Polynomials as tuples of integer coefficients,
+constant term first, with no trailing zeros."""
+
+
+def _product(factors) -> tuple:
+    """The coefficients of the product of the sums x^e0 + x^e1 + ...,
+    each factor given by its exponents e."""
+    out = (1,)
+    for exponents in factors:
+        new = [0] * (len(out) + max(exponents))
+        for e in exponents:
+            for i, c in enumerate(out, e):
+                new[i] += c
+        out = tuple(new)
+    return out
 
 
 def closed_polys(kind: str, n: int) -> ClosedForms:
     """Closed-form rank generating function, characteristic polynomial and
-    rank of the Bruhat order on (signed) Wachs permutations of rank n.
-    The rank is l(w_0) in G_n minus l(w_0) in G_m, m = n // 2.  The
-    characteristic polynomial form needs n >= 2 in the signed case."""
+    rank of the Bruhat order on (signed) Wachs permutations of rank n:
+
+        rank_gen = (1+x)^m [m]!(x^3), times [m+1](x^2) at odd n, and in
+                   type B the factors 1 + x^(3i-1), i = 1..m, and 1 + x^n
+                   at odd n
+        char = (x-1)^m x^(rank-m)
+
+    with m = n // 2, [k](x) = 1 + x + ... + x^(k-1) and [m]! = [1]...[m],
+    each a `ClosedForms` tuple.  The rank is l(w_0) in G_n minus l(w_0)
+    in G_m.  The characteristic polynomial form needs n >= 2 in the
+    signed case."""
     k = kind_record(kind)
     m = n // 2
-    x = qpoly.X
-    gen = (1 + x) ** m * qpoly.q_factorial(m).substitute_power(3)
+    factors = [(0, 1)] * m + [range(0, 3 * i, 3) for i in range(1, m + 1)]
     if n % 2 == 1:
-        gen = gen * qpoly.q_int(m + 1).substitute_power(2)
+        factors.append(range(0, 2 * m + 1, 2))
     if kind == "B":
-        for i in range(1, m + 1):
-            gen = gen * (1 + x ** (3 * i - 1))
+        factors += [(0, 3 * i - 1) for i in range(1, m + 1)]
         if n % 2 == 1:
-            gen = gen * (1 + x ** n)
-    rank = k.length(k.w0(n)) - k.length(k.w0(m))
-    return ClosedForms(gen, (x - 1) ** m * x ** (rank - m), rank)
+            factors.append((0, n))
+    rank = length_b(k.w0(n)) - length_b(k.w0(m))
+    char = (0,) * (rank - m) + tuple(comb(m, i) * (-1) ** (m - i)
+                                     for i in range(m + 1))
+    return ClosedForms(_product(factors), char, rank)
 
 
 def stats_distribution_check(n: int) -> bool:

@@ -12,7 +12,6 @@ import pytest
 
 import acceptance_log
 from wachsposets import checks
-from wachsposets.qpoly import X
 from wachsposets.reference import (
     bruhat_leq_b, coatom_c, encode, rank_lw, wachs_covers, wachs_leq,
 )
@@ -153,8 +152,9 @@ def test_criterion_06_polynomials(report):
         good, d = all_pass(report, cid)
         ok &= good
         detail += d if not good else ""
-    ok &= closed_polys("A", 4).rank_gen == (1 + X) ** 2 * (1 + X ** 3)
-    ok &= closed_polys("A", 4).char == (X - 1) ** 2 * X ** 3
+    # (1+x)^2 (1+x^3) and (x-1)^2 x^3
+    ok &= closed_polys("A", 4).rank_gen == (1, 2, 1, 1, 2, 1)
+    ok &= closed_polys("A", 4).char == (0, 0, 0, 1, -2, 1)
     conclude(6, "polynomial identities", ok, detail)
 
 

@@ -7,12 +7,12 @@ one-element-at-a-time recursion, and enumeration by decoding against a
 membership filter of the whole group, on every rank up to the default
 caps; the element table against `encode`, `rank_lw`, the keys and the
 tile order of each element, and the cover masks against `wachs_covers`,
-through A9 and B7; the column texts against `Kind.key` through A12 and
-B10; the column Wachs check and the column lengths against `is_wachs`
-and `Kind.length` on all of S_n, n <= 8, and B_n, n <= 6, on malformed
-words and on extremal words at the caps, and a planted fault of the
-column decoder, which enumeration must reject naming the first bad code
-and word.  Also: no pipeline cell encodes an element, a corrupted table
+through A9 and B7; the column texts against `format_perm` and
+`format_window` through A12 and B10; the column Wachs check and the
+column lengths against `is_wachs`, `length_a` and `length_b` on all of
+S_n, n <= 8, and B_n, n <= 6, on malformed words and on extremal words
+at the caps, and a planted fault of the column decoder, which
+enumeration must reject naming the first bad code and word.  Also: no pipeline cell encodes an element, a corrupted table
 rank fails the graded check at that element, planted faults of the slot
 window, the signature and the cover rules (the slot slide, the cells T
 must miss) fail the order and cover checks with a witness naming the
@@ -34,12 +34,12 @@ from wachsposets.columns import (
     cells, columns, lengths, not_wachs, signed_words, texts,
 )
 from wachsposets.perms import (
-    SizeCapError, all_perms, all_windows, embed_tilde, identity, inverse,
+    SizeCapError, all_perms, all_windows, embed_tilde, format_perm,
+    format_window, identity, inverse, length_a, length_b,
 )
 from wachsposets.posets import (
     LatticeReport, dominance_up_sets, grade, mobius_rows,
 )
-from wachsposets.qpoly import X
 from wachsposets.reference import (
     bruhat_leq_a, bruhat_leq_b, build_poset, tl_set,
 )
@@ -49,6 +49,8 @@ CELLS = [(kind, n) for kind, top in (("A", 8), ("B", 6))
          for n in range(1, top + 1)]
 GROUPS = {"A": all_perms, "B": all_windows}
 LEQ = {"A": bruhat_leq_a, "B": bruhat_leq_b}
+KEY = {"A": format_perm, "B": format_window}
+LENGTH = {"A": length_a, "B": length_b}
 
 
 def assert_same_poset(p, q):
@@ -63,10 +65,10 @@ def filtered_wachs(kind, n):
 
 @pytest.mark.parametrize("kind,n", CELLS)
 def test_bruhat_poset_matches_tableau_oracle(kind, n):
-    k = wachs.kind_record(kind)
+    key, length = KEY[kind], LENGTH[kind]
     elems = sorted(wachs.element_table(kind, n).items,
-                   key=lambda v: (k.length(v), k.key(v)))
-    oracle = build_poset(elems, LEQ[kind], key=k.key)
+                   key=lambda v: (length(v), key(v)))
+    oracle = build_poset(elems, LEQ[kind], key=key)
     assert_same_poset(checks.bruhat_poset(kind, n), oracle)
 
 
@@ -86,7 +88,7 @@ def test_bruhat_up_sets_on_whole_groups():
 @pytest.mark.parametrize("side", ["L", "R"])
 @pytest.mark.parametrize("kind,n", CELLS)
 def test_weak_poset_matches_inversion_set_containment(kind, n, side):
-    key = wachs.kind_record(kind).key
+    key = KEY[kind]
     tls = {v: tl_set(inverse(v) if side == "L" else v)
            for v in wachs.element_table(kind, n).items}
     elems = sorted(tls, key=lambda v: (len(tls[v]), key(v)))
@@ -191,17 +193,33 @@ _stabilizer_gi, _element_table = wachs.stabilizer_gi, wachs.element_table
 _mobius_closed = wachs.mobius_closed
 
 
-def _forms(kind, n, rank_gen=1, char=1):
+def _times(p, q):
+    """The product of two polynomials, as coefficient tuples."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _forms(kind, n, rank_gen=(1,), char=(1,)):
     """The closed forms of a rank, their polynomials times the factors."""
     f = _closed_polys(kind, n)
-    return f._replace(rank_gen=f.rank_gen * rank_gen, char=f.char * char)
+    return f._replace(rank_gen=_times(f.rank_gen, rank_gen),
+                      char=_times(f.char, char))
 
 
 def _mismatch(field, kind, n, factor):
     """The witness of a check that reads the closed polynomial `field`
     times `factor`: the true polynomial, then the planted one."""
     got = getattr(_closed_polys(kind, n), field)
-    return f"{got} != {got * factor}"
+    return f"{got} != {_times(got, factor)}"
+
+
+def _bottom_raised_poly(p):
+    """p - 1 + x: one count moved from rank 0 to rank 1."""
+    p += (0,) * (len(p) < 2)
+    return (p[0] - 1, p[1] + 1) + p[2:]
 
 
 def _bottom_raised(kind, n):
@@ -212,7 +230,7 @@ def _bottom_raised(kind, n):
 
 def _ends(kind, n):
     """The keys of the bottom and the top element of a rank."""
-    key = wachs.kind_record(kind).key
+    key = KEY[kind]
     return key(identity(n)), key(wachs.longest_element(kind, n))
 
 
@@ -253,9 +271,9 @@ CHECK_MUTANTS = {
          for kind, rank in (("A", 9), ("B", 21))}),
     "odd-rank B rank_gen times (1 + x)": (
         [(wachs, "closed_polys", lambda kind, n: _forms(
-            kind, n, rank_gen=1 + X if kind == "B" and n % 2 else 1))],
+            kind, n, rank_gen=(1, 1) if kind == "B" and n % 2 else (1,)))],
         ["rankpoly-A", "rankpoly-B"],
-        {("rankpoly-B", "B", n): _mismatch("rank_gen", "B", n, 1 + X)
+        {("rankpoly-B", "B", n): _mismatch("rank_gen", "B", n, (1, 1))
          for n in (1, 3, 5)}),
     # the table's rank polynomial is then not reciprocal, and neither is
     # the closed form planted to match it
@@ -263,21 +281,22 @@ CHECK_MUTANTS = {
         [(wachs, "element_table", _bottom_raised),
          (wachs, "closed_polys", lambda kind, n: (
              f := _closed_polys(kind, n))._replace(
-                 rank_gen=f.rank_gen + X - 1))],
+                 rank_gen=_bottom_raised_poly(f.rank_gen)))],
         ["rankpoly-A", "rankpoly-B"],
         {(f"rankpoly-{kind}", kind, n): "rank polynomial is not reciprocal"
          for kind, top in (("A", 8), ("B", 6)) for n in range(1, top + 1)}),
     "char times x at n = 7": (
         [(wachs, "closed_polys", lambda kind, n: _forms(
-            kind, n, char=X if (kind, n) == ("A", 7) else 1))],
+            kind, n, char=(0, 1) if (kind, n) == ("A", 7) else (1,)))],
         ["charpoly-A", "charpoly-B"],
-        {("charpoly-A", "A", 7): _mismatch("char", "A", 7, X)}),
-    # the self-dual map becomes v -> v, which reverses no relation
+        {("charpoly-A", "A", 7): _mismatch("char", "A", 7, (0, 1))}),
+    # the self-dual map reverses v, but the top rank read at w_0 becomes
+    # 0, so the image of the bottom e breaks rank antisymmetry
     "longest element is the identity": (
         [(wachs, "longest_element", lambda kind, n: identity(n))],
         ["selfdual-A"],
-        {("selfdual-A", "A", n): "v -> v w_0 is not an antiautomorphism"
-         for n in range(2, 9)}),
+        {("selfdual-A", "A", n):
+         f"rank antisymmetry fails at {_ends('A', n)[0]}" for n in range(2, 9)}),
     # v -> v w_0 still reverses the order, but with e one rank higher
     # r(e w_0) = top is no longer top - r(e)
     "selfdual table with the bottom raised": (
@@ -349,17 +368,17 @@ def test_checks_fail_on_a_planted_mutant(mutant, monkeypatch):
                                     (("A", 9), ("B", 7))
                                     for n in range(1, top + 1)])
 def test_element_table_matches_the_per_element_functions(kind, n):
-    k = wachs.kind_record(kind)
+    key, length = KEY[kind], LENGTH[kind]
     table = wachs.element_table(kind, n)
     assert list(table.items) == sorted(wachs.enumerate_wachs(kind, n),
-                                       key=lambda v: (k.length(v), k.key(v)))
+                                       key=lambda v: (length(v), key(v)))
     # item b is word i = tiles[b] of the rank's columns, of the code
     # heads[i % H] + (cells(i // H),)
     heads, cols = wachs._rank_columns(kind, n)
     assert table.heads == tuple(heads)
     assert [heads[i % len(heads)] + (cells(i // len(heads)),)
             for i in table.tiles] == [reference.encode(v) for v in table.items]
-    assert list(table.keys) == [k.key(v) for v in table.items]
+    assert list(table.keys) == list(map(key, table.items))
     assert list(table.ranks) == [reference.rank_lw(v) for v in table.items]
     words = signed_words(cols, n)
     assert [words[i] for i in table.tiles] == list(table.items)
@@ -455,7 +474,7 @@ def _column_verdicts(words, n):
 @pytest.mark.parametrize("kind,top", [("A", 8), ("B", 6)])
 def test_column_check_and_lengths_match_the_per_word_functions(kind, top):
     # on all of S_n, n <= 8, and B_n, n <= 6
-    length = wachs.kind_record(kind).length
+    length = LENGTH[kind]
     for n in range(1, top + 1):
         words = list(GROUPS[kind](n))
         rejected, column_lengths = _column_verdicts(words, n)
@@ -466,7 +485,7 @@ def test_column_check_and_lengths_match_the_per_word_functions(kind, top):
 @pytest.mark.parametrize("kind,top", [("A", 12), ("B", 10)])
 def test_column_texts_match_the_keys(kind, top):
     # two-digit entries from rank 10, and the comma form of A10-A12
-    key = wachs.kind_record(kind).key
+    key = KEY[kind]
     for n in range(1, top + 1):
         cols = wachs._rank_columns(kind, n)[1]
         assert texts(cols, n, kind) == list(map(key, signed_words(cols, n)))
@@ -506,10 +525,11 @@ def test_the_byte_arithmetic_holds_at_the_caps(kind):
     rejected, column_lengths = _column_verdicts(words, n)
     assert rejected == [not reference.is_wachs(w) for w in words]
     assert rejected == [0, 0, 0, 0, 0, 0, 1, 1]
-    assert column_lengths[:6] == list(map(k.length, words[:6]))
+    assert column_lengths[:6] == list(map(LENGTH[kind], words[:6]))
     assert column_lengths[1] == {"A": 120, "B": 144}[kind]
     group = words[:6]
-    assert texts(_offset_columns(group, n), n, kind) == list(map(k.key, group))
+    assert texts(_offset_columns(group, n), n, kind) == \
+        list(map(KEY[kind], group))
     assert bruhat_up_sets(list(map(k.ambient, group))) == [
         sum(1 << j for j, v in enumerate(group) if LEQ[kind](u, v))
         for u in group]

@@ -13,7 +13,6 @@ from wachsposets.perms import (
     all_perms, all_windows, compose, embed_tilde, full_position, identity,
     inverse, length_a, signed_reflection,
 )
-from wachsposets.qpoly import IntPolynomial, X
 from wachsposets.reference import (
     _frozen_cells, bruhat_leq_a, bruhat_leq_b, chi_map, coatom_c, encode,
     f_map, involution, is_wachs, rank_lw, star, wachs_covers, wachs_leq,
@@ -555,30 +554,31 @@ def test_mobius_closed_examples():
 
 
 def test_closed_polynomials():
+    # (1+x)^2 (1+x^3), (x-1)^2 x^3; times 1+x^2+x^4; (1+x) (1+x^2)
     forms = closed_polys("A", 4)
-    assert forms.rank_gen == (1 + X) ** 2 * (1 + X ** 3)
-    assert forms.char == (X - 1) ** 2 * X ** 3
+    assert forms.rank_gen == (1, 2, 1, 1, 2, 1)
+    assert forms.char == (0, 0, 0, 1, -2, 1)
     assert forms.rank == 5
     forms = closed_polys("A", 5)
-    assert forms.rank_gen == \
-        (1 + X) ** 2 * (1 + X ** 3) * IntPolynomial([1, 0, 1, 0, 1])
+    assert forms.rank_gen == (1, 2, 2, 3, 4, 4, 3, 2, 2, 1)
     assert forms.rank == 9
     forms = closed_polys("B", 2)
-    assert forms.rank_gen == (1 + X) * (1 + X ** 2)
+    assert forms.rank_gen == (1, 1, 1, 1)
     assert forms.rank == 3
 
 
 def test_rank_polynomials_are_reciprocal():
     for kind, top in (("A", 8), ("B", 6)):
         for n in range(1, top + 1):
-            assert closed_polys(kind, n).rank_gen.is_reciprocal()
+            gen = closed_polys(kind, n).rank_gen
+            assert gen == gen[::-1]
 
 
 def test_rank_polynomial_counts_elements():
     for kind, top in (("A", 6), ("B", 4)):
         for n in range(1, top + 1):
             gen = closed_polys(kind, n).rank_gen
-            assert sum(gen.coeffs) == len(enumerate_wachs(kind, n))
+            assert sum(gen) == len(enumerate_wachs(kind, n))
 
 
 # --------------------------------------------------- statistics, stabilizer
