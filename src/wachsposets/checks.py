@@ -18,7 +18,8 @@ from .bruhat import bruhat_up_sets
 from .perms import format_perm, inverse
 from .posets import (FinitePoset, PosetError, _check_size,
                      characteristic_polynomial, dominance_up_sets, dual_check,
-                     grade, lattice_checks, mobius_rows, poset_from_up)
+                     grade, join_witness, lattice_checks, mobius_rows,
+                     poset_from_up)
 from .weak import inversion_columns, weak_product_iso
 
 __all__ = ["CheckResult", "THEOREM_IDS", "CONJECTURE_IDS",
@@ -199,10 +200,9 @@ def _check_conj_mobius(kind, n):
 
 
 def _check_conj_lattice(kind, n):
-    p = weak_poset("A", n, "L")
-    rep = lattice_checks(p)
-    if not rep.is_lattice:
-        return False, f"no {rep.witness[0]} for {rep.witness[1]}, {rep.witness[2]}"
+    pair = join_witness(weak_poset("A", n, "L"))
+    if pair is not None:
+        return False, "no join for {}, {}".format(*pair)
     return True, None
 
 

@@ -12,7 +12,7 @@ byte processing with full-word instructions", *CACM* 18(8), 1975): no
 lane carries into the next while every result stays in 0..255, and
 `greater` needs its operands in 0..127.  The last section builds the
 columns of a rank of Wachs elements and reads its words, the Wachs
-check and the lengths from them.
+check, the lengths and a descent statistic from them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 
 __all__ = ["columns", "lanes", "greater", "at_least",
            "tile_subsets", "cells", "signed_words", "sorted_columns", "texts",
-           "not_wachs", "lengths"]
+           "not_wachs", "lengths", "emaj_odes"]
 
 
 def columns(words: Sequence[Sequence[int]]) -> list:
@@ -134,11 +134,11 @@ def sorted_columns(cols: Sequence[bytes]) -> list:
 
 
 def texts(cols: Sequence[bytes], n: int, kind: str) -> list:
-    """`perms.format_window` (kind "B") or `format_perm` ("A") of each
-    word of byte columns with entries w(p) + n, first word first.  One
-    strided slice assignment fills a slot ("[", a sign, digit or comma
-    of an entry, "]", a newline) of every word; unused slots keep a 0
-    byte, which one translate deletes.
+    """`reference.format_window` (kind "B") or `perms.format_perm` ("A")
+    of each word of byte columns with entries w(p) + n, first word
+    first.  One strided slice assignment fills a slot ("[", a sign,
+    digit or comma of an entry, "]", a newline) of every word; unused
+    slots keep a 0 byte, which one translate deletes.
 
     >>> texts(columns([(3, 4), (0, 3)]), 2, "B")
     ['[1,2]', '[-2,1]']
@@ -219,3 +219,14 @@ def lengths(cols: Sequence[bytes], n: int) -> int:
     for x, y in combinations(xs, 2):
         out += greater(x, y, size) + greater(sign, x + y, size)
     return out
+
+
+def emaj_odes(cols: Sequence[bytes]) -> int:
+    """3 emaj(w) + odes(w) of each word of byte columns, in its lane: a
+    descent w(i) > w(i + 1), read by `greater` on neighbouring columns,
+    adds 1 at odd i and 3 i / 2 at even i (`reference.stats_a` counts
+    odes and emaj word by word).  The sum must be at most 255."""
+    size = len(cols[0])
+    xs = [int.from_bytes(col, "big") for col in cols]
+    return sum((3 * i // 2 if i % 2 == 0 else 1) * greater(x, y, size)
+               for i, (x, y) in enumerate(zip(xs, xs[1:]), 1))

@@ -16,18 +16,15 @@ from w(-k) = -w(k).
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from itertools import combinations, starmap
 from operator import add, gt
 from typing import Iterator, Sequence
 
 __all__ = [
-    "SizeCapError", "StatRecord",
-    "identity", "compose", "inverse",
-    "length_a", "descent_set_a", "stats_a", "length_b",
-    "full_value", "full_position", "embed_tilde",
+    "SizeCapError",
+    "identity", "compose", "inverse", "length_b", "embed_tilde",
     "signed_reflection",
-    "all_perms", "all_windows", "format_perm", "format_window",
+    "all_perms", "all_windows", "format_perm",
 ]
 
 
@@ -57,44 +54,6 @@ def inverse(p: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-# ---------------------------------------------------------------- type A
-
-
-def length_a(word: Sequence[int]) -> int:
-    """Coxeter length of a permutation: the number of inversions."""
-    return sum(starmap(gt, combinations(word, 2)))
-
-
-def descent_set_a(word: Sequence[int]) -> frozenset:
-    """D(w) = {i in [n-1] : w(i) > w(i+1)}."""
-    return frozenset(i for i in range(1, len(word)) if word[i - 1] > word[i])
-
-
-StatRecord = namedtuple("StatRecord", [
-    "des",      # |D(w)|
-    "maj",      # sum of D(w)
-    "odes",     # number of odd descents
-    "emaj",     # sum of i/2 over even descents i
-    "pos",      # position of the value n
-])
-StatRecord.__doc__ = """Descent-based statistics of a permutation."""
-
-
-def stats_a(word: Sequence[int]) -> StatRecord:
-    """
-    >>> stats_a((3, 4, 1, 2))
-    StatRecord(des=1, maj=2, odes=0, emaj=1, pos=2)
-    """
-    d = descent_set_a(word)
-    return StatRecord(
-        des=len(d),
-        maj=sum(d),
-        odes=sum(1 for i in d if i % 2 == 1),
-        emaj=sum(i // 2 for i in d if i % 2 == 0),
-        pos=word.index(len(word)) + 1,
-    )
-
-
 # ---------------------------------------------------------------- type B
 
 
@@ -113,21 +72,6 @@ def length_b(window: Sequence[int]) -> int:
     return (sum(starmap(gt, combinations(window, 2)))
             + sum(map(_negative, window))
             + sum(map(_negative, starmap(add, combinations(window, 2)))))
-
-
-def full_value(window: Sequence[int], k: int) -> int:
-    """w(k) for a position k in [+-n]."""
-    return window[k - 1] if k > 0 else -window[-k - 1]
-
-
-def full_position(window: Sequence[int], value: int) -> int:
-    """The signed position k in [+-n] with w(k) == value."""
-    for k, v in enumerate(window, 1):
-        if v == value:
-            return k
-        if v == -value:
-            return -k
-    raise ValueError(f"value {value} not in window")
 
 
 def embed_tilde(window: Sequence[int]) -> tuple:
@@ -192,11 +136,3 @@ def format_perm(word: Sequence[int]) -> str:
     if len(word) <= 9:
         return "".join(map(str, word))
     return ",".join(map(str, word))
-
-
-def format_window(window: Sequence[int]) -> str:
-    """
-    >>> format_window((-2, 1, 4, 3))
-    '[-2,1,4,3]'
-    """
-    return "[" + ",".join(map(str, window)) + "]"

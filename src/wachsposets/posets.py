@@ -13,9 +13,11 @@ time, by whoever needs it, with the nonzero values of a row only.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import namedtuple
-from functools import reduce
-from operator import and_
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import and_, rshift
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .columns import at_least, lanes
@@ -25,7 +27,7 @@ __all__ = [
     "PosetError", "FinitePoset", "GradeResult", "LatticeReport",
     "poset_from_up", "dominance_up_sets", "grade",
     "mobius_rows", "characteristic_polynomial",
-    "lattice_checks", "dual_check", "to_dot",
+    "join_witness", "lattice_checks", "dual_check", "to_dot",
 ]
 
 VALIDATION_CAP = 25000   # A11 has 23040 elements
@@ -152,17 +154,22 @@ def poset_from_up(items: Iterable, up: Sequence[int],
     # up-set leaves the rest.  up[i] lies above i and is closed iff the
     # up-sets of its covers stay inside it; by induction from the top, a
     # relation passing this for every i is antisymmetric and transitive.
-    # Each check reads only `up`, so they run in any order.
+    # Row i reads the up-sets shifted by i, bit k for element i + k: a
+    # bit below i of a later up-set fails that set's own row.  Each
+    # check reads only `up`, so they run in any order.
     covers = []
     for i in range(n):
-        strict = up[i] & ~(1 << i)
-        above, rest = 0, strict
+        row = up[i] >> i
+        if row << i != up[i]:
+            raise _order_error(up, keys)
+        above, rest = 0, row ^ 1
         while rest:
-            j = (rest & -rest).bit_length() - 1
-            covers.append((i, j))
-            above |= up[j]
-            rest &= ~up[j]
-        if strict >> i << i != strict or above & ~up[i]:
+            k = (rest & -rest).bit_length() - 1
+            covers.append((i, i + k))
+            higher = up[i + k] >> i
+            above |= higher
+            rest &= ~higher
+        if above & ~row:
             raise _order_error(up, keys)
     return FinitePoset(keys, items, up, covers)
 
@@ -281,8 +288,9 @@ LatticeReport = namedtuple("LatticeReport", [
 ])
 
 
-def lattice_checks(poset: FinitePoset) -> LatticeReport:
-    """Check the lattice property and complementation on a bounded poset.
+def join_witness(poset: FinitePoset) -> Optional[tuple]:
+    """The keys of the first two elements covering a common element that
+    have no join, or None when the bounded poset is a lattice.
 
     Only joins of cover pairs are tested: a finite bounded poset is a
     lattice iff any two elements covering a common element have a join
@@ -297,6 +305,48 @@ def lattice_checks(poset: FinitePoset) -> LatticeReport:
 
     The join of a and b, if it exists, is the lowest bit of up[a] & up[b],
     by the linear extension.
+    """
+    if poset.minimum() is None or poset.maximum() is None:
+        raise PosetError("lattice checks need a bounded poset")
+    up, keys = poset.up, poset.elements
+    upc = [[] for _ in up]
+    for i, j in poset.covers:
+        upc[i].append(j)
+    for above in upc:
+        for a, b in itertools.combinations(above, 2):
+            join = up[a] & up[b]
+            if up[(join & -join).bit_length() - 1] != join:
+                return keys[a], keys[b]
+    return None
+
+
+def _octets(positions: Sequence[int]) -> list:
+    """Sorted positions in runs that each span fewer than 8 bits from
+    their first."""
+    runs: list = []
+    for p in positions:
+        if runs and p - runs[-1][0] < 8:
+            runs[-1].append(p)
+        else:
+            runs.append([p])
+    return runs
+
+
+@lru_cache(maxsize=None)
+def _bit_table(t: int) -> bytes:
+    """The table translating a byte to b"1" iff its bit t is set."""
+    return bytes(b"01"[b >> t & 1] for b in range(256))
+
+
+@lru_cache(maxsize=None)
+def _set_bits(byte: int) -> tuple:
+    """The positions of the set bits of a byte."""
+    return tuple(t for t in range(8) if byte >> t & 1)
+
+
+def lattice_checks(poset: FinitePoset) -> LatticeReport:
+    """Check the lattice property (`join_witness`) and complementation
+    on a bounded poset.
 
     y is a complement of x iff 0^ is their only common lower bound and
     1^ their only common upper bound.  In a finite bounded poset every
@@ -304,37 +354,51 @@ def lattice_checks(poset: FinitePoset) -> LatticeReport:
     atom lies below both: the y meeting x in 0^ are those outside the OR
     of up[a] over the atoms a <= x.  Dually, the y joining x in 1^ are
     those outside the OR of down[c] over the coatoms c >= x.  x has a
-    complement iff some element is outside both.
+    complement iff some element is outside both, so x is tested once per
+    class: the atoms below it and the coatoms above it.  Classes are
+    lane signatures (see `columns`), a byte per element for each run of
+    atoms or coatoms spanning fewer than 8 positions, and are tested in
+    the order of their first element, so the witness is the first x
+    without a complement.
     """
-    bot, top = poset.minimum(), poset.maximum()
-    if bot is None or top is None:
-        raise PosetError("lattice checks need a bounded poset")
+    pair = join_witness(poset)
+    if pair is not None:
+        return LatticeReport(False, False, ("join", *pair))
     n = len(poset)
-    up, keys = poset.up, poset.elements
-    upc = [[] for _ in range(n)]
-    for i, j in poset.covers:
-        upc[i].append(j)
-    for above in upc:
-        for a, b in itertools.combinations(above, 2):
-            join = up[a] & up[b]
-            if up[(join & -join).bit_length() - 1] != join:
-                return LatticeReport(False, False, ("join", keys[a], keys[b]))
-    # a coatom's down-set is bit c of the up-sets
-    atoms = upc[bot]
-    coatoms = [i for i, j in poset.covers if j == top]
-    down = [int(bytes(u >> c & 1 for u in reversed(up)).translate(
-        at_least(1)), 2) for c in coatoms]
-    full = (1 << n) - 1
-    for x in range(n):
-        meet = join = 0
-        for a in atoms:
-            if up[a] >> x & 1:
-                meet |= up[a]
-        for c, mask in zip(coatoms, down):
-            if up[x] >> c & 1:
-                join |= mask
-        if not full & ~(meet | join):
-            return LatticeReport(True, False, ("complement", keys[x], None))
+    up, keys, full, ones = poset.up, poset.elements, (1 << n) - 1, lanes(n)
+    cols, masks = [], []        # per run: its byte column, {bit t: mask}
+    # bit a - low in lane x iff x lies above atom a: the '0'/'1' digits
+    # of up[a], less b"0" in every lane; the covers of 0^ come first
+    covers = poset.covers
+    for run in _octets([j for _, j in covers[:bisect_left(covers, (1,))]]):
+        low = run[0]
+        cols.append(sum(int.from_bytes(format(up[a], f"0{n}b").encode(),
+                                       "big") - 48 * ones << a - low
+                        for a in run).to_bytes(n, "big"))
+        masks.append({a - low: up[a] for a in run})
+    # bit c - low in lane x iff x lies below coatom c: the up-sets
+    # shifted past the run's lowest coatom, then one translate each
+    for run in _octets([i for i, j in covers if j == n - 1]):
+        low = run[0]
+        bits = sum(1 << c - low for c in run)
+        col = bytes(map(and_, map(rshift, reversed(up), repeat(low, n)),
+                        repeat(bits, n)))
+        cols.append(col)
+        masks.append({c - low: int(col.translate(_bit_table(c - low)), 2)
+                      for c in run})
+    # sigs[x]: the signature of x (a column holds the last element
+    # first); a one-element poset has no runs, and its element is its
+    # own complement
+    sigs = list(zip(*cols))
+    sigs.reverse()
+    for sig in dict.fromkeys(sigs):
+        bound = 0       # the y sharing an atom or a coatom with x
+        for byte, run in zip(sig, masks):
+            for t in _set_bits(byte):
+                bound |= run[t]
+        if not full & ~bound:
+            return LatticeReport(True, False,
+                                 ("complement", keys[sigs.index(sig)], None))
     return LatticeReport(True, True, None)
 
 

@@ -5,8 +5,10 @@ against: Bruhat order (`bruhat_leq_a`, `bruhat_leq_b`), the one-element
 maps on Wachs permutations (`is_wachs`, `chi_map`, `encode`, `star`,
 `f_map`, `rank_lw`, `involution`, `coatom_c`), their order and covers
 (`wachs_leq`, `wachs_covers`), left-inversion sets and weak order
-(`tl_set_a`, `tl_set`, `weak_leq`), and posets from a comparison
-(`build_poset`).
+(`tl_set_a`, `tl_set`, `weak_leq`), posets from a comparison
+(`build_poset`), and the word-at-a-time forms that the sweeps read from
+byte columns or never need (`length_a`, `descent_set_a`, `stats_a`,
+`full_value`, `full_position`, `format_window`).
 
 No report cell calls them and no other module of the package imports
 this one (a test reads the imports), so a closed form cannot call back
@@ -17,17 +19,21 @@ from __future__ import annotations
 
 import functools
 from bisect import insort
+from collections import namedtuple
+from itertools import combinations, starmap
+from operator import gt
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import wachs
-from .perms import (compose, embed_tilde, full_position, full_value, inverse,
-                    length_b, signed_reflection)
+from .perms import (compose, embed_tilde, inverse, length_b,
+                    signed_reflection)
 from .posets import FinitePoset, _check_size, poset_from_up
 
 __all__ = ["bruhat_leq_a", "bruhat_leq_b", "is_wachs", "chi_map", "encode",
            "star", "f_map", "rank_lw", "involution", "coatom_c",
            "wachs_leq", "wachs_covers", "tl_set_a", "tl_set", "weak_leq",
-           "build_poset"]
+           "build_poset", "length_a", "descent_set_a", "StatRecord",
+           "stats_a", "full_value", "full_position", "format_window"]
 
 
 @functools.lru_cache(maxsize=262144)
@@ -346,3 +352,64 @@ def build_poset(items: Iterable, leq: Callable, key: Callable = str) -> FinitePo
         rel = [[rel[i][j] for j in order] for i in order]
     up = [sum(1 << j for j, b in enumerate(row) if b) for row in rel]
     return poset_from_up(items, up, keys)
+
+
+# ------------------------------------------- one word at a time
+
+
+def length_a(word: Sequence[int]) -> int:
+    """Coxeter length of a permutation: the number of inversions."""
+    return sum(starmap(gt, combinations(word, 2)))
+
+
+def descent_set_a(word: Sequence[int]) -> frozenset:
+    """D(w) = {i in [n-1] : w(i) > w(i+1)}."""
+    return frozenset(i for i in range(1, len(word)) if word[i - 1] > word[i])
+
+
+StatRecord = namedtuple("StatRecord", [
+    "des",      # |D(w)|
+    "maj",      # sum of D(w)
+    "odes",     # number of odd descents
+    "emaj",     # sum of i/2 over even descents i
+    "pos",      # position of the value n
+])
+StatRecord.__doc__ = """Descent-based statistics of a permutation."""
+
+
+def stats_a(word: Sequence[int]) -> StatRecord:
+    """
+    >>> stats_a((3, 4, 1, 2))
+    StatRecord(des=1, maj=2, odes=0, emaj=1, pos=2)
+    """
+    d = descent_set_a(word)
+    return StatRecord(
+        des=len(d),
+        maj=sum(d),
+        odes=sum(1 for i in d if i % 2 == 1),
+        emaj=sum(i // 2 for i in d if i % 2 == 0),
+        pos=word.index(len(word)) + 1,
+    )
+
+
+def full_value(window: Sequence[int], k: int) -> int:
+    """w(k) for a position k in [+-n]."""
+    return window[k - 1] if k > 0 else -window[-k - 1]
+
+
+def full_position(window: Sequence[int], value: int) -> int:
+    """The signed position k in [+-n] with w(k) == value."""
+    for k, v in enumerate(window, 1):
+        if v == value:
+            return k
+        if v == -value:
+            return -k
+    raise ValueError(f"value {value} not in window")
+
+
+def format_window(window: Sequence[int]) -> str:
+    """
+    >>> format_window((-2, 1, 4, 3))
+    '[-2,1,4,3]'
+    """
+    return "[" + ",".join(map(str, window)) + "]"

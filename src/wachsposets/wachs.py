@@ -33,10 +33,10 @@ from math import comb
 from typing import Sequence
 
 from .bruhat import bruhat_covers, bruhat_up_sets
-from .columns import (cells, lengths, not_wachs, signed_words, sorted_columns,
-                      texts, tile_subsets)
+from .columns import (cells, columns, emaj_odes, lengths, not_wachs,
+                      signed_words, sorted_columns, texts, tile_subsets)
 from .perms import (SizeCapError, all_perms, all_windows, compose,
-                    embed_tilde, identity, inverse, length_b, stats_a)
+                    embed_tilde, identity, inverse, length_b)
 
 __all__ = [
     "Kind", "KINDS", "kind_record", "longest_element",
@@ -414,12 +414,15 @@ def closed_polys(kind: str, n: int) -> ClosedForms:
 
 def stats_distribution_check(n: int) -> bool:
     """For even rank: the length generating function equals the generating
-    function of 3*emaj + odes over the Wachs permutations."""
+    function of 3*emaj + odes over the Wachs permutations.  The statistic
+    is read from the columns of the table's items in every lane at once,
+    and its sorted lane bytes are compared with the sorted ranks."""
     if n % 2 != 0:
         raise ValueError("even rank only")
     table = element_table("A", n)
-    stats = map(stats_a, table.items)
-    return sorted(table.ranks) == sorted(3 * s.emaj + s.odes for s in stats)
+    size = len(table.items)
+    stats = emaj_odes(columns(table.items)).to_bytes(size, "little")
+    return sorted(stats) == sorted(table.ranks)
 
 
 def stabilizer_gi(n: int) -> list:
@@ -427,14 +430,10 @@ def stabilizer_gi(n: int) -> list:
 
     w s_i w^-1 is the transposition of w(i) and w(i+1), so such a w maps
     each odd pair {i, i+1} onto an odd pair, and fixes n when n is odd.
-    Only those words are generated, and each passes the conjugation test.
+    Only those words are generated, and each passes the conjugation
+    test: w s_i w^-1 is an odd generator iff {w(i), w(i+1)} is an odd
+    pair.
     """
-    gens = []
-    for i in range(1, n, 2):
-        w = list(identity(n))
-        w[i - 1], w[i] = w[i], w[i - 1]
-        gens.append(tuple(w))
-    gen_set = set(gens)
     pairs = [(i, i + 1) for i in range(1, n, 2)]
     out = []
     for images in itertools.permutations(pairs):
@@ -442,8 +441,7 @@ def stabilizer_gi(n: int) -> list:
             w = [n] * n
             for (i, _), (a, b), flip in zip(pairs, images, flips):
                 w[i - 1], w[i] = (b, a) if flip else (a, b)
-            w = tuple(w)
-            wi = inverse(w)
-            if all(compose(compose(w, s), wi) in gen_set for s in gens):
-                out.append(w)
+            if all(abs(w[i] - w[i - 1]) == 1 and min(w[i - 1], w[i]) % 2
+                   for i, _ in pairs):
+                out.append(tuple(w))
     return sorted(out)

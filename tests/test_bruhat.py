@@ -6,10 +6,11 @@ from hypothesis import given, strategies as st
 
 from wachsposets.bruhat import bruhat_covers, bruhat_up_sets
 from wachsposets.perms import (
-    all_perms, all_windows, compose, embed_tilde, identity, inverse, length_a,
-    length_b,
+    all_perms, all_windows, compose, embed_tilde, identity, inverse, length_b,
 )
-from wachsposets.reference import bruhat_leq_a, bruhat_leq_b, tl_set, tl_set_a
+from wachsposets.reference import (
+    bruhat_leq_a, bruhat_leq_b, length_a, tl_set, tl_set_a,
+)
 from wachsposets.wachs import longest_element
 
 

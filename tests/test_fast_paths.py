@@ -11,15 +11,17 @@ through A9 and B7; the column texts against `format_perm` and
 `format_window` through A12 and B10; the column Wachs check and the
 column lengths against `is_wachs`, `length_a` and `length_b` on all of
 S_n, n <= 8, and B_n, n <= 6, on malformed words and on extremal words
-at the caps, and a planted fault of the column decoder, which
+at the caps; the lane statistic 3 emaj + odes against `stats_a` on
+every element through A10; and a planted fault of the column decoder, which
 enumeration must reject naming the first bad code and word.  Also: no pipeline cell encodes an element, a corrupted table
 rank fails the graded check at that element, planted faults of the slot
 window, the signature and the cover rules (the slot slide, the cells T
 must miss) fail the order and cover checks with a witness naming the
 pair (and the side that relates it) or the element, and planted faults
 of the closed forms, the table ranks, the longest element, the Moebius
-row, the weak-order factor map, the stabilizer, the grading and the
-lattice test fail exactly the cells of their checks, with their
+row and rows, the weak-order factor map, the stabilizer, the descent
+weights, the items of the self-dual poset, the grading and the lattice
+and join tests fail exactly the cells of their checks, with their
 witnesses; a rank past the validation cap is refused before the N^2
 kernel runs."""
 
@@ -31,17 +33,18 @@ from hypothesis import given, strategies as st
 from wachsposets import checks, reference, wachs, weak
 from wachsposets.bruhat import bruhat_up_sets
 from wachsposets.columns import (
-    cells, columns, lengths, not_wachs, signed_words, texts,
+    cells, columns, emaj_odes, lengths, not_wachs, signed_words, texts,
 )
 from wachsposets.perms import (
     SizeCapError, all_perms, all_windows, embed_tilde, format_perm,
-    format_window, identity, inverse, length_a, length_b,
+    identity, inverse, length_b,
 )
 from wachsposets.posets import (
-    LatticeReport, dominance_up_sets, grade, mobius_rows,
+    FinitePoset, LatticeReport, dominance_up_sets, grade, mobius_rows,
 )
 from wachsposets.reference import (
-    bruhat_leq_a, bruhat_leq_b, build_poset, tl_set,
+    bruhat_leq_a, bruhat_leq_b, build_poset, format_window, length_a,
+    stats_a, tl_set,
 )
 from mobius_oracle import mobius_row_by_recursion, nonzero
 
@@ -190,7 +193,8 @@ def test_order_witness_of_the_window_mutant(monkeypatch):
 
 _closed_polys, _factor_map = wachs.closed_polys, weak._factor_map
 _stabilizer_gi, _element_table = wachs.stabilizer_gi, wachs.element_table
-_mobius_closed = wachs.mobius_closed
+_mobius_closed, _emaj_odes = wachs.mobius_closed, wachs.emaj_odes
+_bruhat_poset = checks.bruhat_poset
 
 
 def _times(p, q):
@@ -245,6 +249,25 @@ def _graded(p):
     return grade(p)._replace(graded=True)
 
 
+def _first_value_raised(p, us):
+    """The Moebius rows of p, the first value of the first row 2 higher."""
+    for i, row in enumerate(mobius_rows(p, us)):
+        if i == 0:
+            first = next(iter(row))
+            row = {**row, first: row[first] + 2}
+        yield row
+
+
+def _items_exchanged(kind, n):
+    """The Bruhat poset of a rank, its items 1 and 2 exchanged, and its
+    keys, up-sets and covers kept."""
+    p = _bruhat_poset(kind, n)
+    items = list(p.items)
+    if len(items) > 2:
+        items[1], items[2] = items[2], items[1]
+    return FinitePoset(p.elements, items, p.up, p.covers)
+
+
 def _last_cell_swapped(n):
     """The identity of rank n with the two values of cell n // 2 swapped."""
     w, k = list(identity(n)), n // 2 * 2
@@ -297,6 +320,13 @@ CHECK_MUTANTS = {
         ["selfdual-A"],
         {("selfdual-A", "A", n):
          f"rank antisymmetry fails at {_ends('A', n)[0]}" for n in range(2, 9)}),
+    # v -> v w_0 read through the items, two of them exchanged, is a
+    # bijection that reverses the order at A1 to A4 and not from A5 on
+    "selfdual reversal on a poset with two items exchanged": (
+        [(checks, "bruhat_poset", _items_exchanged)],
+        ["selfdual-A"],
+        {("selfdual-A", "A", n): "v -> v w_0 is not an antiautomorphism"
+         for n in range(5, 9)}),
     # v -> v w_0 still reverses the order, but with e one rank higher
     # r(e w_0) = top is no longer top - r(e)
     "selfdual table with the bottom raised": (
@@ -330,6 +360,21 @@ CHECK_MUTANTS = {
         {(f"weakiso-{kind}", kind, n):
          f"lattice failure: {('complement', _ends(kind, n)[0], None)}"
          for kind, top in (("A", 8), ("B", 6)) for n in range(1, top + 1)}),
+    # a column of zeros in front reads each descent one position later:
+    # odd descents weigh 3 (i + 1) / 2 and even ones 1
+    "statdist with the odd and even descent weights swapped": (
+        [(wachs, "emaj_odes", lambda cols: _emaj_odes(
+            [bytes(len(cols[0]))] + list(cols)))],
+        ["statdist-A"],
+        {("statdist-A", "A", n): "distribution mismatch"
+         for n in (2, 4, 6, 8)}),
+    # mu(e, e) = 3 leads the first row of every rank
+    "mobius rows with mu(e, e) raised by 2": (
+        [(checks, "mobius_rows", _first_value_raised)],
+        ["mobiusA", "mobiusB"],
+        {(f"mobius{kind}", kind, n): "mu({0},{0}) = 3".format(
+            _ends(kind, n)[0])
+         for kind, top in (("A", 8), ("B", 6)) for n in range(1, top + 1)}),
     "stabilizer drops one word": (
         [(wachs, "stabilizer_gi", lambda n: _stabilizer_gi(n)[1:])],
         ["gi-stabilizer"],
@@ -344,9 +389,8 @@ CHECK_MUTANTS = {
         ["nongraded-weakL"],
         {("nongraded-weakL", "A", 5): "poset is graded",
          ("nongraded-weakL", "B", 3): "poset is graded"}),
-    "lattice_checks finds no join of bottom and top": (
-        [(checks, "lattice_checks", lambda p: LatticeReport(
-            False, False, ("join", p.elements[0], p.elements[-1])))],
+    "join_witness finds no join of bottom and top": (
+        [(checks, "join_witness", lambda p: (p.elements[0], p.elements[-1]))],
         ["latticeAodd"],
         {("latticeAodd", "A", n): "no join for {}, {}".format(*_ends("A", n))
          for n in (1, 3, 5, 7, 9)}),
@@ -480,6 +524,15 @@ def test_column_check_and_lengths_match_the_per_word_functions(kind, top):
         rejected, column_lengths = _column_verdicts(words, n)
         assert rejected == [not reference.is_wachs(w) for w in words]
         assert column_lengths == list(map(length, words))
+
+
+def test_lane_statistic_matches_stats_a():
+    # every element of A1-A10, odd ranks too
+    for n in range(1, 11):
+        items = wachs.element_table("A", n).items
+        lanes = emaj_odes(columns(items)).to_bytes(len(items), "little")
+        assert list(lanes) == [3 * s.emaj + s.odes
+                               for s in map(stats_a, items)], n
 
 
 @pytest.mark.parametrize("kind,top", [("A", 12), ("B", 10)])

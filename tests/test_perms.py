@@ -14,9 +14,11 @@ import wachsposets.posets
 import wachsposets.wachs
 import wachsposets.weak
 from wachsposets.perms import (
-    SizeCapError, all_perms, all_windows, compose, descent_set_a,
-    embed_tilde, format_perm, format_window, identity, inverse, length_a,
-    length_b, signed_reflection, stats_a,
+    SizeCapError, all_perms, all_windows, compose, embed_tilde, format_perm,
+    identity, inverse, length_b, signed_reflection,
+)
+from wachsposets.reference import (
+    descent_set_a, format_window, length_a, stats_a,
 )
 from wachsposets.wachs import _product, longest_element
 

@@ -12,7 +12,8 @@ from wachsposets import checks
 from wachsposets.columns import columns
 from wachsposets.posets import (
     LatticeReport, PosetError, characteristic_polynomial, dominance_up_sets,
-    dual_check, grade, lattice_checks, mobius_rows, poset_from_up, to_dot,
+    dual_check, grade, join_witness, lattice_checks, mobius_rows,
+    poset_from_up, to_dot,
 )
 from wachsposets.reference import build_poset
 from mobius_oracle import mobius_row_by_recursion, nonzero
@@ -418,36 +419,84 @@ def test_every_pair_of_upper_covers_is_joined():
     assert lattice_checks(p) == LatticeReport(False, False, ("join", "a", "c"))
 
 
-def _lattice_by_definition(n, rel):
-    """(is_lattice, is_complemented) of a bounded poset on range(n), from
-    the two-sided definition: every pair has a least common upper bound
-    and a greatest common lower bound."""
+def _lattice_by_definition(items, rel):
+    """(is_lattice, the first item without a complement or None) of a
+    bounded poset on `items`, from the two-sided definition: every pair
+    has a least common upper bound and a greatest common lower bound,
+    and y complements x iff their meet is the least element and their
+    join the greatest."""
     def least(s):
         return next((z for z in s if all((z, w) in rel for w in s)), None)
 
     def greatest(s):
         return next((z for z in s if all((w, z) in rel for w in s)), None)
 
-    everything = list(range(n))
-    bot, top = least(everything), greatest(everything)
+    bot, top = least(items), greatest(items)
     join, meet = {}, {}
-    for a, b in itertools.product(everything, repeat=2):
-        join[a, b] = least([z for z in everything
+    for a, b in itertools.product(items, repeat=2):
+        join[a, b] = least([z for z in items
                             if (a, z) in rel and (b, z) in rel])
-        meet[a, b] = greatest([z for z in everything
+        meet[a, b] = greatest([z for z in items
                                if (z, a) in rel and (z, b) in rel])
     if None in join.values() or None in meet.values():
-        return False, False
-    return True, all(any(meet[a, b] == bot and join[a, b] == top
-                         for b in everything) for a in everything)
+        return False, None
+    return True, next((a for a in items if not any(
+        meet[a, b] == bot and join[a, b] == top for b in items)), None)
+
+
+def _report_by_definition(p, rel):
+    """The flags and complement witness `lattice_checks` should give."""
+    lattice, lonely = _lattice_by_definition(p.items, rel)
+    if not lattice or lonely is None:
+        return lattice, lattice, None
+    return True, False, ("complement", str(lonely), None)
 
 
 @given(st.data())
 def test_lattice_checks_match_the_definition(data):
     n, rel = _draw_bounded_order(data)
-    rep = lattice_checks(build_poset(range(n), lambda a, b: (a, b) in rel))
-    assert (rep.is_lattice, rep.is_complemented) == \
-        _lattice_by_definition(n, rel)
+    p = build_poset(range(n), lambda a, b: (a, b) in rel)
+    rep = lattice_checks(p)
+    want = _report_by_definition(p, rel)
+    assert (rep.is_lattice, rep.is_complemented) == want[:2]
+    if want[2] is not None:
+        assert rep.witness == want[2]
+
+
+def _relation(items, below):
+    """The partial order on `items` with x < y iff x is in below[y]."""
+    return {(x, y) for x in items for y in items
+            if x == y or x in below.get(y, ())}
+
+
+M9 = ["0", *(f"a{i}" for i in range(1, 10)), "1"]
+# each relation as {y: the items below y}
+FIXED_LATTICES = {
+    "one element": (["0"], {}),
+    # nine atoms that are also the nine coatoms: two runs of lanes each
+    "M_9": (M9, {"1": M9[:-1], **{a: ["0"] for a in M9[1:-1]}}),
+    # M_9 below a chain m < 1: no atom has a complement
+    "M_9 under a chain": (M9[:-1] + ["m", "1"], {
+        "1": M9[:-1] + ["m"], "m": M9[:-1],
+        **{a: ["0"] for a in M9[1:-1]}}),
+    # coatoms c > a1..a8, x and d > b, with a9 < x, b: a9, read in the
+    # second run of atom lanes, is the first element without a
+    # complement, and x has none because b and d lie above a9
+    "nine atoms, two coatoms": (M9[:-1] + ["x", "b", "c", "d", "1"], {
+        **{a: ["0"] for a in M9[1:-1]}, "x": ["0", "a9"],
+        "b": ["0", "a9"], "c": M9[:-1] + ["x"], "d": ["0", "a9", "b"],
+        "1": M9[:-1] + ["x", "b", "c", "d"]}),
+}
+
+
+@pytest.mark.parametrize("name", FIXED_LATTICES)
+def test_lattice_checks_on_fixed_posets(name):
+    items, below = FIXED_LATTICES[name]
+    rel = _relation(items, below)
+    p = build_poset(items, lambda x, y: (x, y) in rel)
+    assert p.items == items
+    assert lattice_checks(p) == LatticeReport(*_report_by_definition(p, rel))
+    assert join_witness(p) is None
 
 
 # ------------------------------------------------------------ duality, DOT

@@ -15,7 +15,8 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 REFERENCES = ["bruhat_leq_a", "bruhat_leq_b", "is_wachs", "chi_map",
               "encode", "star", "f_map", "rank_lw", "involution", "coatom_c",
               "wachs_leq", "wachs_covers", "tl_set_a", "tl_set", "weak_leq",
-              "build_poset"]
+              "build_poset", "length_a", "descent_set_a", "StatRecord",
+              "stats_a", "full_value", "full_position", "format_window"]
 
 
 def imported_names(source):

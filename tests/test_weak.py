@@ -8,16 +8,16 @@ import operator
 import pytest
 
 from wachsposets import weak
-from wachsposets.checks import weak_poset
+from wachsposets.checks import run_cell, weak_poset
 from wachsposets.perms import (
-    all_perms, all_windows, compose, inverse, length_a, length_b,
-    signed_reflection,
+    all_perms, all_windows, compose, inverse, length_b, signed_reflection,
 )
 from wachsposets.posets import (
     LatticeReport, dominance_up_sets, grade, lattice_checks,
 )
 from wachsposets.reference import (
-    bruhat_leq_a, bruhat_leq_b, build_poset, tl_set, tl_set_a, weak_leq,
+    bruhat_leq_a, bruhat_leq_b, build_poset, length_a, tl_set, tl_set_a,
+    weak_leq,
 )
 from wachsposets.wachs import enumerate_wachs
 from wachsposets.weak import WeakIsoResult, inversion_columns, weak_product_iso
@@ -178,6 +178,16 @@ def test_product_map_failures_name_a_witness(monkeypatch):
         (group, 3 ^ s) for group, s in _factor_map(head)])
     assert weak_product_iso(poset, "A", 4) == WeakIsoResult(
         holds=False, witness=((1, 2, 3, 4), (1, 2, 4, 3)))
+
+
+def test_lattice_aodd_needs_no_complements():
+    # the left weak order at A3, A5 and A7 is a lattice in which 21...
+    # has no complement; the conjecture cell asks for the joins only
+    for n in (3, 5, 7):
+        assert lattice_checks(weak_poset("A", n, "L")) == LatticeReport(
+            True, False, ("complement", "21" + "".join(
+                map(str, range(3, n + 1))), None))
+        assert run_cell(("latticeAodd", "A", n)).ok
 
 
 def test_signed_left_weak_order_is_not_a_lattice_at_b5():
