@@ -11,16 +11,17 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import wachs
 from .bruhat import bruhat_up_sets
+from .columns import columns, emaj_odes
 from .perms import format_perm, inverse
 from .posets import (FinitePoset, PosetError, _check_size,
                      characteristic_polynomial, dominance_up_sets, dual_check,
                      grade, join_witness, lattice_checks, mobius_rows,
                      poset_from_up)
-from .weak import inversion_columns, weak_product_iso
+from .weak import inversion_columns, product_up_sets
 
 __all__ = ["CheckResult", "THEOREM_IDS", "CONJECTURE_IDS",
            "LATTICE_DEFAULT_MAX_N", "default_max_n", "check_cells",
@@ -65,6 +66,21 @@ def weak_poset(kind: str, n: int, side: str) -> FinitePoset:
 # ------------------------------------------------------------ check bodies
 
 
+def _first_difference(closed: Sequence[int], oracle: Sequence[int]):
+    """The first row i where a closed form and its oracle differ, the
+    lowest bit j where they differ there, and whether the closed form
+    holds that bit; None if they agree.  Lists of different lengths
+    always differ: a PosetError names both counts."""
+    if len(closed) != len(oracle):
+        raise PosetError(f"{len(closed)} rows for {len(oracle)} elements")
+    for i, (got, want) in enumerate(zip(closed, oracle)):
+        if got != want:
+            bits = got ^ want
+            j = (bits & -bits).bit_length() - 1
+            return i, j, bool(got >> j & 1)
+    return None
+
+
 def _check_graded(kind, n):
     p = bruhat_poset(kind, n)
     g = grade(p)
@@ -74,21 +90,21 @@ def _check_graded(kind, n):
     if g.rank != forms.rank:
         return False, f"rank {g.rank} != {forms.rank}"
     ranks = wachs.element_table(kind, n).ranks
-    if g.ranks != ranks:
-        i = next(i for i, r in enumerate(ranks) if g.ranks[i] != r)
+    diff = _first_difference(ranks, g.ranks)
+    if diff:
+        i = diff[0]
         return False, f"rank function differs from l_W at {p.elements[i]}"
     return True, None
 
 
 def _check_order(kind, n):
     p = bruhat_poset(kind, n)
-    for i, up in enumerate(wachs.wachs_up_sets(kind, n)):
-        diff = up ^ p.up[i]
-        if diff:
-            j = (diff & -diff).bit_length() - 1
-            side = "closed form" if up >> j & 1 else "Bruhat order"
-            return False, (f"{p.elements[i]} <= {p.elements[j]} "
-                           f"in the {side} only")
+    diff = _first_difference(wachs.wachs_up_sets(kind, n), p.up)
+    if diff:
+        i, j, closed = diff
+        side = "closed form" if closed else "Bruhat order"
+        return False, (f"{p.elements[i]} <= {p.elements[j]} "
+                       f"in the {side} only")
     return True, None
 
 
@@ -97,9 +113,9 @@ def _check_covers(kind, n):
     below = [0] * len(p)
     for i, j in p.covers:
         below[j] |= 1 << i
-    for j, mask in enumerate(wachs.wachs_cover_masks(kind, n)):
-        if mask != below[j]:
-            return False, f"covers of {p.elements[j]}"
+    diff = _first_difference(wachs.wachs_cover_masks(kind, n), below)
+    if diff:
+        return False, f"covers of {p.elements[diff[0]]}"
     return True, None
 
 
@@ -133,9 +149,9 @@ def _check_rankpoly(kind, n):
 
 def _check_weakiso(kind, n):
     p = weak_poset(kind, n, "R")
-    res = weak_product_iso(p, kind, n)
-    if not res.holds:
-        return False, f"map mismatch: {res.witness}"
+    diff = _first_difference(product_up_sets(kind, n), p.up)
+    if diff:
+        return False, f"map mismatch: {(p.items[diff[0]], p.items[diff[1]])}"
     rep = lattice_checks(p)
     if not rep.is_lattice or not rep.is_complemented:
         return False, f"lattice failure: {rep.witness}"
@@ -150,14 +166,20 @@ def _check_selfdual(kind, n):
         return False, "v -> v w_0 is not an antiautomorphism"
     ranks = wachs.element_table("A", n).ranks
     top = ranks[index[wachs.longest_element("A", n)]]
-    for i, key in enumerate(p.elements):
-        if ranks[img[i]] != top - ranks[i]:
-            return False, f"rank antisymmetry fails at {key}"
+    diff = _first_difference([ranks[j] for j in img],
+                             [top - r for r in ranks])
+    if diff:
+        return False, f"rank antisymmetry fails at {p.elements[diff[0]]}"
     return True, None
 
 
 def _check_statdist(kind, n):
-    ok = wachs.stats_distribution_check(n)
+    # the length generating function is that of 3 emaj + odes, read in
+    # every lane of the table's items at once
+    table = wachs.element_table("A", n)
+    size = len(table.items)
+    stats = emaj_odes(columns(table.items)).to_bytes(size, "little")
+    ok = sorted(stats) == sorted(table.ranks)
     return ok, None if ok else "distribution mismatch"
 
 

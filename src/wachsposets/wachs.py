@@ -33,8 +33,8 @@ from math import comb
 from typing import Sequence
 
 from .bruhat import bruhat_covers, bruhat_up_sets
-from .columns import (cells, columns, emaj_odes, lengths, not_wachs,
-                      signed_words, sorted_columns, texts, tile_subsets)
+from .columns import (cells, lengths, not_wachs, signed_words,
+                      sorted_columns, texts, tile_subsets)
 from .perms import (SizeCapError, all_perms, all_windows, compose,
                     embed_tilde, identity, inverse, length_b)
 
@@ -42,8 +42,7 @@ __all__ = [
     "Kind", "KINDS", "kind_record", "longest_element",
     "enumerate_wachs", "ElementTable", "element_table",
     "decode", "wachs_up_sets", "wachs_cover_masks", "mobius_closed",
-    "ClosedForms", "closed_polys",
-    "stats_distribution_check", "stabilizer_gi",
+    "ClosedForms", "closed_polys", "stabilizer_gi",
 ]
 
 
@@ -412,27 +411,14 @@ def closed_polys(kind: str, n: int) -> ClosedForms:
     return ClosedForms(_product(factors), char, rank)
 
 
-def stats_distribution_check(n: int) -> bool:
-    """For even rank: the length generating function equals the generating
-    function of 3*emaj + odes over the Wachs permutations.  The statistic
-    is read from the columns of the table's items in every lane at once,
-    and its sorted lane bytes are compared with the sorted ranks."""
-    if n % 2 != 0:
-        raise ValueError("even rank only")
-    table = element_table("A", n)
-    size = len(table.items)
-    stats = emaj_odes(columns(table.items)).to_bytes(size, "little")
-    return sorted(stats) == sorted(table.ranks)
-
-
 def stabilizer_gi(n: int) -> list:
     """Elements of S_n whose conjugation fixes {s_i : i odd} setwise.
 
-    w s_i w^-1 is the transposition of w(i) and w(i+1), so such a w maps
-    each odd pair {i, i+1} onto an odd pair, and fixes n when n is odd.
-    Only those words are generated, and each passes the conjugation
-    test: w s_i w^-1 is an odd generator iff {w(i), w(i+1)} is an odd
-    pair.
+    w s_i w^-1 is the transposition of w(i) and w(i+1), an odd generator
+    iff {w(i), w(i+1)} is an odd pair.  So w is in the stabilizer iff it
+    maps the odd pairs {i, i+1} onto the odd pairs, in order or flipped
+    each, and then fixes n when n is odd: the words generated here, one
+    per order of the pairs' images and choice of flips.
     """
     pairs = [(i, i + 1) for i in range(1, n, 2)]
     out = []
@@ -441,7 +427,5 @@ def stabilizer_gi(n: int) -> list:
             w = [n] * n
             for (i, _), (a, b), flip in zip(pairs, images, flips):
                 w[i - 1], w[i] = (b, a) if flip else (a, b)
-            if all(abs(w[i] - w[i - 1]) == 1 and min(w[i - 1], w[i]) % 2
-                   for i, _ in pairs):
-                out.append(tuple(w))
+            out.append(tuple(w))
     return sorted(out)

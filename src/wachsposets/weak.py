@@ -1,22 +1,21 @@
 """
-Right and left weak orders by inversion columns, and the
-product-structure isomorphisms of the weak order on (signed) Wachs
-permutations.  The left-inversion sets and the pairwise `weak_leq` that
+Right and left weak orders by inversion columns, and the product
+order that the right weak order on (signed) Wachs permutations is
+isomorphic to.  The left-inversion sets and the pairwise `weak_leq` that
 the columns are tested against are in `reference`.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .columns import columns, greater
 from .perms import inverse
-from .posets import FinitePoset, dominance_up_sets
+from .posets import dominance_up_sets
 from .wachs import element_table, kind_record
 
-__all__ = ["inversion_columns", "WeakIsoResult", "weak_product_iso"]
+__all__ = ["inversion_columns", "product_up_sets"]
 
 
 def inversion_columns(words: Iterable[Sequence[int]], kind: str) -> list:
@@ -60,21 +59,15 @@ def _factor_map(head) -> list:
     return images
 
 
-WeakIsoResult = namedtuple("WeakIsoResult", [
-    "holds",
-    "witness",      # first mismatching pair, if any
-])
-
-
-def weak_product_iso(poset: FinitePoset, kind: str, n: int) -> WeakIsoResult:
-    """Check that `poset`, the right weak order on the items of
-    `element_table` of rank n, is isomorphic via the explicit head and
-    tile map to (G_ceil(n/2), <=_R) x P([floor(n/2)])."""
+def product_up_sets(kind: str, n: int) -> list:
+    """Up-sets of (G_ceil(n/2), <=_R) x P([floor(n/2)]) carried to the
+    items of `element_table` of rank n by the explicit head and tile
+    map, as bitmasks: bit b of up[a] is set iff the image of item a lies
+    below that of item b.  The map is an isomorphism from the right weak
+    order iff these are that order's up-sets."""
     table = element_table(kind, n)
     maps = list(map(_factor_map, table.heads))
     images = [maps[i % len(maps)][i // len(maps)] for i in table.tiles]
-    if len(set(images)) != len(images):
-        return WeakIsoResult(False, ("not injective",))
     # the product order is entrywise: the group's inversion columns, then
     # the subset's indicator, each column gathered last image first from
     # the columns of the distinct group elements
@@ -85,10 +78,4 @@ def weak_product_iso(poset: FinitePoset, kind: str, n: int) -> WeakIsoResult:
             for col in inversion_columns(map(inverse, groups), kind)]
     for v in range(n // 2):
         cols.append(bytes(s >> v & 1 for _, s in reversed(images)))
-    up = dominance_up_sets(cols, len(images))
-    for a, v in enumerate(poset.items):
-        diff = poset.up[a] ^ up[a]
-        if diff:
-            b = (diff & -diff).bit_length() - 1
-            return WeakIsoResult(False, (v, poset.items[b]))
-    return WeakIsoResult(True, None)
+    return dominance_up_sets(cols, len(images))

@@ -12,9 +12,10 @@ through A9 and B7; the column texts against `format_perm` and
 column lengths against `is_wachs`, `length_a` and `length_b` on all of
 S_n, n <= 8, and B_n, n <= 6, on malformed words and on extremal words
 at the caps; the lane statistic 3 emaj + odes against `stats_a` on
-every element through A10; and a planted fault of the column decoder, which
-enumeration must reject naming the first bad code and word.  Also: no pipeline cell encodes an element, a corrupted table
-rank fails the graded check at that element, planted faults of the slot
+every element through A10; and a planted fault of the column decoder,
+which enumeration must reject naming the first bad code and word.
+Also: no pipeline cell encodes an element, a corrupted table rank fails
+the graded check at that element, planted faults of the slot
 window, the signature and the cover rules (the slot slide, the cells T
 must miss) fail the order and cover checks with a witness naming the
 pair (and the side that relates it) or the element, and planted faults
@@ -22,8 +23,11 @@ of the closed forms, the table ranks, the longest element, the Moebius
 row and rows, the weak-order factor map, the stabilizer, the descent
 weights, the items of the self-dual poset, the grading and the lattice
 and join tests fail exactly the cells of their checks, with their
-witnesses; a rank past the validation cap is refused before the N^2
-kernel runs."""
+witnesses, and every check id is failed by at least one of these
+mutants; a closed form of up-sets, cover masks or product up-sets one
+row short or one row long fails its order, covers or weakiso cell with
+a witness naming both counts; a rank past the validation cap is refused
+before the N^2 kernel runs."""
 
 import re
 
@@ -193,7 +197,7 @@ def test_order_witness_of_the_window_mutant(monkeypatch):
 
 _closed_polys, _factor_map = wachs.closed_polys, weak._factor_map
 _stabilizer_gi, _element_table = wachs.stabilizer_gi, wachs.element_table
-_mobius_closed, _emaj_odes = wachs.mobius_closed, wachs.emaj_odes
+_mobius_closed, _emaj_odes = wachs.mobius_closed, checks.emaj_odes
 _bruhat_poset = checks.bruhat_poset
 
 
@@ -313,6 +317,11 @@ CHECK_MUTANTS = {
             kind, n, char=(0, 1) if (kind, n) == ("A", 7) else (1,)))],
         ["charpoly-A", "charpoly-B"],
         {("charpoly-A", "A", 7): _mismatch("char", "A", 7, (0, 1))}),
+    "char times x at B5": (
+        [(wachs, "closed_polys", lambda kind, n: _forms(
+            kind, n, char=(0, 1) if (kind, n) == ("B", 5) else (1,)))],
+        ["charpoly-A", "charpoly-B"],
+        {("charpoly-B", "B", 5): _mismatch("char", "B", 5, (0, 1))}),
     # the self-dual map reverses v, but the top rank read at w_0 becomes
     # 0, so the image of the bottom e breaks rank antisymmetry
     "longest element is the identity": (
@@ -363,7 +372,7 @@ CHECK_MUTANTS = {
     # a column of zeros in front reads each descent one position later:
     # odd descents weigh 3 (i + 1) / 2 and even ones 1
     "statdist with the odd and even descent weights swapped": (
-        [(wachs, "emaj_odes", lambda cols: _emaj_odes(
+        [(checks, "emaj_odes", lambda cols: _emaj_odes(
             [bytes(len(cols[0]))] + list(cols)))],
         ["statdist-A"],
         {("statdist-A", "A", n): "distribution mismatch"
@@ -406,6 +415,45 @@ def test_checks_fail_on_a_planted_mutant(mutant, monkeypatch):
     got = {(r.id, r.kind, r.n): r.witness
            for r in checks.run_cells(cells) if not r.ok}
     assert got == failing
+
+
+def test_every_check_id_fails_on_a_planted_mutant():
+    # the failing cells of CHECK_MUTANTS, and the ids whose cells run the
+    # check function of a MUTANTS row
+    failed = {check_id for *_, failing in CHECK_MUTANTS.values()
+              for check_id, _, _ in failing}
+    for _, _, check, _ in MUTANTS.values():
+        failed |= {check_id for check_id, spec in checks.THEOREMS.items()
+                   if spec.fn is getattr(checks, check)}
+    assert set(checks.THEOREM_IDS + checks.CONJECTURE_IDS) - failed == set()
+
+
+def _row_dropped(rows):
+    return rows[:-1]
+
+
+def _row_added(rows):
+    return rows + rows[-1:]
+
+
+# the closed forms of the order, covers and weakiso cells, each patched
+# at the module attribute `checks` reaches it by
+CLOSED_ROWS = {"order": (wachs, "wachs_up_sets"),
+               "covers": (wachs, "wachs_cover_masks"),
+               "weakiso": (checks, "product_up_sets")}
+
+
+@pytest.mark.parametrize("resize,extra", [(_row_dropped, -1), (_row_added, 1)])
+@pytest.mark.parametrize("kind,n,size", [("A", 6, 48), ("B", 4, 32)])
+@pytest.mark.parametrize("check", CLOSED_ROWS)
+def test_a_closed_form_of_the_wrong_length_fails_its_cell(
+        check, kind, n, size, resize, extra, monkeypatch):
+    module, name = CLOSED_ROWS[check]
+    closed = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda kind, n: resize(closed(kind, n)))
+    result = checks.run_cell((f"{check}-{kind}", kind, n))
+    assert (result.status, result.witness) == (
+        "fail", f"{size + extra} rows for {size} elements")
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind, top in

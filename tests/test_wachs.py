@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wachsposets.bruhat import bruhat_covers, bruhat_up_sets
+from wachsposets.checks import check_cells, run_cells
 from wachsposets.perms import (
     all_perms, all_windows, compose, embed_tilde, identity, inverse,
     signed_reflection,
@@ -20,7 +21,7 @@ from wachsposets.reference import (
 )
 from wachsposets.wachs import (
     closed_polys, decode, element_table, enumerate_wachs, longest_element,
-    mobius_closed, stabilizer_gi, stats_distribution_check,
+    mobius_closed, stabilizer_gi,
 )
 
 
@@ -586,10 +587,10 @@ def test_rank_polynomial_counts_elements():
 
 
 def test_statistics_distribution():
-    for n in (2, 4, 6):
-        assert stats_distribution_check(n)
-    with pytest.raises(ValueError):
-        stats_distribution_check(5)
+    # the statdist-A cells, at the even ranks only
+    cells = check_cells("statdist-A", 6)
+    assert cells == [("statdist-A", "A", n) for n in (2, 4, 6)]
+    assert all(r.ok and r.witness is None for r in run_cells(cells))
 
 
 def test_stabilizer_of_odd_generators():

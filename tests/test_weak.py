@@ -8,7 +8,7 @@ import operator
 import pytest
 
 from wachsposets import weak
-from wachsposets.checks import run_cell, weak_poset
+from wachsposets.checks import _check_weakiso, run_cell, weak_poset
 from wachsposets.perms import (
     all_perms, all_windows, compose, inverse, length_b, signed_reflection,
 )
@@ -20,7 +20,7 @@ from wachsposets.reference import (
     weak_leq,
 )
 from wachsposets.wachs import enumerate_wachs
-from wachsposets.weak import WeakIsoResult, inversion_columns, weak_product_iso
+from wachsposets.weak import inversion_columns, product_up_sets
 
 _factor_map = weak._factor_map
 
@@ -156,28 +156,28 @@ def test_left_weak_order_is_not_graded_on_wachs_elements():
 
 
 def test_product_structure():
-    res = weak_product_iso(weak_poset("A", 5, "R"), "A", 5)
-    assert res.holds and res.witness is None
-    assert weak_product_iso(weak_poset("B", 4, "R"), "B", 4).holds
-    assert weak_product_iso(weak_poset("B", 2, "R"), "B", 2).holds
+    for kind, n in (("A", 5), ("B", 4), ("B", 2)):
+        assert product_up_sets(kind, n) == weak_poset(kind, n, "R").up
+        assert _check_weakiso(kind, n) == (True, None)
     for kind, n in (("A", 5), ("B", 4)):
         rep = lattice_checks(weak_poset(kind, n, "R"))
         assert rep.is_lattice and rep.is_complemented
 
 
 def test_product_map_failures_name_a_witness(monkeypatch):
-    poset = weak_poset("A", 4, "R")
-    # every tile of a head mapped to the empty subset
+    # every tile of a head mapped to the empty subset: 1243 and 1234
+    # share the image (e, {}), so each lies below the other in the
+    # product order
     monkeypatch.setattr(weak, "_factor_map", lambda head: [
         (group, 0) for group, _ in _factor_map(head)])
-    assert weak_product_iso(poset, "A", 4) == WeakIsoResult(
-        holds=False, witness=("not injective",))
+    assert _check_weakiso("A", 4) == (
+        False, "map mismatch: ((1, 2, 4, 3), (1, 2, 3, 4))")
     # complementing every subset keeps the map a bijection, but not
     # order-preserving
     monkeypatch.setattr(weak, "_factor_map", lambda head: [
         (group, 3 ^ s) for group, s in _factor_map(head)])
-    assert weak_product_iso(poset, "A", 4) == WeakIsoResult(
-        holds=False, witness=((1, 2, 3, 4), (1, 2, 4, 3)))
+    assert _check_weakiso("A", 4) == (
+        False, "map mismatch: ((1, 2, 3, 4), (1, 2, 4, 3))")
 
 
 def test_lattice_aodd_needs_no_complements():
