@@ -5,21 +5,19 @@ Bruhat order on the symmetric group and on signed permutations.
 tableau criterion; `reference.bruhat_leq_a` and `bruhat_leq_b` compare
 one pair.  Elements of B_n are compared through their images under the
 order-preserving embedding of the full map on [+-n] into S_2n (see
-perms.embed_tilde).  Covers have one rule for both groups: w t for the
-reflections t of B_n that lower the length by one, which on S_n, a
-standard parabolic subgroup of B_n, are the covers in S_n.
+perms.embed_tilde).  `wachs.group_order` reads covers off these
+up-sets; `reference.bruhat_covers`, the reflection rule for the covers
+of one element, is their reference.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .columns import columns, greater, lanes
-from .perms import compose, length_b, signed_reflection
 from .posets import dominance_up_sets
 
-__all__ = ["bruhat_up_sets", "bruhat_covers"]
+__all__ = ["bruhat_up_sets"]
 
 
 def bruhat_up_sets(words: Sequence[Sequence[int]]) -> list:
@@ -72,29 +70,3 @@ def _prefix_entries(cols: list, last: int, size: int) -> list:
                                for j in range(1, n))
             entries.append(entry.to_bytes(size, "big"))
     return entries
-
-
-@lru_cache(maxsize=None)
-def _reflections(n: int) -> tuple:
-    """The n^2 reflections (i, j)_B of B_n, i < |j| or j = -i."""
-    return tuple(signed_reflection(i, j, n) for i in range(1, n + 1)
-                 for j in range(-n, n + 1) if abs(j) > i or j == -i)
-
-
-def bruhat_covers(w: Sequence[int]) -> set:
-    """The elements covered by w in Bruhat order, for w in S_n or B_n:
-    the w t, t a reflection of B_n, with l(w t) = l(w) - 1
-    (Bjorner-Brenti, GTM 231, Def. 2.1.1 and the chain property,
-    Thm 2.2.6).  S_n is a standard parabolic subgroup of B_n, so a
-    reflection that changes a sign makes an unsigned w longer, and for
-    w in S_n these are its covers in S_n.
-
-    >>> sorted(bruhat_covers((2, 1, 4, 3)))
-    [(1, 2, 4, 3), (2, 1, 3, 4)]
-    >>> bruhat_covers((-1, 2))
-    {(1, 2)}
-    """
-    w = tuple(w)
-    below = length_b(w) - 1
-    return {u for u in (compose(w, t) for t in _reflections(len(w)))
-            if length_b(u) == below}

@@ -70,13 +70,17 @@ def _first_difference(closed: Sequence[int], oracle: Sequence[int]):
     """The first row i where a closed form and its oracle differ, the
     lowest bit j where they differ there, and whether the closed form
     holds that bit; None if they agree.  Lists of different lengths
-    always differ: a PosetError names both counts."""
+    always differ, and so does a bit j past the last element: a
+    PosetError names the counts, or the row and the bit."""
     if len(closed) != len(oracle):
         raise PosetError(f"{len(closed)} rows for {len(oracle)} elements")
     for i, (got, want) in enumerate(zip(closed, oracle)):
         if got != want:
             bits = got ^ want
             j = (bits & -bits).bit_length() - 1
+            if j >= len(oracle):
+                raise PosetError(f"row {i} holds bit {j}, past the "
+                                 f"{len(oracle)} elements")
             return i, j, bool(got >> j & 1)
     return None
 

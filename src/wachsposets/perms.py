@@ -5,7 +5,7 @@ A permutation of [n] = {1, ..., n} is stored as a tuple `w` with
 `w[k-1] == w(k)` (values 1..n).  A signed permutation is stored by its
 window `(w(1), ..., w(n))` with values in {-n, ..., -1, 1, ..., n} whose
 absolute values are a bijection of [n]; the full map on [+-n] is recovered
-from w(-k) = -w(k).
+from w(-k) = -w(k).  The reflections of B_n are in `reference`.
 
 >>> compose((3, 1, 2), (2, 3, 1))
 (1, 2, 3)
@@ -23,7 +23,6 @@ from typing import Iterator, Sequence
 __all__ = [
     "SizeCapError",
     "identity", "compose", "inverse", "length_b", "embed_tilde",
-    "signed_reflection",
     "all_perms", "all_windows", "format_perm",
 ]
 
@@ -85,30 +84,6 @@ def embed_tilde(window: Sequence[int]) -> tuple:
     for i, v in enumerate(window, 1):    # the relabeling: k -> k + n + (k < 0)
         out[n + i - 1] = v + n + (v < 0)
         out[n - i] = n - v + (v > 0)
-    return tuple(out)
-
-
-def signed_reflection(i: int, j: int, n: int) -> tuple:
-    """
-    Window of the reflection (i,j)_B with 1 <= i <= n and j in [+-n]:
-    the involution exchanging i with j (and -i with -j).
-
-    >>> signed_reflection(1, -1, 2)
-    (-1, 2)
-    >>> signed_reflection(2, -2, 3)
-    (1, -2, 3)
-    """
-    if not 1 <= i <= n or not 1 <= abs(j) <= n or i == j:
-        raise ValueError(f"bad reflection indices ({i},{j}) for n={n}")
-    out = list(range(1, n + 1))
-    if j == -i:
-        out[i - 1] = -i
-    else:
-        out[i - 1] = j
-        if j > 0:
-            out[j - 1] = i
-        else:
-            out[-j - 1] = -i
     return tuple(out)
 
 

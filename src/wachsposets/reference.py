@@ -1,7 +1,8 @@
 """
 Pairwise references: the brute-force oracles, for one pair or one
 element at a time, that the tests check the sweeps and closed forms
-against: Bruhat order (`bruhat_leq_a`, `bruhat_leq_b`), the one-element
+against: Bruhat order (`bruhat_leq_a`, `bruhat_leq_b`) and its covers
+by reflections (`bruhat_covers`, `signed_reflection`), the one-element
 maps on Wachs permutations (`is_wachs`, `chi_map`, `encode`, `star`,
 `f_map`, `rank_lw`, `involution`, `coatom_c`), their order and covers
 (`wachs_leq`, `wachs_covers`), left-inversion sets and weak order
@@ -12,7 +13,9 @@ byte columns or never need (`length_a`, `descent_set_a`, `stats_a`,
 
 No report cell calls them and no other module of the package imports
 this one (a test reads the imports), so a closed form cannot call back
-into its oracle.  They may read the codes and signatures of `wachs`.
+into its oracle.  They may read the codes, signatures and slot windows
+of `wachs`, but not its Bruhat order of G_m: `wachs_covers` derives
+the covers of tau from `bruhat_covers`.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from operator import gt
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import wachs
-from .perms import (compose, embed_tilde, inverse, length_b,
-                    signed_reflection)
+from .perms import compose, embed_tilde, inverse, length_b
 from .posets import FinitePoset, _check_size, poset_from_up
 
-__all__ = ["bruhat_leq_a", "bruhat_leq_b", "is_wachs", "chi_map", "encode",
+__all__ = ["bruhat_leq_a", "bruhat_leq_b", "signed_reflection",
+           "bruhat_covers", "is_wachs", "chi_map", "encode",
            "star", "f_map", "rank_lw", "involution", "coatom_c",
            "wachs_leq", "wachs_covers", "tl_set_a", "tl_set", "weak_leq",
            "build_poset", "length_a", "descent_set_a", "StatRecord",
@@ -76,6 +79,56 @@ def bruhat_leq_b(u: Sequence[int], v: Sequence[int]) -> bool:
     if len(u) != len(v):
         raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
     return bruhat_leq_a(_embedded(tuple(u)), _embedded(tuple(v)))
+
+
+def signed_reflection(i: int, j: int, n: int) -> tuple:
+    """
+    Window of the reflection (i,j)_B with 1 <= i <= n and j in [+-n]:
+    the involution exchanging i with j (and -i with -j).
+
+    >>> signed_reflection(1, -1, 2)
+    (-1, 2)
+    >>> signed_reflection(2, -2, 3)
+    (1, -2, 3)
+    """
+    if not 1 <= i <= n or not 1 <= abs(j) <= n or i == j:
+        raise ValueError(f"bad reflection indices ({i},{j}) for n={n}")
+    out = list(range(1, n + 1))
+    if j == -i:
+        out[i - 1] = -i
+    else:
+        out[i - 1] = j
+        if j > 0:
+            out[j - 1] = i
+        else:
+            out[-j - 1] = -i
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _reflections(n: int) -> tuple:
+    """The n^2 reflections (i, j)_B of B_n, i < |j| or j = -i."""
+    return tuple(signed_reflection(i, j, n) for i in range(1, n + 1)
+                 for j in range(-n, n + 1) if abs(j) > i or j == -i)
+
+
+def bruhat_covers(w: Sequence[int]) -> set:
+    """The elements covered by w in Bruhat order, for w in S_n or B_n:
+    the w t, t a reflection of B_n, with l(w t) = l(w) - 1
+    (Bjorner-Brenti, GTM 231, Def. 2.1.1 and the chain property,
+    Thm 2.2.6).  S_n is a standard parabolic subgroup of B_n, so a
+    reflection that changes a sign makes an unsigned w longer, and for
+    w in S_n these are its covers in S_n.
+
+    >>> sorted(bruhat_covers((2, 1, 4, 3)))
+    [(1, 2, 4, 3), (2, 1, 3, 4)]
+    >>> bruhat_covers((-1, 2))
+    {(1, 2)}
+    """
+    w = tuple(w)
+    below = length_b(w) - 1
+    return {u for u in (compose(w, t) for t in _reflections(len(w)))
+            if length_b(u) == below}
 
 
 def is_wachs(w: Sequence[int]) -> bool:
@@ -253,7 +306,19 @@ def wachs_leq(u: Sequence[int], v: Sequence[int]) -> bool:
     return keep is not None and cu[-1] & keep <= cv[-1]
 
 
-def _cover_codes(code, moves: tuple) -> list:
+def _moves(tau) -> list:
+    """The covers sigma of tau in G_m, each with the window positions
+    moved by tau^-1 sigma (the cells of a reflection)."""
+    tau_inv = inverse(tau)
+    out = []
+    for sigma in bruhat_covers(tau):
+        r = compose(tau_inv, sigma)
+        out.append((sigma, frozenset(k for k, x in enumerate(r, 1)
+                                     if x != k)))
+    return out
+
+
+def _cover_codes(code, moves: list) -> list:
     """Codes of the elements covered by the element with this code, given
     the `_moves` of its tau."""
     *slot, tau, t = code
@@ -276,7 +341,7 @@ def _cover_codes(code, moves: tuple) -> list:
 def wachs_covers(v: Sequence[int]) -> set:
     """Elements covered by v inside the (signed) Wachs permutations."""
     code = encode(v)
-    covered = _cover_codes(code, wachs._moves(code[-2]))
+    covered = _cover_codes(code, _moves(code[-2]))
     return {wachs.decode(c, len(v)) for c in covered}
 
 

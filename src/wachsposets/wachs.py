@@ -18,10 +18,11 @@ restricted to S_m are those of S_m: the order, covers and ranks run the
 signed rules, and read the type from the code; `perms.length_b`
 counts the length of both.  A `Kind` record holds what the enumeration
 and the output need by type: the group G_m (S_m or B_m), its ambient
-image, longest element and caps.  The pairwise
-references of the sweeps here (`wachs_leq`, `wachs_covers`, `rank_lw`)
-and the one-element maps (`is_wachs`, `encode`, `chi_map`, `involution`,
-`coatom_c`) are in `reference`.
+image, longest element and caps.  The Bruhat order of G_m is built once
+per type and m (`group_order`), and both closed forms of the order of a
+rank read it.  The pairwise references of the sweeps here (`wachs_leq`,
+`wachs_covers`, `rank_lw`) and the one-element maps (`is_wachs`,
+`encode`, `chi_map`, `involution`, `coatom_c`) are in `reference`.
 """
 
 from __future__ import annotations
@@ -32,15 +33,16 @@ from collections import namedtuple
 from math import comb
 from typing import Sequence
 
-from .bruhat import bruhat_covers, bruhat_up_sets
+from .bruhat import bruhat_up_sets
 from .columns import (cells, lengths, not_wachs, signed_words,
                       sorted_columns, texts, tile_subsets)
-from .perms import (SizeCapError, all_perms, all_windows, compose,
-                    embed_tilde, identity, inverse, length_b)
+from .perms import (SizeCapError, all_perms, all_windows, embed_tilde,
+                    identity, length_b)
+from .posets import poset_from_up
 
 __all__ = [
     "Kind", "KINDS", "kind_record", "longest_element",
-    "enumerate_wachs", "ElementTable", "element_table",
+    "enumerate_wachs", "ElementTable", "element_table", "group_order",
     "decode", "wachs_up_sets", "wachs_cover_masks", "mobius_closed",
     "ClosedForms", "closed_polys", "stabilizer_gi",
 ]
@@ -175,6 +177,29 @@ def decode(code, n: int) -> tuple:
 # ---------------------------------------------------------------- order
 
 
+@functools.lru_cache(maxsize=None)
+def group_order(kind: str, m: int) -> dict:
+    """The Bruhat order of G_m as moves[tau]: the lower covers sigma of
+    tau, each with the cells moved by tau^-1 sigma, where sigma and tau
+    differ.  Its keys are G_m sorted by length, a linear extension.  It
+    comes from one `bruhat_up_sets` call on the `embed_tilde` images,
+    validated and reduced to its covers by `poset_from_up`.  Every
+    caller shares the cached dict, so none may change it.
+
+    >>> group_order("A", 2)
+    {(1, 2): (), (2, 1): (((1, 2), frozenset({1, 2})),)}
+    """
+    group = sorted(kind_record(kind).elements(m), key=length_b)
+    up = bruhat_up_sets([embed_tilde(tau) for tau in group])
+    moves: dict = {tau: () for tau in group}
+    for i, j in poset_from_up(group, up).covers:
+        sigma, tau = group[i], group[j]
+        moved = frozenset(k for k, (x, y) in enumerate(zip(sigma, tau), 1)
+                          if x != y)
+        moves[tau] += ((sigma, moved),)
+    return moves
+
+
 def _signature(p: Sequence[int], c: int) -> tuple:
     """What cell c of an element of G_m reads in its image p =
     embed_tilde(w): the value v at position i = c + m, and r_p(i-1, v+1),
@@ -221,20 +246,20 @@ def wachs_up_sets(kind: str, n: int) -> list:
     u <= v iff the slot of v is at most that of u, sigma <= tau in G_m,
     and T_u & K <= T_v for the cells K frozen on [sigma, tau] and kept by
     `_slot_window` (`reference.wachs_leq` is this rule for one pair).
-    Here it is an AND of masks built per head and per cell, with one
-    `bruhat_up_sets` call on the distinct tau.  For the head (slot,
-    sigma) of word h + H t of `_rank_columns` and the cells c of t,
+    Here it is an AND of masks built per head and per cell: for the head
+    (slot, sigma) of word h + H t of `_rank_columns` and the cells c of t,
 
         base = above[sigma] & below[slot]
         free[c] = base & (~(signed[c, sig_c(sigma)] & window[slot][c])
                           | holders[c])
         up = base & the AND of free[c] over c in cells(t)
 
-    where above[sigma] holds the items whose tau lies above sigma,
-    below[slot] those of a slot <= slot, signed[c, s] those whose tau
-    has signature s at c (c is frozen on [sigma, tau] iff the signatures
-    at c agree), window[slot][c] those whose slot keeps c in
-    `_slot_window`, and holders[c] those whose subset holds c.
+    where above[sigma] holds the items whose tau lies above sigma, ORed
+    top first along the covers of `group_order`, below[slot] those of a
+    slot <= slot, signed[c, s] those whose tau has signature s at c (c is
+    frozen on [sigma, tau] iff the signatures at c agree),
+    window[slot][c] those whose slot keeps c in `_slot_window`, and
+    holders[c] those whose subset holds c.
 
     >>> wachs_up_sets("A", 2)
     [3, 2]
@@ -252,11 +277,14 @@ def wachs_up_sets(kind: str, n: int) -> list:
         member = sum(bit[h::size])
         by_tau[head[-1]] = by_tau.get(head[-1], 0) | member
         by_slot[head[:-1]] = by_slot.get(head[:-1], 0) | member
-    images = [embed_tilde(tau) for tau in by_tau]
-    masks = list(by_tau.values())
-    above, signs, signed = {}, {}, {}   # signs[tau]: its (c, signature)s
-    for tau, p, row in zip(by_tau, images, bruhat_up_sets(images)):
-        above[tau] = sum(mask for t, mask in enumerate(masks) if row >> t & 1)
+    moves = group_order(kind, n // 2)
+    above = dict(by_tau)                # then ORed down each cover
+    for tau in reversed(moves):
+        for sigma, _ in moves[tau]:
+            above[sigma] |= above[tau]
+    signs, signed = {}, {}              # signs[tau]: its (c, signature)s
+    for tau in by_tau:
+        p = embed_tilde(tau)
         signs[tau] = [(c, _signature(p, c)) for c in cells]
         for key in signs[tau]:
             signed[key] = signed.get(key, 0) | by_tau[tau]
@@ -282,24 +310,12 @@ def wachs_up_sets(kind: str, n: int) -> list:
     return list(map(rows.__getitem__, table.tiles))
 
 
-# shared by every element with this tau, in every rank and call
-@functools.lru_cache(maxsize=None)
-def _moves(tau) -> tuple:
-    """The covers sigma of tau in G_m, each with the window positions
-    moved by tau^-1 sigma (the cells of a reflection)."""
-    tau_inv = inverse(tau)
-    out = []
-    for sigma in bruhat_covers(tau):
-        r = compose(tau_inv, sigma)
-        out.append((sigma, frozenset(k for k, x in enumerate(r, 1) if x != k)))
-    return tuple(out)
-
-
-def _head_covers(head: tuple) -> list:
+def _head_covers(head: tuple, moves: tuple) -> list:
     """The rules (head', cells): (*head, T) covers (*head', T | cells)
-    if T holds none of the cells.  Its other covers drop a cell of T."""
+    if T holds none of the cells, given the `group_order` moves of the
+    tau of the head.  Its other covers drop a cell of T."""
     *slot, tau = head
-    rules = [((*slot, sigma), cells) for sigma, cells in _moves(tau)]
+    rules = [((*slot, sigma), cells) for sigma, cells in moves]
     if slot:
         # slide the extremal value one slot further from the front
         (j,), m = slot, len(tau)
@@ -337,8 +353,9 @@ def wachs_cover_masks(kind: str, n: int) -> list:
             low = size * (t - (1 << x - 1))
             masks[block] = map(int.__or__, masks[block], bit[low:low + size])
     index = {head: h for h, head in enumerate(heads)}
+    moves = group_order(kind, n // 2)
     for h, head in enumerate(heads):
-        for target, moved in _head_covers(head):
+        for target, moved in _head_covers(head, moves[head[-1]]):
             add = sum(1 << x - 1 for x in moved)
             g = index[target]
             for t in _missing(add, span):

@@ -4,12 +4,12 @@ import itertools
 
 from hypothesis import given, strategies as st
 
-from wachsposets.bruhat import bruhat_covers, bruhat_up_sets
+from wachsposets.bruhat import bruhat_up_sets
 from wachsposets.perms import (
     all_perms, all_windows, compose, embed_tilde, identity, inverse, length_b,
 )
 from wachsposets.reference import (
-    bruhat_leq_a, bruhat_leq_b, length_a, tl_set, tl_set_a,
+    bruhat_covers, bruhat_leq_a, bruhat_leq_b, length_a, tl_set, tl_set_a,
 )
 from wachsposets.wachs import longest_element
 

@@ -1,9 +1,9 @@
 """The fast paths against their independent oracles: the Bruhat up-sets
 against the tableau criterion, the weak-order masks against containment
 of left-inversion sets, the closed-form order masks against the pairwise
-predicate, the closed-form cover masks against the covers of each
-element and of the Bruhat poset, every Moebius row against the
-one-element-at-a-time recursion, and enumeration by decoding against a
+predicate, the closed-form cover masks against the covers of the Bruhat
+poset, every Moebius row against the one-element-at-a-time recursion,
+and enumeration by decoding against a
 membership filter of the whole group, on every rank up to the default
 caps; the element table against `encode`, `rank_lw`, the keys and the
 tile order of each element, and the cover masks against `wachs_covers`,
@@ -15,10 +15,11 @@ at the caps; the lane statistic 3 emaj + odes against `stats_a` on
 every element through A10; and a planted fault of the column decoder,
 which enumeration must reject naming the first bad code and word.
 Also: no pipeline cell encodes an element, a corrupted table rank fails
-the graded check at that element, planted faults of the slot
-window, the signature and the cover rules (the slot slide, the cells T
-must miss) fail the order and cover checks with a witness naming the
-pair (and the side that relates it) or the element, and planted faults
+the graded check at that element, planted faults of the slot window,
+the signature and the cover rules (the slot slide, the cells T must
+miss) and a cover dropped from the Bruhat order of G_m fail the order
+and cover checks with a witness naming the pair (and the side that
+relates it) or the element, and planted faults
 of the closed forms, the table ranks, the longest element, the Moebius
 row and rows, the weak-order factor map, the stabilizer, the descent
 weights, the items of the self-dual poset, the grading and the lattice
@@ -26,8 +27,11 @@ and join tests fail exactly the cells of their checks, with their
 witnesses, and every check id is failed by at least one of these
 mutants; a closed form of up-sets, cover masks or product up-sets one
 row short or one row long fails its order, covers or weakiso cell with
-a witness naming both counts; a rank past the validation cap is refused
-before the N^2 kernel runs."""
+a witness naming both counts, and one with a bit past the last element
+with a witness naming the row and the bit; the Bruhat order of G_m that
+both closed forms read against the reflection covers of
+`reference.bruhat_covers` on S_1-S_5 and B_1-B_4; a rank past the
+validation cap is refused before the N^2 kernel runs."""
 
 import re
 
@@ -113,15 +117,12 @@ def test_wachs_up_sets_match_pairwise_wachs_leq(kind, n):
 
 @pytest.mark.parametrize("kind,n", CELLS)
 def test_cover_masks_match_wachs_covers_and_the_poset(kind, n):
+    # the comparison with wachs_covers is the next test's, through A9, B7
     p = checks.bruhat_poset(kind, n)
-    masks = wachs.wachs_cover_masks(kind, n)
-    for v, mask in zip(p.items, masks):
-        assert {u for b, u in enumerate(p.items)
-                if mask >> b & 1} == reference.wachs_covers(v)
     below = [0] * len(p)
     for i, j in p.covers:
         below[j] |= 1 << i
-    assert masks == below
+    assert wachs.wachs_cover_masks(kind, n) == below
 
 
 @pytest.mark.parametrize("kind,n", [("A", n) for n in range(1, 10)] +
@@ -136,7 +137,27 @@ def test_cover_masks_stay_in_the_rank_and_match_wachs_covers(kind, n):
                 if mask >> b & 1} == reference.wachs_covers(v)
 
 
+def test_group_order_matches_the_reflection_covers():
+    # every G_m that an order or covers cell reaches under the
+    # validation cap: S_m to A11, B_m to B8
+    for kind, top in (("A", 5), ("B", 4)):
+        for m in range(1, top + 1):
+            group = wachs.group_order(kind, m)
+            assert sorted(group) == sorted(GROUPS[kind](m))
+            assert list(map(length_b, group)) == sorted(map(length_b, group))
+            for tau, moves in group.items():
+                assert sorted(moves) == sorted(reference._moves(tau)), tau
+
+
 _signature, _head_covers = wachs._signature, wachs._head_covers
+_group_order = wachs.group_order
+
+
+def _cover_dropped(kind, m):
+    """The Bruhat order of G_m, each element's first lower cover gone."""
+    return {tau: moves[1:] for tau, moves in _group_order(kind, m).items()}
+
+
 # planted faults of the closed forms, each the fault of one function:
 # (name, replacement, the check it breaks, the ranks it fails among A1-A6
 # and B1-B4, or None for at least one of them)
@@ -152,9 +173,18 @@ MUTANTS = {
         "_signature", lambda p, c: _signature(p, c)[:1],
         "_check_order", {("A", 6), ("B", 4)}),
     "covers drop the slot slide": (
-        "_head_covers", lambda head: [
-            rule for rule in _head_covers(head) if rule[0][:-1] == head[:-1]],
+        "_head_covers", lambda head, moves: [
+            rule for rule in _head_covers(head, moves)
+            if rule[0][:-1] == head[:-1]],
         "_check_covers", {("A", 3), ("A", 5), ("B", 1), ("B", 3)}),
+    "the order of G_m drops a cover (order)": (
+        "group_order", _cover_dropped, "_check_order",
+        {(kind, n) for kind, lo, top in (("A", 4, 6), ("B", 2, 4))
+         for n in range(lo, top + 1)}),
+    "the order of G_m drops a cover (covers)": (
+        "group_order", _cover_dropped, "_check_covers",
+        {(kind, n) for kind, lo, top in (("A", 4, 6), ("B", 2, 4))
+         for n in range(lo, top + 1)}),
     "covers ignore the cells T holds": (
         "_missing", lambda cells, span: range(span), "_check_covers", None),
 }
@@ -436,6 +466,10 @@ def _row_added(rows):
     return rows + rows[-1:]
 
 
+def _bit_past_the_end(rows):
+    return rows[:-1] + [rows[-1] | 1 << len(rows)]
+
+
 # the closed forms of the order, covers and weakiso cells, each patched
 # at the module attribute `checks` reaches it by
 CLOSED_ROWS = {"order": (wachs, "wachs_up_sets"),
@@ -443,7 +477,9 @@ CLOSED_ROWS = {"order": (wachs, "wachs_up_sets"),
                "weakiso": (checks, "product_up_sets")}
 
 
-@pytest.mark.parametrize("resize,extra", [(_row_dropped, -1), (_row_added, 1)])
+# each plant with the number of rows it adds
+@pytest.mark.parametrize("resize,extra", [(_row_dropped, -1), (_row_added, 1),
+                                          (_bit_past_the_end, 0)])
 @pytest.mark.parametrize("kind,n,size", [("A", 6, 48), ("B", 4, 32)])
 @pytest.mark.parametrize("check", CLOSED_ROWS)
 def test_a_closed_form_of_the_wrong_length_fails_its_cell(
@@ -452,8 +488,9 @@ def test_a_closed_form_of_the_wrong_length_fails_its_cell(
     closed = getattr(module, name)
     monkeypatch.setattr(module, name, lambda kind, n: resize(closed(kind, n)))
     result = checks.run_cell((f"{check}-{kind}", kind, n))
-    assert (result.status, result.witness) == (
-        "fail", f"{size + extra} rows for {size} elements")
+    witness = (f"{size + extra} rows for {size} elements" if extra else
+               f"row {size - 1} holds bit {size}, past the {size} elements")
+    assert (result.status, result.witness) == ("fail", witness)
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind, top in

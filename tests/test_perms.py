@@ -15,10 +15,10 @@ import wachsposets.wachs
 import wachsposets.weak
 from wachsposets.perms import (
     SizeCapError, all_perms, all_windows, compose, embed_tilde, format_perm,
-    identity, inverse, length_b, signed_reflection,
+    identity, inverse, length_b,
 )
 from wachsposets.reference import (
-    descent_set_a, format_window, length_a, stats_a,
+    descent_set_a, format_window, length_a, signed_reflection, stats_a,
 )
 from wachsposets.wachs import _product, longest_element
 

@@ -1,7 +1,8 @@
 """The pairwise references stand apart from the pipeline: no other module
-of the package, its `__init__` included, imports `reference`, no module
-imports a name it never uses, and every public name of a module is
-defined there."""
+of the package, its `__init__` included, imports `reference` or defines
+or imports the pairwise Bruhat comparison or the reflection covers, no
+module imports a name it never uses, and every public name of a module
+is defined there."""
 
 import ast
 import importlib
@@ -12,7 +13,8 @@ from wachsposets import reference
 
 PACKAGE = pathlib.Path(wachsposets.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
-REFERENCES = ["bruhat_leq_a", "bruhat_leq_b", "is_wachs", "chi_map",
+REFERENCES = ["bruhat_leq_a", "bruhat_leq_b", "signed_reflection",
+              "bruhat_covers", "is_wachs", "chi_map",
               "encode", "star", "f_map", "rank_lw", "involution", "coatom_c",
               "wachs_leq", "wachs_covers", "tl_set_a", "tl_set", "weak_leq",
               "build_poset", "length_a", "descent_set_a", "StatRecord",
@@ -47,18 +49,28 @@ def unused_imports(source):
     return bound - read
 
 
+def defined_names(source):
+    """The names of the functions `source` defines, at any depth."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)}
+
+
 def test_no_pipeline_module_imports_reference():
     for form in ("from . import reference", "from .reference import star",
                  "import wachsposets.reference",
                  "from wachsposets.reference import tl_set"):
         assert "reference" in imported_names(form), form
+    assert defined_names("def f():\n    def g(): pass\n") == {"f", "g"}
     assert len(MODULES) > 2 and {"__init__", "reference"} <= set(MODULES)
+    # the closed forms compare tau by up-sets, never pair by pair, and
+    # take its covers from those up-sets, not from the reflection rule
+    # they are checked against
     for module in MODULES:
         if module != "reference":
-            names = imported_names((PACKAGE / f"{module}.py").read_text())
-            assert "reference" not in names, module
-            # the order sweep compares tau by up-sets, never pair by pair
-            assert "bruhat_leq_b" not in names, module
+            source = (PACKAGE / f"{module}.py").read_text()
+            names = imported_names(source) | defined_names(source)
+            assert not names & {"reference", "bruhat_leq_b", "bruhat_covers",
+                                "_reflections", "signed_reflection"}, module
     # one home per name: the package root imports and re-exports nothing
     assert imported_names((PACKAGE / "__init__.py").read_text()) == set()
 

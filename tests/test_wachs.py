@@ -8,16 +8,15 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from wachsposets.bruhat import bruhat_covers, bruhat_up_sets
+from wachsposets.bruhat import bruhat_up_sets
 from wachsposets.checks import check_cells, run_cells
 from wachsposets.perms import (
     all_perms, all_windows, compose, embed_tilde, identity, inverse,
-    signed_reflection,
 )
 from wachsposets.reference import (
-    _frozen_cells, bruhat_leq_a, bruhat_leq_b, chi_map, coatom_c, encode,
-    f_map, full_position, involution, is_wachs, length_a, rank_lw, star,
-    wachs_covers, wachs_leq,
+    _frozen_cells, bruhat_covers, bruhat_leq_a, bruhat_leq_b, chi_map,
+    coatom_c, encode, f_map, full_position, involution, is_wachs, length_a,
+    rank_lw, signed_reflection, star, wachs_covers, wachs_leq,
 )
 from wachsposets.wachs import (
     closed_polys, decode, element_table, enumerate_wachs, longest_element,

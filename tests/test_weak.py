@@ -10,14 +10,14 @@ import pytest
 from wachsposets import weak
 from wachsposets.checks import _check_weakiso, run_cell, weak_poset
 from wachsposets.perms import (
-    all_perms, all_windows, compose, inverse, length_b, signed_reflection,
+    all_perms, all_windows, compose, inverse, length_b,
 )
 from wachsposets.posets import (
     LatticeReport, dominance_up_sets, grade, lattice_checks,
 )
 from wachsposets.reference import (
-    bruhat_leq_a, bruhat_leq_b, build_poset, length_a, tl_set, tl_set_a,
-    weak_leq,
+    bruhat_leq_a, bruhat_leq_b, build_poset, length_a, signed_reflection,
+    tl_set, tl_set_a, weak_leq,
 )
 from wachsposets.wachs import enumerate_wachs
 from wachsposets.weak import inversion_columns, product_up_sets
