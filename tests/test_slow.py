@@ -1,7 +1,8 @@
 """Exhaustive sweeps past the default caps: gradedness, the rank function,
 the covers, the closed-form order up-sets against the Bruhat poset, the
-Moebius row of the least element, the characteristic polynomial and the
-Moebius conjecture on every interval at A9, A10, B7 and B8; gradedness,
+Moebius row of the least element, the characteristic polynomial, the
+product map of the right weak order and the Moebius conjecture on every
+interval at A9, A10, B7 and B8; gradedness,
 the covers and the closed-form order at A11, the largest rank under the
 poset validation cap; and the lattice conjecture on the left weak order
 at A11.  Deselected by
@@ -17,7 +18,7 @@ from wachsposets import checks
 
 def _rank(kind, n):
     return [(f"{check}-{kind}", kind, n) for check in
-            ("graded", "covers", "order", "mobius", "charpoly")] + \
+            ("graded", "covers", "order", "mobius", "charpoly", "weakiso")] + \
         [(f"mobius{kind}", kind, n)]
 
 

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wachsposets.bruhat import bruhat_up_sets
-from wachsposets.checks import check_cells, run_cells
+from wachsposets.checks import check_cells, run_cell, run_cells
 from wachsposets.perms import (
-    all_perms, all_windows, compose, embed_tilde, identity, inverse,
+    all_perms, all_windows, embed_tilde, format_perm, identity, inverse,
 )
+from wachsposets.posets import grade
 from wachsposets.reference import (
-    _frozen_cells, bruhat_covers, bruhat_leq_a, bruhat_leq_b, chi_map,
-    coatom_c, encode, f_map, full_position, involution, is_wachs, length_a,
-    rank_lw, signed_reflection, star, wachs_covers, wachs_leq,
+    _frozen_cells, bruhat_covers, bruhat_leq_a, bruhat_leq_b, build_poset,
+    chi_map, coatom_c, compose, encode, f_map, full_position, involution,
+    is_wachs, length_a, rank_lw, signed_reflection, star, wachs_covers,
+    wachs_leq,
 )
 from wachsposets.wachs import (
     closed_polys, decode, element_table, enumerate_wachs, longest_element,
@@ -259,6 +261,25 @@ def test_code_comparison_alone_is_not_the_order():
     u, v = (2, 1, 4, 3), (3, 4, 1, 2)
     (fu, tu), (fv, tv) = encode(u), encode(v)
     assert bruhat_leq_a(u, v) and not tu <= tv
+
+
+def test_nongraded_remark_is_the_interval_in_the_subposet():
+    # [124365, 561234] among all A6 elements: 9 elements, graded; cut to
+    # v(1) < v(2) it keeps 5 and loses 431265, the one element between
+    # 341265 and 561234
+    lo, hi = (1, 2, 4, 3, 6, 5), (5, 6, 1, 2, 3, 4)
+    full = [v for v in enumerate_wachs("A", 6)
+            if bruhat_leq_a(lo, v) and bruhat_leq_a(v, hi)]
+    g = grade(build_poset(full, bruhat_leq_a, key=format_perm))
+    assert g.graded and sorted(g.ranks) == [0, 1, 1, 2, 2, 2, 3, 3, 4]
+    cut = build_poset([v for v in full if v[0] < v[1]], bruhat_leq_a,
+                      key=format_perm)
+    assert len(cut) == 5 and (4, 3, 1, 2, 6, 5) in full
+    g = grade(cut)
+    assert not g.graded and g.witness == ("341265", "561234")
+    result = run_cell(("nongraded-remark", "A", 6))
+    assert (result.status, result.witness) == (
+        "pass", "cover gap at ('341265', '561234')")
 
 
 # ------------------------------------------------------------------- covers
